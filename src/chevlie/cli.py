@@ -1,8 +1,8 @@
 """Batch command-line interface.
 
 Exit codes: 0 pass, 1 mathematical mismatch, 2 invalid input, 3 budget
-exhausted.  Enumerations stream one JSON line per orbit so that long runs can
-be inspected incrementally.
+exhausted.  `enumerate` prints one JSON line per conjugacy class, then a
+summary line; all of them are printed after fusion has finished.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .elementary import (
     leading_term_solve,
     lie,
     lt,
+    normal_form_tag,
     normalizer_in_g,
     solution_subalgebra,
     subalgebra_from_rows,
@@ -160,7 +161,8 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
 
 def _verify_orbits(t, n, p, budget, out) -> int:
     setting = get_setting(t, n, p)
-    cat = enumerate_max_commuting(setting.system)
+    # maximal p-commuting sets: at a bad prime m can exceed the good-prime value
+    cat = enumerate_max_commuting(setting.system, p=p)
     try:
         points = brute_force_Eu(setting, cat.m, budget=budget)
     except BudgetExceeded as e:
@@ -253,6 +255,8 @@ def cmd_enumerate(args, out) -> int:
     t, n = _parse_type(args.type)
     budget = args.budget if args.budget else _default_budget()
     setting = get_setting(t, n, args.p, degree=args.r_ext)
+    if not 1 <= args.dim <= setting.n_pos:
+        raise CliError(f"--dim {args.dim} is out of range 1..{setting.n_pos} for {t}{n}")
     try:
         points = brute_force_Eu(setting, args.dim, budget=budget)
     except BudgetExceeded as e:
@@ -266,7 +270,7 @@ def cmd_enumerate(args, out) -> int:
                     "representative_rows": c.representative.rows.tolist(),
                     "size": c.size,
                     "normalizer_dim": c.normalizer_dim,
-                    "normal_form_tag": c.representative.tag(),
+                    "normal_form_tag": normal_form_tag(setting, c.representative.rows),
                 },
                 sort_keys=True,
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .rootsys import Root, RootSystem, build_root_system, EuclidModel
 
@@ -255,29 +256,6 @@ def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
 # -- Weyl stabilizers ---------------------------------------------------------
 
 
-def _subgroup_elements(system: RootSystem, letters, limit: int = 200_000):
-    gens = [
-        tuple(system.reflect(i, r) for r in system.positive_roots) for i in letters
-    ]
-    ident = tuple(system.positive_roots)
-    seen = {ident}
-    frontier = [ident]
-    pos = system.positive_roots
-    while frontier:
-        nxt = []
-        for w in frontier:
-            lookup = dict(zip(pos, w))
-            for g in gens:
-                img = tuple(lookup[r] if r in lookup else -lookup[-r] for r in g)
-                if img not in seen:
-                    if len(seen) >= limit:
-                        raise RuntimeError("subgroup enumeration limit hit")
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
 def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
     """Simple reflections fixing R setwise, plus a verification report.
 
@@ -309,7 +287,7 @@ def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
             lookup = dict(zip(pos, w))
             if {lookup[r] for r in members} == members:
                 stab.add(w)
-        para = _subgroup_elements(sys, sorted(gens))
+        para = set(sys.weyl_words(sorted(gens), exhaustive_limit))
         report["exhaustive"] = True
         report["stabilizer_order"] = len(stab)
         report["parabolic_order"] = len(para)
@@ -320,23 +298,35 @@ def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
 # -- closed-form constructions ---------------------------------------------------
 
 
-def _b_family_sets(system: RootSystem):
-    """S_t and S*_t for type B_n in epsilon coordinates."""
+class BFamily(NamedTuple):
+    """Epsilon-coordinate roots of B_n and the maximum commuting sets built
+    from them: eps[i], plus[(i, j)] = eps_i + eps_j and minus[(i, j)] =
+    eps_i - eps_j for i < j, S[t] for 1 <= t <= n and S*[t] for 1 <= t < n."""
+
+    eps: dict[int, Root]
+    plus: dict[tuple[int, int], Root]
+    minus: dict[tuple[int, int], Root]
+    S: dict[int, list[Root]]
+    Sstar: dict[int, list[Root]]
+
+
+@lru_cache(maxsize=None)
+def b_family(system: RootSystem) -> BFamily:
+    """S_t and S*_t for type B_n, with the epsilon roots they are made of."""
     n = system.rank
     em = EuclidModel(system)
-    eps = lambda i: em.to_root(em.eps(i))
-    eps_plus = lambda i, j: em.to_root(
-        tuple(x + y for x, y in zip(em.eps(i), em.eps(j)))
-    )
-    eps_minus = lambda i, j: em.to_root(
-        tuple(x - y for x, y in zip(em.eps(i), em.eps(j)))
-    )
-    r1 = [eps_plus(i, j) for i in range(1, n) for j in range(i + 1, n)]
-    r2 = [eps_plus(i, n) for i in range(1, n)]
-    r3 = [eps_minus(i, n) for i in range(1, n)]
-    S = {t: r1 + r2 + [eps(t)] for t in range(1, n + 1)}
-    Sstar = {t: r1 + r3 + [eps(t)] for t in range(1, n)}
-    return S, Sstar
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    eps = {i: em.to_root(em.eps(i)) for i in range(1, n + 1)}
+    plus = {(i, j): em.to_root(tuple(x + y for x, y in zip(em.eps(i), em.eps(j))))
+            for i, j in pairs}
+    minus = {(i, j): em.to_root(tuple(x - y for x, y in zip(em.eps(i), em.eps(j))))
+             for i, j in pairs}
+    r1 = [plus[(i, j)] for i, j in pairs if j < n]
+    r2 = [plus[(i, n)] for i in range(1, n)]
+    r3 = [minus[(i, n)] for i in range(1, n)]
+    S = {t: r1 + r2 + [eps[t]] for t in range(1, n + 1)}
+    Sstar = {t: r1 + r3 + [eps[t]] for t in range(1, n)}
+    return BFamily(eps, plus, minus, S, Sstar)
 
 
 def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
@@ -376,8 +366,8 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
     elif type_label == "B":
         if n < 5:
             raise ValueError("type B oracle applies for rank >= 5")
-        S, Sstar = _b_family_sets(system)
-        sets = [S[t] for t in range(1, n + 1)] + [Sstar[t] for t in range(1, n)]
+        family = b_family(system)
+        sets = [family.S[t] for t in range(1, n + 1)] + [family.Sstar[t] for t in range(1, n)]
     elif type_label == "D":
         if n < 7:
             raise ValueError("type D oracle applies for rank >= 7")

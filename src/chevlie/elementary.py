@@ -20,10 +20,9 @@ desk scale.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from .chevalley import (
     root_group_element,
     weyl_word_element,
 )
-from .commuting import CommutingSet, commuting_set
+from .commuting import CommutingSet, b_family, commuting_set
 from .rootsys import Root, RootSystem, WeylWord, build_root_system
 
 
@@ -69,9 +68,8 @@ class Setting:
         n = self.system.num_positive
         desc = sorted(range(n), key=lambda i: key(self.system.root(i)), reverse=True)
         self.perm_desc = np.array(desc)  # column k of echelon form = k-th largest root
-        inv = np.empty(n, dtype=np.int64)
-        inv[self.perm_desc] = np.arange(n)
-        self.inv_perm = inv
+        # column order of canonical forms and keys: u by the order, then the rest of g
+        self.colperm = np.concatenate([self.perm_desc, np.arange(n, self.basis.dim)])
         self._check_faithful()
 
     def _check_faithful(self):
@@ -124,17 +122,15 @@ class ElementarySubalgebra:
     def dim(self) -> int:
         return self.rows.shape[0]
 
-    def permuted(self) -> np.ndarray:
-        return self.rows[:, self.setting.perm_desc]
-
     def pack(self) -> bytes:
-        return self.setting.field.pack(self.permuted())
+        return keys(self.setting, self.rows[None])[0]
 
     def leading_roots(self) -> list[Root]:
+        perm = self.setting.perm_desc
         out = []
-        for row in self.permuted():
+        for row in self.rows[:, perm]:
             piv = int(np.nonzero(row)[0][0])
-            out.append(self.setting.system.root(int(self.setting.perm_desc[piv])))
+            out.append(self.setting.system.root(int(perm[piv])))
         return out
 
     def as_g_rows(self) -> np.ndarray:
@@ -142,25 +138,49 @@ class ElementarySubalgebra:
         g[:, : self.setting.n_pos] = self.rows
         return g
 
-    def tag(self) -> str:
-        if ((self.rows != 0).sum(axis=1) == 1).all():
-            roots = sorted(r.coeffs for r in self.leading_roots())
-            return "lie:" + ";".join(",".join(map(str, c)) for c in roots)
-        return "generic"
-
     def __repr__(self):
         lead = sorted(r.coeffs for r in self.leading_roots())
         return f"ElementarySubalgebra(dim={self.dim}, lt={lead})"
 
 
+def canonical(setting: Setting, rows: np.ndarray) -> np.ndarray:
+    """Reduced echelon form of linearly independent rows, in storage coordinates.
+
+    Pivots are taken in the column order `setting.colperm`.  `rows` is one
+    (r, d) matrix or an (N, r, d) stack, with d = n_pos (subspaces of u) or
+    d = dim (subspaces of g).
+    """
+    gf = setting.field
+    cols = setting.colperm[: rows.shape[-1]]
+    if rows.ndim == 2:
+        R, pivots = gf.rref(rows[:, cols])
+        if len(pivots) != rows.shape[0]:
+            raise ValueError("rows are linearly dependent")
+    else:
+        R = gf.batch_rref(rows[:, :, cols])
+    out = np.empty_like(R)
+    out[..., cols] = R
+    return out
+
+
+def keys(setting: Setting, stack: np.ndarray) -> list[bytes]:
+    """One byte key per canonical matrix of an (N, r, d) stack: its entries
+    read row by row in the column order `setting.colperm`."""
+    ordered = stack[:, :, setting.colperm[: stack.shape[-1]]].astype(np.uint8)
+    return [m.tobytes() for m in ordered]
+
+
+def normal_form_tag(setting: Setting, rows: np.ndarray) -> str:
+    """Tag "lie:<roots>" when the rows are root vectors of u, else "generic"."""
+    if rows[:, setting.n_pos :].any() or ((rows != 0).sum(axis=1) != 1).any():
+        return "generic"
+    roots = sorted(setting.system.root(int(np.flatnonzero(row)[0])).coeffs for row in rows)
+    return "lie:" + ";".join(",".join(map(str, c)) for c in roots)
+
+
 def subalgebra_from_rows(setting: Setting, rows_u: np.ndarray) -> ElementarySubalgebra:
     """Canonicalize arbitrary spanning rows (storage coordinates) to echelon form."""
-    gf = setting.field
-    perm = rows_u[:, setting.perm_desc]
-    R, pivots = gf.rref(perm)
-    if len(pivots) != rows_u.shape[0]:
-        raise ValueError("rows are linearly dependent")
-    return ElementarySubalgebra(setting, R[:, setting.inv_perm])
+    return ElementarySubalgebra(setting, canonical(setting, rows_u))
 
 
 def lie(setting: Setting, roots) -> ElementarySubalgebra:
@@ -292,6 +312,8 @@ def brute_force_Eu(
 
     gf = setting.field
     n = setting.n_pos
+    if r < 1:
+        raise ValueError(f"dimension {r} is out of range: it must be at least 1")
     n_patterns = math.comb(n, r)
     if n_patterns > budget:
         needed = _gaussian_binomial(n, r, gf.q)
@@ -533,11 +555,7 @@ def leading_term_solve(
             base = [assign.get(v, 0) for v in range(nvars)]
             if len(solutions) + p ** len(fill) > max_solutions:
                 raise BudgetExceeded("solution budget exceeded in leading_term_solve")
-            stack = [(base, 0)]
-            counts = np.array(fill)
-            from itertools import product as iproduct
-
-            for vals in iproduct(range(p), repeat=len(fill)):
+            for vals in product(range(p), repeat=len(fill)):
                 sol = list(base)
                 for v, val in zip(fill, vals):
                     sol[v] = val
@@ -585,43 +603,22 @@ def solution_subalgebra(
 
 def normalizer_in_g(E: ElementarySubalgebra) -> tuple[np.ndarray, int]:
     """Basis rows and dimension of {y in g : [y, E] <= E}."""
-    setting = E.setting
-    gf = setting.field
-    d = setting.basis.dim
-    rows_g = E.as_g_rows()
-    # quotient projection: columns not pivotal for E (in permuted order)
-    Rg, pivots = gf.rref(rows_g)
-    comp = [c for c in range(d) if c not in pivots]
-    proj = gf.zeros((len(comp), d))
-    for a, c in enumerate(comp):
-        proj[a, c] = 1
-        for r, pc in enumerate(pivots):
-            proj[a, pc] = gf.NEG[0]  # placeholder, fixed below
-    # reduce v mod E: subtract pivot rows; build reduction matrix
-    red = gf.eye(d)
-    for r, pc in enumerate(pivots):
-        # subtract v[pc] * Rg[r] from v
-        upd = gf.zeros((d, d))
-        for c in range(d):
-            upd[c, pc] = Rg[r, c]
-        red = gf.sub(red, gf.matmul(upd, red)) if False else red
-    # simpler: for each generator row e of E, the map y -> [y, e] followed by
-    # reduction mod E must vanish; assemble with explicit elimination
-    stack = setting.basis.field_data(gf)["ad_g"]
-    conds = []
-    for e in rows_g:
-        ad_e = setting.basis.ad_of(gf, e, "g")
-        # [y, e] = -[e, y] = -ad_e @ y; linear map y -> -ad_e y
-        Mmap = gf.neg(ad_e)
-        # reduce output mod row space of E: eliminate pivot coords
-        Mred = np.array(Mmap)
-        for r, pc in enumerate(pivots):
-            fac = Mred[pc, :].copy()
-            Mred = gf.sub(Mred, gf.mul(Rg[r][:, None], fac[None, :]))
-        conds.append(Mred)
-    M = np.concatenate(conds, axis=0)
-    basis_rows = gf.nullspace(M)
+    basis_rows = normalizer_basis(E.setting, E.as_g_rows())
     return basis_rows, len(basis_rows)
+
+
+def normalizer_basis(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
+    """Basis rows of the normalizer in g of the span of the rows of g."""
+    gf = setting.field
+    Rg, pivots = gf.rref(rows_g)
+    conds = []
+    for e in Rg:
+        # y -> [y, e] = -ad_e y, reduced modulo the span by clearing pivot coordinates
+        Mred = gf.neg(setting.basis.ad_of(gf, e, "g"))
+        for r, pc in enumerate(pivots):
+            Mred = gf.sub(Mred, gf.mul(Rg[r][:, None], Mred[pc, :][None, :]))
+        conds.append(Mred)
+    return gf.nullspace(np.concatenate(conds, axis=0))
 
 
 # -- generator sets -----------------------------------------------------------------
@@ -657,28 +654,10 @@ def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
 
 
 def weyl_words_all(system: RootSystem, limit: int = 5000) -> list[WeylWord]:
-    """Reduced words for every Weyl group element (small groups only)."""
-    ident = tuple(system.positive_roots)
-    words = {ident: WeylWord(())}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            base = words[w]
-            lookup = dict(zip(system.positive_roots, w))
-            for i in range(1, system.rank + 1):
-                img = tuple(
-                    lookup[r] if r.is_positive else -lookup[-r]
-                    for r in (
-                        system.reflect(i, s) for s in system.positive_roots
-                    )
-                )
-                if img not in words:
-                    if len(words) >= limit:
-                        raise RuntimeError("Weyl group too large to enumerate")
-                    words[img] = base * WeylWord((i,)) if False else WeylWord(base.letters + (i,))
-                    nxt.append(img)
-        frontier = nxt
+    """Shortest words for every Weyl group element (small groups only)."""
+    words = system.weyl_words(limit=limit)
+    if words is None:
+        raise RuntimeError("Weyl group too large to enumerate")
     return list(words.values())
 
 
@@ -720,52 +699,6 @@ class OrbitReport:
         }
 
 
-def _canonical_g_rows(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
-    """Echelonize ambient rows with u-columns (order-permuted) leading."""
-    gf = setting.field
-    n, d = setting.n_pos, setting.basis.dim
-    colperm = np.concatenate([setting.perm_desc, np.arange(n, d)])
-    R, pivots = gf.rref(rows_g[:, colperm])
-    inv = np.empty(d, dtype=np.int64)
-    inv[colperm] = np.arange(d)
-    return R[:, inv]
-
-
-def _batch_canonical(setting: Setting, batch: np.ndarray) -> np.ndarray:
-    gf = setting.field
-    n, d = setting.n_pos, setting.basis.dim
-    colperm = np.concatenate([setting.perm_desc, np.arange(n, d)])
-    inv = np.empty(d, dtype=np.int64)
-    inv[colperm] = np.arange(d)
-    return gf.batch_rref(batch[:, :, colperm])[:, :, inv]
-
-
-def _normalizer_dim_of_g_rows(setting: Setting, rows_g: np.ndarray) -> int:
-    gf = setting.field
-    Rg, pivots = gf.rref(rows_g)
-    conds = []
-    for e in Rg:
-        ad_e = setting.basis.ad_of(gf, e, "g")
-        Mred = np.array(gf.neg(ad_e))
-        for r, pc in enumerate(pivots):
-            fac = Mred[pc, :].copy()
-            Mred = gf.sub(Mred, gf.mul(Rg[r][:, None], fac[None, :]))
-        conds.append(Mred)
-    M = np.concatenate(conds, axis=0)
-    return len(gf.nullspace(M))
-
-
-def _tag_of_g_rows(setting: Setting, rows_g: np.ndarray) -> str:
-    n = setting.n_pos
-    if rows_g[:, n:].any():
-        return "generic"
-    if ((rows_g != 0).sum(axis=1) == 1).all():
-        idx = [int(np.nonzero(row)[0][0]) for row in rows_g]
-        roots = sorted(setting.system.root(i).coeffs for i in idx)
-        return "lie:" + ";".join(",".join(map(str, c)) for c in roots)
-    return "generic"
-
-
 def orbit_decompose(
     setting: Setting,
     points: list[ElementarySubalgebra],
@@ -775,57 +708,57 @@ def orbit_decompose(
     """BFS orbit partition under the generators, with ambient closure.
 
     Conjugates may leave u, so the BFS runs over all encountered g-subspaces;
-    the report counts every point examined.  Representatives are the minimal
-    canonical matrices, and the normalizer dimension is recorded per orbit.
+    the report counts every point examined.  Representatives are the
+    canonical matrices of minimal key, and the normalizer dimension is
+    recorded per orbit.  Only the keys of the current orbit are kept, not
+    its matrices.
     """
     gf = setting.field
     if not points:
         return OrbitReport(setting, 0, 0, [])
     r = points[0].dim
     mats = [g.matrix.T.copy() for g in generators]
-    start = {E.pack(): E for E in points}
-    seen: dict[bytes, int] = {}
-    orbits: list[Orbit] = []
+    # points of u are already canonical in g: the u-columns lead the column order
+    starts = np.stack([E.as_g_rows() for E in points])
+    start_keys = keys(setting, starts)
+    covered: set[bytes] = set()
+    orbits: list[tuple[bytes, Orbit]] = []
     total = 0
-    for E in points:
-        rows0 = _canonical_g_rows(setting, E.as_g_rows())
-        key0 = gf.pack(rows0)
-        if key0 in seen:
+    for key0, rows0 in zip(start_keys, starts):
+        if key0 in covered:
             continue
-        oid = len(orbits)
-        seen[key0] = oid
+        members = {key0}
+        rep_key, rep = key0, rows0
         frontier = rows0[None, :, :]
-        members = {key0: rows0}
         while len(frontier):
-            news = []
-            for M in mats:
-                imgs = _batch_canonical(setting, gf.matmul(frontier, M[None, :, :]))
-                news.append(imgs)
-            allnew = np.concatenate(news, axis=0)
-            keys = [gf.pack(x) for x in allnew]
             fresh = []
-            for k, x in zip(keys, allnew):
-                if k not in members:
-                    members[k] = x
+            for M in mats:
+                imgs = canonical(setting, gf.matmul(frontier, M[None, :, :]))
+                for k, x in zip(keys(setting, imgs), imgs):
+                    if k in members:
+                        continue
+                    members.add(k)
                     fresh.append(x)
+                    if k < rep_key:
+                        rep_key, rep = k, x
                     if len(members) + total > max_points:
                         raise BudgetExceeded("orbit closure exceeds the point budget")
             frontier = np.stack(fresh) if fresh else np.zeros((0, r, setting.basis.dim), dtype=np.int16)
         total += len(members)
-        rep_key = min(members)
-        rep = members[rep_key]
+        covered.update(k for k in start_keys if k in members)
         orbits.append(
-            Orbit(
-                representative_rows=rep,
-                size=len(members),
-                normalizer_dim=_normalizer_dim_of_g_rows(setting, rep),
-                normal_form_tag=_tag_of_g_rows(setting, rep),
+            (
+                rep_key,
+                Orbit(
+                    representative_rows=rep,
+                    size=len(members),
+                    normalizer_dim=len(normalizer_basis(setting, rep)),
+                    normal_form_tag=normal_form_tag(setting, rep),
+                ),
             )
         )
-        for k in members:
-            seen.setdefault(k, oid)
-    orbits.sort(key=lambda o: gf.pack(o.representative_rows))
-    return OrbitReport(setting, r, total, orbits)
+    orbits.sort(key=lambda item: item[0])
+    return OrbitReport(setting, r, total, [o for _, o in orbits])
 
 
 # -- Bruhat fusion: exact G(F_q)-conjugacy on points inside u ---------------------------
@@ -852,11 +785,14 @@ def g_conjugacy_classes(
     the B-orbit of E into the B-orbit of E'.  The point list must be closed
     under B (true for the full enumeration output).
     """
+    if not points:
+        return []
     gf = setting.field
     n = setting.n_pos
-    index: dict[bytes, int] = {E.pack(): i for i, E in enumerate(points)}
-    npts = len(points)
     rows_all = np.stack([E.rows for E in points])
+    point_keys = keys(setting, rows_all)
+    index: dict[bytes, int] = {k: i for i, k in enumerate(point_keys)}
+    npts = len(points)
 
     # union-find
     parent = list(range(npts))
@@ -867,21 +803,23 @@ def g_conjugacy_classes(
             a = parent[a]
         return a
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    # B-moves stay inside u
-    b_mats = [setting.u_action(g) for g in borel_generators(setting)]
-    for M in b_mats:
-        imgs = _u_batch_canonical(setting, gf.matmul(rows_all, M[None, :, :]))
-        for i in range(npts):
-            k = gf.pack(imgs[i])
+    def union_images(idxs, imgs, missing: str):
+        """Union each point idxs[a] with the point spanned by imgs[a]."""
+        for i, k in zip(idxs, keys(setting, canonical(setting, imgs))):
             j = index.get(k)
             if j is None:
-                raise ValueError("point list is not closed under the Borel action")
-            union(i, j)
+                raise ValueError(missing)
+            ra, rb = find(int(i)), find(j)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+
+    # B-moves stay inside u
+    for g in borel_generators(setting):
+        M = setting.u_action(g)
+        union_images(
+            range(npts), gf.matmul(rows_all, M[None, :, :]),
+            "point list is not closed under the Borel action",
+        )
 
     # one Weyl sweep
     g_rows = np.zeros((npts, points[0].dim, setting.basis.dim), dtype=np.int16)
@@ -891,45 +829,33 @@ def g_conjugacy_classes(
             continue
         W = weyl_word_element(setting.basis, gf, word).matrix.T.copy()
         imgs = gf.matmul(g_rows, W[None, :, :])
-        inside = ~imgs[:, :, n:].any(axis=(1, 2))
-        idxs = np.nonzero(inside)[0]
-        if not len(idxs):
-            continue
-        canon = _u_batch_canonical(setting, imgs[idxs][:, :, :n])
-        for a, i in enumerate(idxs):
-            k = gf.pack(canon[a])
-            j = index.get(k)
-            if j is None:
-                raise ValueError("Weyl image inside u is missing from the point list")
-            union(int(i), j)
+        idxs = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
+        if len(idxs):
+            union_images(
+                idxs, imgs[idxs][:, :, :n],
+                "Weyl image inside u is missing from the point list",
+            )
 
     groups: dict[int, list[int]] = {}
     for i in range(npts):
         groups.setdefault(find(i), []).append(i)
     classes = []
     for members in groups.values():
-        rep_i = min(members, key=lambda i: points[i].pack())
-        nd = _normalizer_dim_of_g_rows(setting, points[rep_i].as_g_rows())
+        rep_i = min(members, key=lambda i: point_keys[i])
+        nd = len(normalizer_basis(setting, points[rep_i].as_g_rows()))
         classes.append(FusionClass(points[rep_i], sorted(members), nd))
     classes.sort(key=lambda c: c.representative.pack())
     return classes
-
-
-def _u_batch_canonical(setting: Setting, batch: np.ndarray) -> np.ndarray:
-    gf = setting.field
-    out = gf.batch_rref(batch[:, :, setting.perm_desc])
-    return out[:, :, setting.inv_perm]
 
 
 # -- conjugation recipes ----------------------------------------------------------------
 
 
 def _apply_word_u(setting: Setting, E: ElementarySubalgebra, word) -> ElementarySubalgebra:
-    rows = np.zeros((E.dim, setting.basis.dim), dtype=np.int16)
-    rows[:, : setting.n_pos] = E.rows
+    rows = E.as_g_rows()
     gf = setting.field
     for g in word:
-        rows = gf.matmul(rows, g.matrix.T.copy())
+        rows = gf.matmul(rows, g.matrix.T)
     if rows[:, setting.n_pos :].any():
         raise ValueError("conjugation word left u")
     return subalgebra_from_rows(setting, rows[:, : setting.n_pos])
@@ -955,12 +881,13 @@ def _bfs_word(
     canonical point of the explored conjugacy class instead of an error.
     """
     gf = setting.field
-    gens = borel_generators(setting)
-    wgens = [
+    n = setting.n_pos
+    gens = borel_generators(setting) + [
         weyl_word_element(setting.basis, gf, w)
         for w in weyl_words_all(setting.system)
         if w.letters
     ]
+    mats = np.stack([g.matrix.T for g in gens])
     start = E.pack()
     if start in targets:
         return [], E
@@ -970,18 +897,15 @@ def _bfs_word(
     while frontier:
         nxt = []
         for key, point in frontier:
-            for g in gens + wgens:
-                rows = np.zeros((point.dim, setting.basis.dim), dtype=np.int16)
-                rows[:, : setting.n_pos] = point.rows
-                img = gf.matmul(rows, g.matrix.T.copy())
-                if img[:, setting.n_pos :].any():
-                    continue
-                E2 = subalgebra_from_rows(setting, img[:, : setting.n_pos])
-                k2 = E2.pack()
+            imgs = gf.matmul(point.as_g_rows()[None, :, :], mats)
+            inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
+            canon = canonical(setting, imgs[inside][:, :, :n])
+            for g_i, rows, k2 in zip(inside, canon, keys(setting, canon)):
                 if k2 in seen:
                     continue
+                E2 = ElementarySubalgebra(setting, rows)
                 seen[k2] = E2
-                prev[k2] = (key, g)
+                prev[k2] = (key, gens[g_i])
                 if k2 in targets:
                     return _rebuild_word(prev, start, k2), E2
                 nxt.append((k2, E2))
@@ -1029,31 +953,13 @@ def conjugation_reduce(
     return word, out
 
 
-def _eps_data(setting: Setting):
-    from .rootsys import EuclidModel
-
-    em = EuclidModel(setting.system)
-    n = setting.system.rank
-    eps = {i: em.to_root(em.eps(i)) for i in range(1, n + 1)}
-    eps_plus = {
-        (i, j): em.to_root(tuple(x + y for x, y in zip(em.eps(i), em.eps(j))))
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    eps_minus = {
-        (i, j): em.to_root(tuple(x - y for x, y in zip(em.eps(i), em.eps(j))))
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    }
-    return eps, eps_plus, eps_minus
-
-
 def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
     """B(a_1..a_n) and twisted C(a_1..a_{n-1}) members down to lie(S_1)."""
     gf = setting.field
     sys = setting.system
     n = sys.rank
-    eps, eps_plus, eps_minus = _eps_data(setting)
+    family = b_family(sys)
+    eps, eps_plus, eps_minus = family.eps, family.plus, family.minus
     word: list[GroupGenerator] = []
     cur = E
 
@@ -1063,18 +969,18 @@ def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
         cur = _apply_word_u(setting, cur, [gen])
 
     lead = set(r.coeffs for r in cur.leading_roots())
-    s_star = {t for t in range(1, n) if lead == {r.coeffs for r in _sstar_roots(setting, t)}}
+    s_star = {t for t in range(1, n) if lead == {r.coeffs for r in family.Sstar[t]}}
     if s_star:
         # kill the eps_t + eps_n slot of the eps_t row, then swing R3 to R2
         t = s_star.pop()
-        row = _row_with_pivot(setting, cur, eps[t])
+        row = _row_with_pivot(cur, eps[t])
         col = sys.index(eps_plus[(t, n)])
         if row[col]:
             alpha_n = sys.simple_roots[n - 1]
             for c in gf.units():
                 g = root_group_element(setting.basis, gf, alpha_n, c)
                 trial = _apply_word_u(setting, cur, [g])
-                trow = _row_with_pivot(setting, trial, eps[t])
+                trow = _row_with_pivot(trial, eps[t])
                 if not trow[col]:
                     apply(g)
                     break
@@ -1082,18 +988,18 @@ def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
                 raise ValueError("could not normalize the S*-twist")
         apply(weyl_word_element(setting.basis, gf, WeylWord((n,))))
         lead = set(r.coeffs for r in cur.leading_roots())
-    s_t = [t for t in range(1, n + 1) if lead == {r.coeffs for r in _s_roots(setting, t)}]
+    s_t = [t for t in range(1, n + 1) if lead == {r.coeffs for r in family.S[t]}]
     if not s_t:
         raise ValueError("leading terms are not S_t or S*_t: recipe does not apply")
     # the eps-row now carries sum a_s x_{eps_s}; move its top slot to eps_n
     t = s_t[0]
-    row = _row_with_pivot(setting, cur, eps[t])
+    row = _row_with_pivot(cur, eps[t])
     top = max(s for s in range(1, n + 1) if row[sys.index(eps[s])])
     for i in range(top, n):
         apply(weyl_word_element(setting.basis, gf, WeylWord((i,))))
     # kill the lower eps coefficients with exp(ad(c x_{eps_i - eps_n}))
     for i in range(1, n):
-        row = _row_with_pivot(setting, cur, eps[n])
+        row = _row_with_pivot(cur, eps[n])
         a_i = int(row[sys.index(eps[i])])
         if not a_i:
             continue
@@ -1104,32 +1010,16 @@ def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
     # move eps_n to eps_1
     for i in range(n - 1, 0, -1):
         apply(weyl_word_element(setting.basis, gf, WeylWord((i,))))
-    target = lie(setting, _s_roots(setting, 1))
+    target = lie(setting, family.S[1])
     if cur.pack() != target.pack():
         raise ValueError("B-family reduction did not land on lie(S_1)")
     return word, cur
 
 
-def _s_roots(setting: Setting, t: int):
-    eps, eps_plus, _ = _eps_data(setting)
-    n = setting.system.rank
-    return [eps_plus[(i, j)] for i in range(1, n + 1) for j in range(i + 1, n + 1)] + [eps[t]]
-
-
-def _sstar_roots(setting: Setting, t: int):
-    eps, eps_plus, eps_minus = _eps_data(setting)
-    n = setting.system.rank
-    return (
-        [eps_plus[(i, j)] for i in range(1, n) for j in range(i + 1, n)]
-        + [eps_minus[(i, n)] for i in range(1, n)]
-        + [eps[t]]
-    )
-
-
-def _row_with_pivot(setting: Setting, E: ElementarySubalgebra, root: Root) -> np.ndarray:
-    for row, lead in zip(E.permuted(), E.leading_roots()):
+def _row_with_pivot(E: ElementarySubalgebra, root: Root) -> np.ndarray:
+    for row, lead in zip(E.rows, E.leading_roots()):
         if lead == root:
-            return row[setting.inv_perm]
+            return row
     raise ValueError(f"no row with leading root {root}")
 
 
@@ -1178,14 +1068,14 @@ def _reduce_g2(setting: Setting, E: ElementarySubalgebra):
         """Search exp(ad(c x_move)) killing the col coefficient of the pivot row."""
         nonlocal cur
         col = sys.index(col_root)
-        row = _row_with_pivot(setting, cur, pivot)
+        row = _row_with_pivot(cur, pivot)
         if not row[col]:
             return True
         for c in gf.units():
             g = root_group_element(setting.basis, gf, move_root, int(c))
             try:
                 trial = _apply_word_u(setting, cur, [g])
-                trow = _row_with_pivot(setting, trial, pivot)
+                trow = _row_with_pivot(trial, pivot)
             except ValueError:
                 continue
             if not trow[col]:
@@ -1213,7 +1103,7 @@ def _reduce_g2(setting: Setting, E: ElementarySubalgebra):
                 continue
         elif name == "C3":
             if kill_tail(a2, Root((1, 1)), a1):
-                row = _row_with_pivot(setting, cur, a2)
+                row = _row_with_pivot(cur, a2)
                 a = int(row[sys.index(Root((3, 1)))])
                 if a == 0:
                     continue  # now lie(C3)
@@ -1228,7 +1118,7 @@ def _reduce_g2(setting: Setting, E: ElementarySubalgebra):
         elif name == "C4":
             if not kill_tail(a2, Root((2, 1)), a1):
                 break
-            row = _row_with_pivot(setting, cur, a2)
+            row = _row_with_pivot(cur, a2)
             a_1 = int(row[sys.index(Root((2, 1)))])
             if a_1 == 0:
                 apply(weyl_word_element(setting.basis, gf, WeylWord((1,))))
@@ -1286,22 +1176,22 @@ def _reduce_g2_p3(setting: Setting, E: ElementarySubalgebra):
 
     ltset = {r.coeffs for r in cur.leading_roots()}
     if ltset == {r.coeffs for r in R2}:
-        row = _row_with_pivot(setting, cur, a1)
+        row = _row_with_pivot(cur, a1)
         if row[sys.index(Root((1, 1)))]:
             for c in gf.units():
                 g = root_group_element(setting.basis, gf, a2, int(c))
                 trial = _apply_word_u(setting, cur, [g])
-                if not _row_with_pivot(setting, trial, a1)[sys.index(Root((1, 1)))]:
+                if not _row_with_pivot(trial, a1)[sys.index(Root((1, 1)))]:
                     apply(g)
                     break
         apply(weyl_word_element(setting.basis, gf, WeylWord((2,))))
     elif ltset == {r.coeffs for r in R3}:
-        row = _row_with_pivot(setting, cur, a2)
+        row = _row_with_pivot(cur, a2)
         if row[sys.index(Root((3, 1)))]:
             for c in gf.units():
                 g = root_group_element(setting.basis, gf, a1, int(c))
                 trial = _apply_word_u(setting, cur, [g])
-                trow = _row_with_pivot(setting, trial, a2)
+                trow = _row_with_pivot(trial, a2)
                 if not trow[sys.index(Root((3, 1)))]:
                     apply(g)
                     break

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .rootsys import is_prime
+
 # Coefficients of the pinned irreducible polynomial, constant term first,
 # monic of degree r.  Versioned: do not edit entries, only add new ones.
 IRREDUCIBLE = {
@@ -52,6 +54,10 @@ class GF:
     """The field with q = p^degree elements; use GF.get() for the cached instance."""
 
     def __init__(self, p: int, degree: int = 1):
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
+        if degree < 1:
+            raise ValueError(f"field degree {degree} is not positive")
         if degree > 1 and (p, degree) not in IRREDUCIBLE:
             raise ValueError(f"no pinned irreducible polynomial for F_{p}^{degree}")
         self.p = p
@@ -156,10 +162,6 @@ class GF:
             acc = self.ADD[acc, self.MUL[A[..., i, None], B[..., i, :][..., None, :]]]
         return acc
 
-    def scale_rows(self, v, M):
-        """Multiply row i of M by v[i] (batched over leading axes)."""
-        return self.MUL[np.asarray(v)[..., None], M]
-
     def rref(self, M: np.ndarray, ncols: int | None = None):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""
         R = np.array(M, dtype=np.int16)
@@ -260,6 +262,3 @@ class GF:
         if (cur != r).any():
             raise ValueError("rank drop in batch_rref")
         return A
-
-    def pack(self, M: np.ndarray) -> bytes:
-        return M.astype(np.uint8).tobytes()

@@ -45,9 +45,6 @@ class RootOrder:
             raise ValueError("order is not total on the positive roots")
         return out
 
-    def rank_map(self, system: RootSystem) -> dict[Root, int]:
-        return {r: i for i, r in enumerate(self.sorted_roots(system))}
-
     def respects_addition(self, system: RootSystem, probes: int = 10_000,
                           seed: int = 0, exhaustive: bool | None = None) -> bool:
         """Check beta <= gamma implies beta+lam <= gamma+lam on root triples."""

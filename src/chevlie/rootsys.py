@@ -53,9 +53,6 @@ class WeylWord:
 
     letters: tuple[int, ...] = ()
 
-    def __mul__(self, other: "WeylWord") -> "WeylWord":
-        return WeylWord(self.letters + other.letters)
-
 
 @dataclass(frozen=True)
 class PrimeProfile:
@@ -284,9 +281,9 @@ class RootSystem:
 
     def prime_profile(self) -> PrimeProfile:
         theta = self.highest_root
-        bad = frozenset(m for m in theta.coeffs if m >= 2 and _is_prime(m))
+        bad = frozenset(m for m in theta.coeffs if m >= 2 and is_prime(m))
         dual = self.coroot_coeffs(theta)
-        torsion = frozenset(m for m in dual if m >= 2 and _is_prime(m))
+        torsion = frozenset(m for m in dual if m >= 2 and is_prime(m))
         det = _int_det([row[:] for row in self.cartan])
         # string lengths are Weyl invariant and every root is conjugate to a
         # simple one, so scanning simple alpha against positive beta suffices
@@ -312,34 +309,53 @@ class RootSystem:
             beta = self.reflect(i, beta)
         return beta
 
-    def weyl_elements(self, limit: int = 2000):
-        """All Weyl group elements as permutations of the root list, or None.
+    def weyl_words(self, letters=None, limit: int = 2000):
+        """Shortest words for the elements of the group the letters generate.
 
-        Returns a list of tuples (images of positive roots as Root objects,
-        one entry per positive root).  Gives up (returns None) if the group
-        has more than `limit` elements.
+        Breadth-first over right multiplication by the letters (all simple
+        reflections by default), so the first word found for an element is a
+        shortest one.  Returns a dict keyed by the element's image tuple (the
+        images of the positive roots, in root order), or None if the group has
+        more than `limit` elements.
         """
+        pos = self.positive_roots
+        if letters is None:
+            letters = range(1, self.rank + 1)
+        # w s_i sends root k to +-w(root idx), where s_i(root k) = +-(root idx)
         gens = []
-        for i in range(1, self.rank + 1):
-            gens.append(tuple(self.reflect(i, r) for r in self.positive_roots))
-        ident = tuple(self.positive_roots)
-        seen = {ident}
+        for i in letters:
+            imgs = [self.reflect(i, r) for r in pos]
+            gens.append((i, [(img.is_positive, self.index(img if img.is_positive else -img))
+                             for img in imgs]))
+        ident = tuple(pos)
+        words = {ident: WeylWord(())}
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
-                for i in range(1, self.rank + 1):
-                    img = tuple(self.reflect(i, r) for r in w)
-                    if img not in seen:
-                        if len(seen) >= limit:
+                base = words[w].letters
+                for i, g in gens:
+                    img = tuple(w[k] if up else -w[k] for up, k in g)
+                    if img not in words:
+                        if len(words) >= limit:
                             return None
-                        seen.add(img)
+                        words[img] = WeylWord(base + (i,))
                         nxt.append(img)
             frontier = nxt
-        return sorted(seen)
+        return words
+
+    def weyl_elements(self, limit: int = 2000):
+        """All Weyl group elements as image tuples, sorted, or None.
+
+        Each element is the tuple of images of the positive roots (Root
+        objects, one entry per positive root).  Gives up (returns None) if the
+        group has more than `limit` elements.
+        """
+        words = self.weyl_words(limit=limit)
+        return None if words is None else sorted(words)
 
 
-def _is_prime(n: int) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     d = 2

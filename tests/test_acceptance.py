@@ -25,6 +25,7 @@ from chevlie.rootsys import Root, build_root_system, direct_sum
 from chevlie.chevalley import LieVector, build_constants, p_power, root_group_element
 from chevlie.commuting import (
     appendix_oracle,
+    b_family,
     commuting_set,
     enumerate_max_commuting,
     weyl_stabilizer_generators,
@@ -45,9 +46,6 @@ from chevlie.elementary import (
     solution_subalgebra,
     subalgebra_from_rows,
     _apply_word_u,
-    _eps_data,
-    _s_roots,
-    _sstar_roots,
 )
 from chevlie import golden as goldmod
 from chevlie.chevgroups import g2_class_count_witness, g2_witness_normalizer_dims
@@ -171,7 +169,7 @@ def test_criterion_4_appendix_oracle():
 def _b_family_points(setting, t_idx):
     """All echelon B-family members with leading slot t_idx."""
     gf = setting.field
-    eps, eps_plus, _ = _eps_data(setting)
+    eps, eps_plus, _ = b_family(setting.system)[:3]
     n = setting.system.rank
     idx = [setting.system.index(eps_plus[(i, j)]) for i in range(1, n) for j in range(i + 1, n + 1)]
     out = set()
@@ -193,7 +191,7 @@ def _b_family_points(setting, t_idx):
 def _c_twisted_points(setting, t_idx):
     """exp(ad(lam x_{alpha_n})) images of the echelon C-family members."""
     gf = setting.field
-    eps, eps_plus, eps_minus = _eps_data(setting)
+    eps, eps_plus, eps_minus = b_family(setting.system)[:3]
     n = setting.system.rank
     idx = [setting.system.index(eps_plus[(i, j)]) for i in range(1, n - 1) for j in range(i + 1, n)]
     idx += [setting.system.index(eps_minus[(i, n)]) for i in range(1, n)]
@@ -233,7 +231,7 @@ def test_criterion_5_unipotent_theorems():
     for n in (4, 5):
         setting = get_setting("B", n, 3)
         for t_idx in range(1, n + 1):
-            target = commuting_set(setting.system, _s_roots(setting, t_idx))
+            target = commuting_set(setting.system, b_family(setting.system).S[t_idx])
             lts = build_leading_term_system(setting, target)
             rep = leading_term_solve(lts)
             got = {solution_subalgebra(lts, sol).pack() for sol in rep.solutions}
@@ -241,7 +239,7 @@ def test_criterion_5_unipotent_theorems():
             if got != want:
                 failures.append(f"B{n} S_{t_idx}: solution set is not the stated family")
         for t_idx in range(1, n):
-            target = commuting_set(setting.system, _sstar_roots(setting, t_idx))
+            target = commuting_set(setting.system, b_family(setting.system).Sstar[t_idx])
             lts = build_leading_term_system(setting, target)
             rep = leading_term_solve(lts)
             got = {solution_subalgebra(lts, sol).pack() for sol in rep.solutions}
@@ -315,9 +313,9 @@ def test_criterion_7_conjugation_replay():
     rng = random.Random(2024)
     setting = get_setting("B", 5, 5)
     gf = setting.field
-    eps, eps_plus, eps_minus = _eps_data(setting)
+    eps, eps_plus, eps_minus = b_family(setting.system)[:3]
     n = 5
-    target = lie(setting, _s_roots(setting, 1)).pack()
+    target = lie(setting, b_family(setting.system).S[1]).pack()
     plus_idx = [setting.system.index(eps_plus[(i, j)]) for i in range(1, n) for j in range(i + 1, n + 1)]
     c_idx = [setting.system.index(eps_plus[(i, j)]) for i in range(1, n - 1) for j in range(i + 1, n)]
     c_idx += [setting.system.index(eps_minus[(i, n)]) for i in range(1, n)]

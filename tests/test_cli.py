@@ -80,6 +80,35 @@ def test_verify_orbits_exit_codes():
     code, out = run(["verify", "--stage", "orbits", "--type", "G2", "--p", "5"])
     assert code == 0
     assert "class count 4 vs expected >=3" in out
+    # at the bad prime 3, G2 has maximal dimension 4 and one class (criterion 8)
+    code, out = run(["verify", "--stage", "orbits", "--type", "G2", "--p", "3"])
+    assert code == 0
+    assert "classes: 1 " in out
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["enumerate", "--type", "A2", "--p", "4", "--dim", "2"], "p = 4 is not a prime"),
+        (["verify", "--stage", "orbits", "--type", "A2", "--p", "6"], "p = 6 is not a prime"),
+        (["enumerate", "--type", "A2", "--p", "5", "--dim", "2", "--r-ext", "0"],
+         "field degree 0 is not positive"),
+        (["enumerate", "--type", "A2", "--p", "5", "--dim", "0"], "out of range 1..3"),
+        (["enumerate", "--type", "A2", "--p", "5", "--dim", "4"], "out of range 1..3"),
+    ],
+)
+def test_invalid_input_exit_code(argv, reason, capsys):
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and reason in err
+
+
+def test_enumerate_classical_type():
+    # B3's root order differs from its storage order
+    code, out = run(["enumerate", "--type", "B3", "--p", "3", "--dim", "5"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1])["orbit_count"] == 1
 
 
 def test_enumerate_stream():
@@ -96,6 +125,11 @@ def test_enumerate_stream():
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[-1]["point_count"] == 2
+    # above the maximal dimension there are no points, hence no classes
+    code, out = run(["enumerate", "--type", "A2", "--p", "5", "--dim", "3"])
+    assert code == 0
+    assert json.loads(out) == {"field_degree": 1, "orbit_count": 0, "p": 5, "point_count": 0,
+                               "r": 3, "rank": 2, "type": "A"}
 
 
 def test_enumerate_budget_exit():

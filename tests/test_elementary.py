@@ -9,7 +9,8 @@ from chevlie.gf import GF
 from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import Root, build_root_system, direct_sum
 from chevlie.chevalley import build_constants, root_group_element
-from chevlie.commuting import commuting_set, enumerate_max_commuting
+from chevlie.chevgroups import class_report
+from chevlie.commuting import b_family, commuting_set, enumerate_max_commuting
 from chevlie.elementary import (
     BudgetExceeded,
     ElementarySubalgebra,
@@ -28,8 +29,6 @@ from chevlie.elementary import (
     orbit_decompose,
     solution_subalgebra,
     subalgebra_from_rows,
-    _s_roots,
-    _sstar_roots,
     _apply_word_u,
 )
 
@@ -138,9 +137,7 @@ def test_is_elementary_examples():
     # B family members are elementary
     sB = get_setting("B", 4, 3)
     gfB = sB.field
-    from chevlie.elementary import _eps_data
-
-    eps, eps_plus, eps_minus = _eps_data(sB)
+    eps, eps_plus, eps_minus = b_family(sB.system)[:3]
     idx = [sB.system.index(eps_plus[(i, j)]) for i in range(1, 4) for j in range(i + 1, 5)]
     row = gfB.zeros(sB.n_pos)
     for i in range(1, 5):
@@ -156,9 +153,7 @@ def test_lt_of_b_family():
     # the leading term of B(a_1..a_n) is S_t for t the last nonzero slot
     sB = get_setting("B", 5, 5)
     gf = sB.field
-    from chevlie.elementary import _eps_data
-
-    eps, eps_plus, _ = _eps_data(sB)
+    eps, eps_plus, _ = b_family(sB.system)[:3]
     idx = [sB.system.index(eps_plus[(i, j)]) for i in range(1, 5) for j in range(i + 1, 6)]
     for a, t_expected in [((1, 0, 0, 0, 0), 1), ((2, 3, 0, 0, 0), 2), ((0, 1, 0, 4, 0), 4)]:
         row = gf.zeros(sB.n_pos)
@@ -169,7 +164,7 @@ def test_lt_of_b_family():
             M[k, ii] = 1
         M[len(idx)] = row
         E = subalgebra_from_rows(sB, M)
-        expected = commuting_set(sB.system, _s_roots(sB, t_expected))
+        expected = commuting_set(sB.system, b_family(sB.system).S[t_expected])
         assert lt(E).mask == expected.mask
 
 
@@ -304,7 +299,7 @@ def test_unique_zero_b4_d4(p):
 def test_solution_subalgebras_have_target_lt():
     setting = get_setting("B", 4, 3)
     for t_idx in (2, 4):
-        target = commuting_set(setting.system, _s_roots(setting, t_idx))
+        target = commuting_set(setting.system, b_family(setting.system).S[t_idx])
         lts = build_leading_term_system(setting, target)
         rep = leading_term_solve(lts)
         assert rep.count == 3 ** (t_idx - 1)
@@ -432,15 +427,34 @@ def test_g2_f5_classes():
     assert sum(c.size for c in classes) == 181
 
 
+@pytest.mark.parametrize("t,n,count", [("A", 3, 1), ("A", 4, 2), ("B", 3, 1), ("C", 3, 1), ("D", 4, 3)])
+def test_fusion_classical_f3(t, n, count):
+    # the root order differs from the storage order here, unlike A2 and G2;
+    # the count is checked against the partial-Weyl count of class_report
+    setting = get_setting(t, n, 3)
+    points = brute_force_Eu(setting, enumerate_max_commuting(setting.system).m)
+    classes = g_conjugacy_classes(setting, points)
+    assert len(classes) == class_report(t, n, 3).class_count == count
+
+
+def test_a4_f2_orbits_fusion_and_ambient_agree():
+    setting = get_setting("A", 4, 2)
+    points = brute_force_Eu(setting, 6)
+    classes = g_conjugacy_classes(setting, points)
+    report = orbit_decompose(setting, points, chevalley_group_generators(setting))
+    assert len(classes) == len(report.orbits) == 2
+    assert [o.size for o in report.orbits] == [155, 155]
+    assert sorted(o.normalizer_dim for o in report.orbits) == [18, 18]
+    assert sorted(c.normalizer_dim for c in classes) == [18, 18]
+
+
 def test_conjugation_reduce_replay_b5():
     rng = random.Random(3)
     setting = get_setting("B", 5, 5)
     gf = setting.field
-    from chevlie.elementary import _eps_data
-
-    eps, eps_plus, eps_minus = _eps_data(setting)
+    eps, eps_plus, eps_minus = b_family(setting.system)[:3]
     n = 5
-    target = lie(setting, _s_roots(setting, 1))
+    target = lie(setting, b_family(setting.system).S[1])
     plus_idx = [setting.system.index(eps_plus[(i, j)]) for i in range(1, n) for j in range(i + 1, n + 1)]
     minus_idx = [setting.system.index(eps_plus[(i, j)]) for i in range(1, n - 1) for j in range(i + 1, n)] + [
         setting.system.index(eps_minus[(i, n)]) for i in range(1, n)

@@ -171,6 +171,16 @@ def test_weyl_enumeration_sizes():
     assert build_root_system("B", 5).weyl_elements(2000) is None
 
 
+@pytest.mark.parametrize("t,n", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
+def test_weyl_words_are_reduced(t, n):
+    sys_ = build_root_system(t, n)
+    words = sys_.weyl_words()
+    for img, word in words.items():
+        assert tuple(sys_.apply_weyl(word, r) for r in sys_.positive_roots) == img
+        # a reduced word is as long as the number of positive roots sent negative
+        assert len(word.letters) == sum(not r.is_positive for r in img)
+
+
 def test_direct_sum():
     a1 = build_root_system("A", 1)
     s = direct_sum(a1, a1)
