@@ -116,6 +116,16 @@ def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> SpectrumR
     )
 
 
+def _g2_witness_classes(p: int, r: int):
+    """Bruhat fusion classes of the 3-dimensional points of u for G2 over F_q."""
+    if p != 5 or r not in (1, 2):
+        raise ValueError("the witness is implemented for p = 5, r in {1, 2} only")
+    from .elementary import brute_force_Eu, g_conjugacy_classes, get_setting
+
+    setting = get_setting("G", 2, p, degree=r)
+    return g_conjugacy_classes(setting, brute_force_Eu(setting, 3))
+
+
 def g2_class_count_witness(p: int, r: int) -> int:
     """Exact number of G(F_q)-classes of maximal elementary abelian subgroups
     for G2, q = 5^r, computed from the unipotent points by Bruhat fusion:
@@ -123,23 +133,9 @@ def g2_class_count_witness(p: int, r: int) -> int:
 
     Desk-scale only: p = 5 and r in {1, 2}.
     """
-    if p != 5 or r not in (1, 2):
-        raise ValueError("the witness is implemented for p = 5, r in {1, 2} only")
-    from .elementary import brute_force_Eu, g_conjugacy_classes, get_setting
-
-    setting = get_setting("G", 2, p, degree=r)
-    points = brute_force_Eu(setting, 3)
-    classes = g_conjugacy_classes(setting, points)
-    return len(classes)
+    return len(_g2_witness_classes(p, r))
 
 
 def g2_witness_normalizer_dims(p: int, r: int) -> list[int]:
     """Sorted normalizer dimensions across the witness classes."""
-    if p != 5 or r not in (1, 2):
-        raise ValueError("the witness is implemented for p = 5, r in {1, 2} only")
-    from .elementary import brute_force_Eu, g_conjugacy_classes, get_setting
-
-    setting = get_setting("G", 2, p, degree=r)
-    points = brute_force_Eu(setting, 3)
-    classes = g_conjugacy_classes(setting, points)
-    return sorted(c.normalizer_dim for c in classes)
+    return sorted(c.normalizer_dim for c in _g2_witness_classes(p, r))

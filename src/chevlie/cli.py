@@ -30,6 +30,7 @@ from .elementary import (
     solution_subalgebra,
     subalgebra_from_rows,
 )
+from .gf import GF
 from .rootsys import Root, build_root_system
 
 EXIT_PASS, EXIT_MISMATCH, EXIT_INVALID, EXIT_BUDGET = 0, 1, 2, 3
@@ -111,6 +112,7 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
     import math
 
     system = build_root_system(t, n)
+    GF.get(p)  # reject a bad p before any verdict is printed
     cat = enumerate_max_commuting(system)
     verdicts = []
     golden = {

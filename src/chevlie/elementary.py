@@ -87,15 +87,6 @@ class Setting:
     def n_pos(self) -> int:
         return self.system.num_positive
 
-    def u_action(self, gen: GroupGenerator) -> np.ndarray:
-        """Restriction of a u-stabilizing generator to the u-block, transposed
-        for row-vector application."""
-        n = self.n_pos
-        block = gen.matrix[:n, :n]
-        if gen.matrix[n:, :n].any():
-            raise ValueError("generator does not stabilize u")
-        return block.T.copy()
-
 
 @lru_cache(maxsize=None)
 def get_setting(type_label: str, rank: int, p: int, degree: int = 1) -> Setting:
@@ -624,33 +615,32 @@ def normalizer_basis(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
 # -- generator sets -----------------------------------------------------------------
 
 
-def borel_generators(setting: Setting) -> list[GroupGenerator]:
-    """x_alpha(t) for all positive roots and all nonzero t, plus cocharacters."""
+def _generating_set(setting: Setting, roots) -> list[GroupGenerator]:
+    """x_alpha(t) for alpha in roots and t in the F_p-basis of F_q, then
+    alpha_i^vee(lam0) for each simple i and a primitive lam0 (none if q = 2)."""
     gf = setting.field
-    gens = []
-    for root in setting.system.positive_roots:
-        for t in gf.units():
-            gens.append(root_group_element(setting.basis, gf, root, t))
-    for i in range(1, setting.system.rank + 1):
-        for lam in gf.units():
-            if lam != 1:
-                gens.append(cocharacter_element(setting.basis, gf, i, lam))
+    additive, lam0 = gf.generators()
+    gens = [root_group_element(setting.basis, gf, a, t) for a in roots for t in additive]
+    if lam0 != 1:
+        rank = setting.system.rank
+        gens += [cocharacter_element(setting.basis, gf, i, lam0) for i in range(1, rank + 1)]
     return gens
+
+
+def borel_generators(setting: Setting) -> list[GroupGenerator]:
+    """Generators of B(F_q): x_alpha(t) for every positive root alpha and t in
+    the F_p-basis 1, t, ..., t^(r-1) of F_q, and alpha_i^vee(lam0) for every
+    simple i and one primitive lam0 (none when q = 2).  They generate B(F_q)
+    because x_alpha(s + t) = x_alpha(s) x_alpha(t) and alpha^vee is
+    multiplicative; in a finite group the components of a generator graph on
+    a set are its orbits, so they fuse points exactly as all of B(F_q) would.
+    """
+    return _generating_set(setting, setting.system.positive_roots)
 
 
 def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
-    """Simple and negative-simple root elements plus cocharacters."""
-    gf = setting.field
-    gens = []
-    for a in setting.system.simple_roots:
-        for root in (a, -a):
-            for t in gf.units():
-                gens.append(root_group_element(setting.basis, gf, root, t))
-    for i in range(1, setting.system.rank + 1):
-        for lam in gf.units():
-            if lam != 1:
-                gens.append(cocharacter_element(setting.basis, gf, i, lam))
-    return gens
+    """x_{+-alpha_i}(t) for simple alpha_i, t in the F_p-basis, and alpha_i^vee(lam0)."""
+    return _generating_set(setting, [b for a in setting.system.simple_roots for b in (a, -a)])
 
 
 def weyl_words_all(system: RootSystem, limit: int = 5000) -> list[WeylWord]:
@@ -659,6 +649,18 @@ def weyl_words_all(system: RootSystem, limit: int = 5000) -> list[WeylWord]:
     if words is None:
         raise RuntimeError("Weyl group too large to enumerate")
     return list(words.values())
+
+
+@lru_cache(maxsize=None)
+def _moves(setting: Setting) -> tuple[list[GroupGenerator], np.ndarray]:
+    """The moves of Bruhat fusion and `_bfs_word`, built once per setting: the
+    generators of B(F_q), then the nontrivial Weyl representatives, with the
+    u-rows of their transposed matrices stacked (the points lie in u)."""
+    words = [w for w in weyl_words_all(setting.system) if w.letters]
+    gens = borel_generators(setting) + [
+        weyl_word_element(setting.basis, setting.field, w) for w in words
+    ]
+    return gens, np.stack([g.matrix.T[: setting.n_pos] for g in gens])
 
 
 # -- orbit decomposition (ambient BFS) ------------------------------------------------
@@ -782,8 +784,10 @@ def g_conjugacy_classes(
 
     Complete by the Bruhat decomposition: any g with gE = E' factors as
     u w t u', so E ~ E' iff some fixed Weyl representative maps a point of
-    the B-orbit of E into the B-orbit of E'.  The point list must be closed
-    under B (true for the full enumeration output).
+    the B-orbit of E into the B-orbit of E'.  The B-orbits are the union-find
+    components under `borel_generators`, which generate B(F_q); in a finite
+    group the components of a generator graph are the orbits.  The point list
+    must be closed under B (true for the full enumeration output).
     """
     if not points:
         return []
@@ -813,27 +817,18 @@ def g_conjugacy_classes(
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
 
-    # B-moves stay inside u
-    for g in borel_generators(setting):
-        M = setting.u_action(g)
-        union_images(
-            range(npts), gf.matmul(rows_all, M[None, :, :]),
-            "point list is not closed under the Borel action",
-        )
-
-    # one Weyl sweep
-    g_rows = np.zeros((npts, points[0].dim, setting.basis.dim), dtype=np.int16)
-    g_rows[:, :, :n] = rows_all
-    for word in weyl_words_all(setting.system):
-        if not word.letters:
-            continue
-        W = weyl_word_element(setting.basis, gf, word).matrix.T.copy()
-        imgs = gf.matmul(g_rows, W[None, :, :])
+    # the generators of B(F_q) keep u; a Weyl representative counts on the
+    # points it keeps inside u
+    for g, M in zip(*_moves(setting)):
+        if not M[:, n:].any():  # g keeps u: skip the columns outside it
+            M = M[:, :n]
+        imgs = gf.matmul(rows_all, M[None, :, :])
         idxs = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
         if len(idxs):
             union_images(
                 idxs, imgs[idxs][:, :, :n],
-                "Weyl image inside u is missing from the point list",
+                "Weyl image inside u is missing from the point list" if g.kind == "weyl_word"
+                else "point list is not closed under the Borel action",
             )
 
     groups: dict[int, list[int]] = {}
@@ -875,19 +870,14 @@ def _bfs_word(
 ):
     """Shortest generator word carrying E onto one of the target packings.
 
-    Moves: Borel generators (stay in u) and full Weyl representatives kept
-    when the image stays in u.  Complete on E(u)(F_q) by the Bruhat argument.
+    Moves: the generators of B(F_q) (stay in u) and full Weyl representatives
+    kept when the image stays in u.  Complete on E(u)(F_q) by the Bruhat argument.
     With fallback_minimum, an unreachable target set yields the minimal
     canonical point of the explored conjugacy class instead of an error.
     """
     gf = setting.field
     n = setting.n_pos
-    gens = borel_generators(setting) + [
-        weyl_word_element(setting.basis, gf, w)
-        for w in weyl_words_all(setting.system)
-        if w.letters
-    ]
-    mats = np.stack([g.matrix.T for g in gens])
+    gens, mats = _moves(setting)
     start = E.pack()
     if start in targets:
         return [], E
@@ -897,7 +887,7 @@ def _bfs_word(
     while frontier:
         nxt = []
         for key, point in frontier:
-            imgs = gf.matmul(point.as_g_rows()[None, :, :], mats)
+            imgs = gf.matmul(point.rows[None, :, :], mats)
             inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
             canon = canonical(setting, imgs[inside][:, :, :n])
             for g_i, rows, k2 in zip(inside, canon, keys(setting, canon)):

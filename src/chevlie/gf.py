@@ -123,6 +123,13 @@ class GF:
             n >>= 1
         return out
 
+    def generators(self) -> tuple[list[int], int]:
+        """The F_p-basis 1, t, ..., t^(r-1) of F_q (encoded p^k) and the least
+        primitive element of F_q^x (1 when q = 2)."""
+        order = lambda x: next(k for k in range(1, self.q) if self.power(x, k) == 1)
+        lam0 = next(x for x in self.units() if order(x) == self.q - 1)
+        return [self.p**k for k in range(self.degree)], lam0
+
     def nth_roots(self, a: int, n: int) -> list[int]:
         """All x with x^n = a (brute force; fields here are tiny)."""
         return [x for x in range(self.q) if self.power(x, n) == a]

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from chevlie.gf import GF
+from chevlie.gf import GF, IRREDUCIBLE
 from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import EuclidModel, Root, WeylWord, build_root_system
 from chevlie.chevalley import (
@@ -391,6 +391,43 @@ def test_cocharacter_examples():
         out = co.apply_vec(v)
         a, b = out[sysg.index(Root((0, 1)))], out[sysg.index(Root((3, 1)))]
         assert a == b != 0
+
+
+@pytest.mark.parametrize("t,n,p,r", [("G", 2, 5, 2), ("B", 2, 3, 2), ("A", 2, 2, 3)])
+def test_root_groups_and_cocharacters_are_homomorphisms(t, n, p, r):
+    # x_a(s) x_a(t) = x_a(s + t) and a^vee(lam) a^vee(mu) = a^vee(lam mu): the
+    # reason the F_p-basis and one primitive element generate B(F_q)
+    sys_, cb = constants(t, n)
+    gf = GF.get(p, r)
+    for a in sys_.positive_roots + [-b for b in sys_.positive_roots]:
+        x = [root_group_element(cb, gf, a, s).matrix for s in gf.elements()]
+        for s in gf.elements():
+            for u in gf.elements():
+                assert (gf.matmul(x[s], x[u]) == x[gf.add(s, u)]).all()
+    for i in range(1, n + 1):
+        h = {lam: cocharacter_element(cb, gf, i, lam).matrix for lam in gf.units()}
+        for lam in gf.units():
+            for mu in gf.units():
+                assert (gf.matmul(h[lam], h[mu]) == h[gf.mul(lam, mu)]).all()
+
+
+@pytest.mark.parametrize(
+    "p,r", sorted(IRREDUCIBLE) + [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1)]
+)
+def test_field_generators(p, r):
+    gf = GF.get(p, r)
+    additive, lam0 = gf.generators()
+    # F_p-combinations of the basis give every element of F_q
+    span = {0}
+    for b in additive:
+        span = {int(gf.add(x, gf.mul(c, b))) for x in span for c in range(p)}
+    assert span == set(gf.elements())
+    # lam0 has multiplicative order q - 1: its powers give every unit
+    powers, x = [], 1
+    for _ in range(gf.q - 1):
+        x = int(gf.mul(x, lam0))
+        powers.append(x)
+    assert powers[-1] == 1 and sorted(powers) == list(gf.units())
 
 
 def test_weyl_rep_action():

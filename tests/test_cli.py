@@ -95,13 +95,15 @@ def test_verify_orbits_exit_codes():
          "field degree 0 is not positive"),
         (["enumerate", "--type", "A2", "--p", "5", "--dim", "0"], "out of range 1..3"),
         (["enumerate", "--type", "A2", "--p", "5", "--dim", "4"], "out of range 1..3"),
+        (["verify", "--stage", "unipotent", "--type", "G2", "--p", "4"], "p = 4 is not a prime"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):
-    code, _ = run(argv)
+    code, out = run(argv)
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and reason in err
+    assert "[PASS]" not in out  # no verdict before the input is rejected
 
 
 def test_enumerate_classical_type():

@@ -8,20 +8,28 @@ import pytest
 from chevlie.gf import GF
 from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import Root, build_root_system, direct_sum
-from chevlie.chevalley import build_constants, root_group_element
+from chevlie.chevalley import (
+    build_constants,
+    cocharacter_element,
+    root_group_element,
+    weyl_word_element,
+)
 from chevlie.chevgroups import class_report
 from chevlie.commuting import b_family, commuting_set, enumerate_max_commuting
 from chevlie.elementary import (
     BudgetExceeded,
     ElementarySubalgebra,
     Setting,
+    borel_generators,
     brute_force_Eu,
     build_leading_term_system,
+    canonical,
     chevalley_group_generators,
     conjugation_reduce,
     g_conjugacy_classes,
     get_setting,
     is_elementary,
+    keys,
     leading_term_solve,
     lie,
     lt,
@@ -29,6 +37,7 @@ from chevlie.elementary import (
     orbit_decompose,
     solution_subalgebra,
     subalgebra_from_rows,
+    weyl_words_all,
     _apply_word_u,
 )
 
@@ -435,6 +444,57 @@ def test_fusion_classical_f3(t, n, count):
     points = brute_force_Eu(setting, enumerate_max_commuting(setting.system).m)
     classes = g_conjugacy_classes(setting, points)
     assert len(classes) == class_report(t, n, 3).class_count == count
+
+
+def _reference_classes(setting, points):
+    """The full-element loop: union-find over every x_a(t) and a_i^vee(lam) in
+    B(F_q) and every Weyl representative, applied to all points in g; returns
+    (representative packing, point indices, normalizer dimension) per class."""
+    gf, cb, n = setting.field, setting.basis, setting.n_pos
+    moves = [
+        root_group_element(cb, gf, a, t) for a in setting.system.positive_roots for t in gf.units()
+    ]
+    for i in range(1, setting.system.rank + 1):
+        moves += [cocharacter_element(cb, gf, i, lam) for lam in gf.units() if lam != 1]
+    moves += [weyl_word_element(cb, gf, w) for w in weyl_words_all(setting.system)]
+    rows_g = np.stack([E.as_g_rows() for E in points])
+    index = {k: i for i, k in enumerate(keys(setting, rows_g))}
+    parent = list(range(len(points)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for g in moves:
+        imgs = gf.matmul(rows_g, g.matrix.T[None, :, :])
+        inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
+        for i, k in zip(inside, keys(setting, canonical(setting, imgs[inside]))):
+            a, b = find(int(i)), find(index[k])
+            parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(len(points)):
+        groups.setdefault(find(i), []).append(i)
+    out = []
+    for members in groups.values():
+        rep = min((points[i] for i in members), key=lambda E: E.pack())
+        out.append((rep.pack(), members, normalizer_in_g(rep)[1]))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "t,n,p,deg,r,npts,nclasses",
+    [("G", 2, 5, 1, 3, 181, 4), ("B", 2, 3, 2, 2, 100, 3), ("A", 3, 2, 2, 3, 94, 5)],
+)
+def test_fusion_over_borel_generators_matches_all_elements(t, n, p, deg, r, npts, nclasses):
+    setting = get_setting(t, n, p, degree=deg)
+    assert len(borel_generators(setting)) == setting.n_pos * deg + (n if setting.field.q > 2 else 0)
+    points = brute_force_Eu(setting, r)
+    classes = g_conjugacy_classes(setting, points)
+    assert len(points) == npts and len(classes) == nclasses
+    assert [(c.representative.pack(), c.point_indices, c.normalizer_dim) for c in classes] == (
+        _reference_classes(setting, points)
+    )
 
 
 def test_a4_f2_orbits_fusion_and_ambient_agree():
