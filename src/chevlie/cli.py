@@ -20,6 +20,7 @@ from .elementary import (
     DEFAULT_BUDGET,
     brute_force_Eu,
     build_leading_term_system,
+    g2_normal_forms,
     g_conjugacy_classes,
     get_setting,
     leading_term_solve,
@@ -204,20 +205,7 @@ def _norm_dim(setting, E):
 def _verify_normalizers(t, n, p, budget, out) -> int:
     setting = get_setting(t, n, p)
     if (t, n) == ("G", 2):
-        sys_ = setting.system
-        gf = setting.field
-        C3 = [Root((0, 1)), Root((2, 1)), Root((3, 2))]
-        C5 = [Root((2, 1)), Root((3, 1)), Root((3, 2))]
-        rows = gf.zeros((3, 6))
-        rows[0, sys_.index(Root((0, 1)))] = 1
-        rows[0, sys_.index(Root((3, 1)))] = 1
-        rows[1, sys_.index(Root((2, 1)))] = 1
-        rows[2, sys_.index(Root((3, 2)))] = 1
-        dims = (
-            _norm_dim(setting, lie(setting, C3)),
-            _norm_dim(setting, lie(setting, C5)),
-            _norm_dim(setting, subalgebra_from_rows(setting, rows)),
-        )
+        dims = tuple(_norm_dim(setting, E) for E in g2_normal_forms(setting).values())
         ok = dims == (7, 9, 6)
         out.write(f"[{'PASS' if ok else 'FAIL'}] N_g dims of (lie(C3), lie(C5), L) = {dims}, expected (7, 9, 6)\n")
         return EXIT_PASS if ok else EXIT_MISMATCH

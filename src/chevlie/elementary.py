@@ -36,7 +36,7 @@ from .chevalley import (
     root_group_element,
     weyl_word_element,
 )
-from .commuting import CommutingSet, b_family, commuting_set
+from .commuting import CommutingSet, b_family, commuting_set, enumerate_max_commuting
 from .rootsys import Root, RootSystem, WeylWord, build_root_system
 
 
@@ -73,11 +73,17 @@ class Setting:
         self._check_faithful()
 
     def _check_faithful(self):
-        """ad must be injective on u for p-nilpotency to characterize p-power 0."""
+        """ad must be injective on u for p-nilpotency to characterize p-power 0.
+
+        Only the block of ad(x_alpha) from the x_{-beta} columns to the h rows
+        is checked: [x_alpha, x_{-alpha}] = h_alpha.  Its rows are a subset of
+        the rows of the whole matrix, so a trivial kernel of the block proves
+        a trivial kernel of ad on u.
+        """
         gf = self.field
         stack = self.basis.field_data(gf)["ad_g"]
         n = self.system.num_positive
-        M = np.stack([stack[i].reshape(-1) for i in range(n)], axis=1)
+        M = np.stack([stack[i][2 * n :, n : 2 * n].reshape(-1) for i in range(n)], axis=1)
         if len(gf.nullspace(M)):
             raise ArithmeticError(
                 f"adjoint representation not faithful on u for {self.system} over {gf}"
@@ -353,20 +359,21 @@ def brute_force_Eu(
                 if part is None:
                     return
                 null = gf.nullspace(A)
-                coeffs = gf.span_points(null, part)
             else:
-                coeffs = gf.span_points(gf.eye(len(B)) if len(B) else gf.zeros((0, 0)))
+                part, null = None, gf.eye(len(B))
+            # count the q^k candidate rows before building them
+            processed += gf.q ** len(null)
+            if processed > budget:
+                raise BudgetExceeded(
+                    f"candidate-row budget of {budget} exceeded", needed=None
+                )
+            coeffs = gf.span_points(null, part)
             if len(B):
                 cand = gf.add(
                     e_piv[None, :], gf.matmul(coeffs, B)
                 )
             else:
                 cand = e_piv[None, :]
-            processed += len(cand)
-            if processed > budget:
-                raise BudgetExceeded(
-                    f"candidate-row budget of {budget} exceeded", needed=None
-                )
             keep = cand[_p_nilpotent_mask(setting, cand)]
             for row in keep:
                 rows_fixed.append(row)
@@ -870,10 +877,14 @@ def _bfs_word(
 ):
     """Shortest generator word carrying E onto one of the target packings.
 
-    Moves: the generators of B(F_q) (stay in u) and full Weyl representatives
-    kept when the image stays in u.  Complete on E(u)(F_q) by the Bruhat argument.
-    With fallback_minimum, an unreachable target set yields the minimal
-    canonical point of the explored conjugacy class instead of an error.
+    Moves (`_moves`): the generators of B(F_q), which keep u, and the Weyl
+    representatives, each counted where its image stays in u.  Complete on
+    E(u)(F_q) by the Bruhat argument of `g_conjugacy_classes`.  Each BFS
+    level is expanded in one batch, and its images are visited level by
+    level, then point by point, then move by move, so the word is a shortest
+    one and the same on every run.  With fallback_minimum, an unreachable
+    target set yields a word onto the minimal canonical point of the class
+    of E instead of an error.
     """
     gf = setting.field
     n = setting.n_pos
@@ -882,27 +893,27 @@ def _bfs_word(
     if start in targets:
         return [], E
     prev: dict[bytes, tuple[bytes, GroupGenerator]] = {}
-    frontier = [(start, E)]
-    seen: dict[bytes, ElementarySubalgebra] = {start: E}
+    seen: dict[bytes, np.ndarray] = {start: E.rows}
+    frontier = [start]
     while frontier:
+        level = np.stack([seen[k] for k in frontier])
+        imgs = gf.matmul(level[:, None], mats[None]).reshape(-1, E.dim, mats.shape[-1])
+        inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
+        canon = canonical(setting, imgs[inside][:, :, :n])
         nxt = []
-        for key, point in frontier:
-            imgs = gf.matmul(point.rows[None, :, :], mats)
-            inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
-            canon = canonical(setting, imgs[inside][:, :, :n])
-            for g_i, rows, k2 in zip(inside, canon, keys(setting, canon)):
-                if k2 in seen:
-                    continue
-                E2 = ElementarySubalgebra(setting, rows)
-                seen[k2] = E2
-                prev[k2] = (key, gens[g_i])
-                if k2 in targets:
-                    return _rebuild_word(prev, start, k2), E2
-                nxt.append((k2, E2))
+        for flat, rows, k2 in zip(inside, canon, keys(setting, canon)):
+            if k2 in seen:
+                continue
+            seen[k2] = rows
+            src, g_i = divmod(int(flat), len(gens))
+            prev[k2] = (frontier[src], gens[g_i])
+            if k2 in targets:
+                return _rebuild_word(prev, start, k2), ElementarySubalgebra(setting, rows)
+            nxt.append(k2)
         frontier = nxt
     if fallback_minimum:
         kmin = min(seen)
-        return _rebuild_word(prev, start, kmin), seen[kmin]
+        return _rebuild_word(prev, start, kmin), ElementarySubalgebra(setting, seen[kmin])
     raise ValueError("no conjugation word found: input is not in the expected class")
 
 
@@ -922,22 +933,30 @@ def conjugation_reduce(
 ) -> tuple[list[GroupGenerator], ElementarySubalgebra]:
     """Reduce E to its normal form by an explicit word, verified by replay.
 
-    Covers the two B_n families (target lie(S_1)), the five leading-term
-    cases of G_2 in good characteristic (targets lie(C_3), lie(C_5), L, and
-    over F_5 also N4 = span(x_{(0,1)} + x_{(3,1)}, x_{(1,1)} + 2x_{(2,1)},
-    x_{(3,2)}), the minimal point of the fourth class), and the three G_2
-    cases at p = 3 (target lie(R_1)).
+    E must have the maximal dimension m of its type and characteristic.  The
+    two B_n families (n >= 4) reduce to lie(S_1) by the recipe
+    `_reduce_b_family`; a word search over their classes would be far too
+    large.  Every G_2 point goes to the word search `_bfs_word`, which is
+    complete on E(u)(F_q): at p = 3 onto lie(R_1); otherwise onto lie(C_3),
+    lie(C_5) or L (`g2_normal_forms`), and a point whose class holds none of
+    them reduces to the minimal point of its class (over F_5 that is
+    N4 = span(x_{(0,1)} + x_{(3,1)}, x_{(1,1)} + 2x_{(2,1)}, x_{(3,2)})).
     """
     sys = setting.system
     if sys.type_label == "B" and sys.rank >= 4:
-        word, out = _reduce_b_family(setting, E)
+        reduce = _reduce_b_family
     elif sys.type_label == "G":
-        if setting.field.p == 3:
-            word, out = _reduce_g2_p3(setting, E)
-        else:
-            word, out = _reduce_g2(setting, E)
+        reduce = _reduce_g2
     else:
         raise ValueError(f"no conjugation recipe for type {sys.type_label}{sys.rank}")
+    p = setting.field.p
+    m = enumerate_max_commuting(sys, p=p).m
+    if E.dim != m:
+        raise ValueError(
+            f"dimension {E.dim} is not the maximal dimension {m} "
+            f"for type {sys.type_label}{sys.rank} at p = {p}"
+        )
+    word, out = reduce(setting, E)
     if not replay_verify(setting, E, word, out):
         raise AssertionError("conjugation word failed replay verification")
     return word, out
@@ -1013,182 +1032,28 @@ def _row_with_pivot(E: ElementarySubalgebra, root: Root) -> np.ndarray:
     raise ValueError(f"no row with leading root {root}")
 
 
-def _g2_sets(setting: Setting):
-    mk = lambda cs: [Root(c) for c in cs]
+@lru_cache(maxsize=None)
+def g2_normal_forms(setting: Setting) -> dict[str, ElementarySubalgebra]:
+    """The G_2 normal forms in good characteristic: lie(C3), lie(C5) and
+    L = span(x_{(0,1)} + x_{(3,1)}, x_{(2,1)}, x_{(3,2)})."""
+    sys, gf = setting.system, setting.field
+    L = gf.zeros((3, setting.n_pos))
+    for k, coeffs in enumerate([(0, 1), (2, 1), (3, 2)]):
+        L[k, sys.index(Root(coeffs))] = 1
+    L[0, sys.index(Root((3, 1)))] = 1
     return {
-        "C1": mk([(1, 0), (3, 1), (3, 2)]),
-        "C2": mk([(1, 1), (3, 1), (3, 2)]),
-        "C3": mk([(0, 1), (2, 1), (3, 2)]),
-        "C4": mk([(0, 1), (1, 1), (3, 2)]),
-        "C5": mk([(2, 1), (3, 1), (3, 2)]),
+        "lie(C3)": lie(setting, [Root((0, 1)), Root((2, 1)), Root((3, 2))]),
+        "lie(C5)": lie(setting, [Root((2, 1)), Root((3, 1)), Root((3, 2))]),
+        "L": subalgebra_from_rows(setting, L),
     }
 
 
 def _reduce_g2(setting: Setting, E: ElementarySubalgebra):
-    """G_2 (p >= 5): land on lie(C3), lie(C5), or L per the leading terms.
-
-    A point whose class holds none of the three, such as the fourth class
-    over F_5, lands on the minimal point of its class (N4 over F_5).
-    """
-    gf = setting.field
-    sys = setting.system
-    a1, a2 = sys.simple_roots
-    sets = _g2_sets(setting)
-    L_rows = gf.zeros((3, 6))
-    L_rows[0, sys.index(Root((0, 1)))] = 1
-    L_rows[0, sys.index(Root((3, 1)))] = 1
-    L_rows[1, sys.index(Root((2, 1)))] = 1
-    L_rows[2, sys.index(Root((3, 2)))] = 1
-    L_norm = subalgebra_from_rows(setting, L_rows)
-    targets = {
-        lie(setting, sets["C3"]).pack(): "lie(C3)",
-        lie(setting, sets["C5"]).pack(): "lie(C5)",
-        L_norm.pack(): "L",
-    }
-
-    word: list[GroupGenerator] = []
-    cur = E
-
-    def apply(gen):
-        nonlocal cur
-        word.append(gen)
-        cur = _apply_word_u(setting, cur, [gen])
-
-    def kill_tail(pivot: Root, col_root: Root, move_root: Root) -> bool:
-        """Search exp(ad(c x_move)) killing the col coefficient of the pivot row."""
-        nonlocal cur
-        col = sys.index(col_root)
-        row = _row_with_pivot(cur, pivot)
-        if not row[col]:
-            return True
-        for c in gf.units():
-            g = root_group_element(setting.basis, gf, move_root, int(c))
-            try:
-                trial = _apply_word_u(setting, cur, [g])
-                trow = _row_with_pivot(trial, pivot)
-            except ValueError:
-                continue
-            if not trow[col]:
-                apply(g)
-                return True
-        return False
-
-    for _round in range(4):
-        if cur.pack() in targets:
-            return word, cur
-        ltset = {r.coeffs for r in cur.leading_roots()}
-        name = next(k for k, v in sets.items() if {r.coeffs for r in v} == ltset)
-        if name == "C1":
-            ok = kill_tail(a1, Root((2, 1)), Root((1, 1))) and kill_tail(
-                a1, Root((1, 1)), a2
-            )
-            if ok and cur.pack() == lie(setting, sets["C1"]).pack():
-                apply(weyl_word_element(setting.basis, gf, WeylWord((1, 2))))
-                continue
-        elif name == "C2":
-            if kill_tail(Root((1, 1)), Root((2, 1)), a1) and cur.pack() == lie(
-                setting, sets["C2"]
-            ).pack():
-                apply(weyl_word_element(setting.basis, gf, WeylWord((1,))))
-                continue
-        elif name == "C3":
-            if kill_tail(a2, Root((1, 1)), a1):
-                row = _row_with_pivot(cur, a2)
-                a = int(row[sys.index(Root((3, 1)))])
-                if a == 0:
-                    continue  # now lie(C3)
-                roots3 = gf.nth_roots(a, 3)
-                if roots3:
-                    apply(cocharacter_element(setting.basis, gf, 2, roots3[0]))
-                    # scaled to the L normal form up to row scaling
-                    if cur.pack() == L_norm.pack():
-                        continue
-        elif name == "C5":
-            continue  # lie(C5) is the only point with these leading terms
-        elif name == "C4":
-            if not kill_tail(a2, Root((2, 1)), a1):
-                break
-            row = _row_with_pivot(cur, a2)
-            a_1 = int(row[sys.index(Root((2, 1)))])
-            if a_1 == 0:
-                apply(weyl_word_element(setting.basis, gf, WeylWord((1,))))
-                continue
-            done = False
-            for u in gf.elements():
-                if u == 0:
-                    continue
-                for v in gf.elements():
-                    g1 = root_group_element(setting.basis, gf, a1, u)
-                    gw = weyl_word_element(setting.basis, gf, WeylWord((1,)))
-                    g2 = root_group_element(setting.basis, gf, a1, v)
-                    try:
-                        trial = _apply_word_u(setting, cur, [g2, gw, g1])
-                    except ValueError:
-                        continue
-                    if {r.coeffs for r in trial.leading_roots()} != {
-                        r.coeffs for r in sets["C4"]
-                    }:
-                        apply(g2)
-                        apply(gw)
-                        apply(g1)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                continue
-        break
-    # analytic route exhausted or blocked (no cube root in F_q, or a rootless
-    # quartic in the C4 case): fall back to a breadth-first word search, which
-    # is complete on E(u)(F_q).  Points in a class containing none of the
-    # three normal forms (the fourth class over F_5) reduce to the minimal
-    # point of their own class.
-    extra, out = _bfs_word(setting, cur, set(targets), fallback_minimum=True)
-    return word + extra, out
-
-
-def _reduce_g2_p3(setting: Setting, E: ElementarySubalgebra):
-    """G_2 at p = 3: all three leading-term cases land on lie(R_1)."""
-    gf = setting.field
-    sys = setting.system
-    a1, a2 = sys.simple_roots
-    R1 = [Root((1, 1)), Root((2, 1)), Root((3, 1)), Root((3, 2))]
-    R2 = [Root((1, 0)), Root((2, 1)), Root((3, 1)), Root((3, 2))]
-    R3 = [Root((0, 1)), Root((1, 1)), Root((2, 1)), Root((3, 2))]
-    target = lie(setting, R1)
-    word: list[GroupGenerator] = []
-    cur = E
-
-    def apply(gen):
-        nonlocal cur
-        word.append(gen)
-        cur = _apply_word_u(setting, cur, [gen])
-
-    ltset = {r.coeffs for r in cur.leading_roots()}
-    if ltset == {r.coeffs for r in R2}:
-        row = _row_with_pivot(cur, a1)
-        if row[sys.index(Root((1, 1)))]:
-            for c in gf.units():
-                g = root_group_element(setting.basis, gf, a2, int(c))
-                trial = _apply_word_u(setting, cur, [g])
-                if not _row_with_pivot(trial, a1)[sys.index(Root((1, 1)))]:
-                    apply(g)
-                    break
-        apply(weyl_word_element(setting.basis, gf, WeylWord((2,))))
-    elif ltset == {r.coeffs for r in R3}:
-        row = _row_with_pivot(cur, a2)
-        if row[sys.index(Root((3, 1)))]:
-            for c in gf.units():
-                g = root_group_element(setting.basis, gf, a1, int(c))
-                trial = _apply_word_u(setting, cur, [g])
-                trow = _row_with_pivot(trial, a2)
-                if not trow[sys.index(Root((3, 1)))]:
-                    apply(g)
-                    break
-            else:
-                raise ValueError("cube-root move failed at p = 3")
-        apply(weyl_word_element(setting.basis, gf, WeylWord((1,))))
-    if cur.pack() != target.pack():
-        extra, cur = _bfs_word(setting, cur, {target.pack()})
-        word += extra
-    return word, cur
+    """G_2: a shortest word onto lie(R_1) at p = 3; otherwise onto lie(C3),
+    lie(C5) or L, or onto the minimal point of a class that holds none of
+    them (N4, the fourth class over F_5)."""
+    if setting.field.p == 3:
+        R1 = [Root((1, 1)), Root((2, 1)), Root((3, 1)), Root((3, 2))]
+        return _bfs_word(setting, E, {lie(setting, R1).pack()})
+    targets = {F.pack() for F in g2_normal_forms(setting).values()}
+    return _bfs_word(setting, E, targets, fallback_minimum=True)

@@ -130,10 +130,6 @@ class GF:
         lam0 = next(x for x in self.units() if order(x) == self.q - 1)
         return [self.p**k for k in range(self.degree)], lam0
 
-    def nth_roots(self, a: int, n: int) -> list[int]:
-        """All x with x^n = a (brute force; fields here are tiny)."""
-        return [x for x in range(self.q) if self.power(x, n) == a]
-
     # -- vectorized elementwise ops -----------------------------------------
 
     def add(self, a, b):

@@ -137,6 +137,11 @@ def test_enumerate_stream():
 def test_enumerate_budget_exit():
     code, out = run(["enumerate", "--type", "E7", "--p", "2", "--dim", "27", "--budget", "1000"])
     assert code == 3
+    # the first row alone has 5^24 candidates: rejected before they are built
+    code, out = run(["enumerate", "--type", "B5", "--p", "5", "--dim", "1"])
+    assert code == 3
+    assert json.loads(out)["error"] == "budget"
+    assert "candidate-row budget" in out
 
 
 def test_output_is_deterministic():

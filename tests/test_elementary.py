@@ -26,6 +26,7 @@ from chevlie.elementary import (
     canonical,
     chevalley_group_generators,
     conjugation_reduce,
+    g2_normal_forms,
     g_conjugacy_classes,
     get_setting,
     is_elementary,
@@ -574,6 +575,42 @@ def test_conjugation_reduce_rejects_unknown_type():
     E = lie(setting, setting.system.phi_rad(2))
     with pytest.raises(ValueError, match="recipe"):
         conjugation_reduce(setting, E)
+
+
+def test_conjugation_reduce_rejects_wrong_dimension():
+    # m = 3 for G2 at p >= 5 and m = 4 at p = 3 (criterion 8)
+    for p, roots in [(5, [(2, 1), (3, 2)]), (3, [(2, 1), (3, 1), (3, 2)])]:
+        setting = get_setting("G", 2, p)
+        E = lie(setting, [Root(c) for c in roots])
+        with pytest.raises(ValueError, match="maximal dimension"):
+            conjugation_reduce(setting, E)
+
+
+def test_conjugation_reduce_g2_f7_one_form_per_class():
+    """Each fusion class reduces to one of its own points, and a class holding
+    lie(C3), lie(C5) or L reduces to that normal form."""
+    setting = get_setting("G", 2, 7)
+    points = brute_force_Eu(setting, 3)
+    classes = g_conjugacy_classes(setting, points)
+    assert (len(points), len(classes)) == (449, 6)  # computed, as `enumerate` prints
+    forms = {E.pack() for E in g2_normal_forms(setting).values()}
+    outs = [conjugation_reduce(setting, E)[1].pack() for E in points]
+    for c in classes:
+        members = {points[i].pack() for i in c.point_indices}
+        reduced = {outs[i] for i in c.point_indices}
+        assert len(reduced) == 1 and reduced <= members
+        if forms & members:
+            assert reduced == forms & members
+
+
+def test_conjugation_reduce_g2_f9():
+    setting = get_setting("G", 2, 3, 2)
+    points = brute_force_Eu(setting, 4)
+    assert len(points) == 19
+    target = lie(setting, [Root((1, 1)), Root((2, 1)), Root((3, 1)), Root((3, 2))])
+    for E in points:
+        _, out = conjugation_reduce(setting, E)
+        assert out.pack() == target.pack()
 
 
 # -- product decomposition ---------------------------------------------------
