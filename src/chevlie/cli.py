@@ -203,6 +203,9 @@ def _norm_dim(setting, E):
 
 
 def _verify_normalizers(t, n, p, budget, out) -> int:
+    if (t, n) == ("G", 2) and p < 5:
+        # lie(C3), lie(C5) and L have maximal dimension only at a good prime
+        raise CliError(f"the G2 normalizer check needs a good prime p >= 5, not p = {p}")
     setting = get_setting(t, n, p)
     if (t, n) == ("G", 2):
         dims = tuple(_norm_dim(setting, E) for E in g2_normal_forms(setting).values())

@@ -1,10 +1,12 @@
 """Maximal sets of commuting (or p-commuting) positive roots.
 
-Enumeration is exact maximum-clique search on the commutation graph,
-branch-and-bound with a greedy coloring bound after peeling vertices joined
-to everything (the highest root always peels).  Catalogs carry ideal flags,
-Weyl stabilizer generators, and the orbit partition under the partial Weyl
-action; everything is ordered by membership mask for reproducibility.
+Enumeration is exact maximum-clique search on the commutation graph, done as
+maximum independent sets of its sparse complement in two passes: the exact
+size, with vertices of degree <= 1 peeled, then every set of that size,
+entering only branches whose exact size matches (see `maximum_cliques`).
+Catalogs carry ideal flags, Weyl stabilizer generators, and the orbit
+partition under the partial Weyl action; everything is ordered by membership
+mask for reproducibility.
 """
 
 from __future__ import annotations
@@ -61,94 +63,93 @@ class MaxSetCatalog:
     def count(self) -> int:
         return len(self.sets)
 
-    def ideal_sets(self) -> list[CommutingSet]:
-        return [s for s, flag in zip(self.sets, self.ideals) if flag]
-
 
 # -- maximum clique enumeration ------------------------------------------------
 #
 # The commutation graph is dense but its complement (pairs summing to a root)
 # is sparse, and for the simply laced types triangle-free, which makes every
 # coloring or fractional bound on the clique side useless (>= n/2 while the
-# answer is ~n/3).  Maximum cliques are therefore enumerated as maximum
-# independent sets of the complement: branch on a highest-degree vertex,
-# decompose into connected components, and memoize subproblems.  E8 finishes
-# in seconds; the result is exact and complete.
-
-
-class _MisSolver:
-    def __init__(self, nonadj: list[int], n: int):
-        self.nonadj = nonadj
-        self.n = n
-        self.cache: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    def _components(self, P: int) -> list[int]:
-        out = []
-        rest = P
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            seen = 1 << v
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                nb = self.nonadj[u] & P & ~seen
-                while nb:
-                    w = (nb & -nb).bit_length() - 1
-                    seen |= 1 << w
-                    stack.append(w)
-                    nb &= ~(1 << w)
-            out.append(seen)
-            rest &= ~seen
-        return out
-
-    def solve(self, P: int) -> tuple[int, tuple[int, ...]]:
-        """Size and all maximum independent sets of the complement graph on P."""
-        if P == 0:
-            return 0, (0,)
-        got = self.cache.get(P)
-        if got is not None:
-            return got
-        comps = self._components(P)
-        if len(comps) > 1:
-            total = 0
-            sets = [0]
-            for c in comps:
-                s, L = self.solve(c)
-                total += s
-                sets = [a | b for a in sets for b in L]
-            res = (total, tuple(sets))
-        else:
-            best_v, best_d = -1, -1
-            rest = P
-            while rest:
-                v = (rest & -rest).bit_length() - 1
-                d = (self.nonadj[v] & P).bit_count()
-                if d > best_d:
-                    best_d, best_v = d, v
-                rest &= ~(1 << v)
-            if best_d == 0:
-                res = (P.bit_count(), (P,))
-            else:
-                v = best_v
-                s1, L1 = self.solve(P & ~(self.nonadj[v] | (1 << v)))
-                s1 += 1
-                s0, L0 = self.solve(P & ~(1 << v))
-                if s1 > s0:
-                    res = (s1, tuple(m | (1 << v) for m in L1))
-                elif s0 > s1:
-                    res = (s0, L0)
-                else:
-                    res = (s0, L0 + tuple(m | (1 << v) for m in L1))
-        self.cache[P] = res
-        return res
+# answer is ~n/3).  Maximum cliques are therefore the maximum independent sets
+# of the complement, found in two passes over vertex masks P:
+# - size, alpha(P): peel each vertex v of degree <= 1, counting it and dropping
+#   N[v] (exact: trading v's neighbour, if any, for v keeps a maximum set
+#   maximum); then sum over components, or branch on a vertex of maximum
+#   degree.  The memo holds one int per peeled P.
+# - sets(P): multiply over components (an isolated v is one, with the one set
+#   {v}); else branch on a degree-1 vertex if any, else one of maximum degree,
+#   into "v in" and "v out", entering a branch only when its exact alpha
+#   equals alpha(P).  The two branches split the maximum sets, so the list is
+#   complete and has no repeats.
 
 
 def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
     """Size and full list of maximum cliques of the graph (bitmask adjacency)."""
     full = (1 << n) - 1
     nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
-    size, sets = _MisSolver(nonadj, n).solve(full)
-    return size, sorted(sets)
+    memo: dict[int, int] = {0: 0}
+
+    def vertices(P: int):
+        while P:
+            low = P & -P
+            yield low.bit_length() - 1
+            P ^= low
+
+    def components(P: int) -> list[int]:
+        out = []
+        while P:
+            comp = frontier = P & -P
+            while frontier:
+                grown = comp
+                for v in vertices(frontier):
+                    grown |= nonadj[v] & P
+                frontier, comp = grown & ~comp, grown
+            out.append(comp)
+            P &= ~comp
+        return out
+
+    def branch_vertex(P: int) -> int:
+        """A vertex of degree 1 if there is one, else one of maximum degree."""
+        def key(v):
+            d = (nonadj[v] & P).bit_count()
+            return d == 1, d
+        return max(vertices(P), key=key)
+
+    def alpha(P: int) -> int:
+        size, todo = 0, P
+        while todo:  # dropping u = N(v) lowers only the degrees in N(u)
+            low = todo & -todo
+            todo ^= low
+            nb = nonadj[low.bit_length() - 1] & P
+            if P & low and nb & (nb - 1) == 0:
+                size += 1
+                P &= ~(nb | low)
+                if nb:
+                    todo |= nonadj[nb.bit_length() - 1] & P
+        if P not in memo:
+            comps = components(P)
+            if len(comps) > 1:
+                memo[P] = sum(map(alpha, comps))
+            else:
+                v = branch_vertex(P)
+                memo[P] = max(1 + alpha(P & ~nonadj[v] & ~(1 << v)), alpha(P & ~(1 << v)))
+        return size + memo[P]
+
+    def sets(P: int) -> list[int]:
+        comps = components(P)
+        if len(comps) != 1:
+            out = [0]
+            for c in comps:
+                out = [s | t for s in out for t in sets(c)]
+            return out
+        a, v, out = alpha(P), branch_vertex(P), []
+        inside, outside = P & ~nonadj[v] & ~(1 << v), P & ~(1 << v)
+        if 1 + alpha(inside) == a:
+            out += [s | 1 << v for s in sets(inside)]
+        if alpha(outside) == a:
+            out += sets(outside)
+        return out
+
+    return alpha(full), sorted(sets(full))
 
 
 # -- catalog construction --------------------------------------------------------

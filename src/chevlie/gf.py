@@ -107,10 +107,6 @@ class GF:
     def units(self) -> range:
         return range(1, self.q)
 
-    def from_int(self, n: int) -> int:
-        """Image of the rational integer n in the prime subfield."""
-        return n % self.p
-
     def power(self, a: int, n: int) -> int:
         out, base = 1, a
         n = n % (self.q - 1) if (a and n < 0) else n

@@ -40,9 +40,6 @@ class Root:
     def __neg__(self) -> "Root":
         return Root(tuple(-a for a in self.coeffs))
 
-    def scaled(self, k: int) -> "Root":
-        return Root(tuple(k * a for a in self.coeffs))
-
     def __repr__(self):
         return "Root" + str(self.coeffs)
 

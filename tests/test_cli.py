@@ -65,7 +65,7 @@ def test_verify_unipotent_b4():
 def test_verify_normalizers_g2():
     code, out = run(["verify", "--stage", "normalizers", "--type", "G2", "--p", "5"])
     assert code == 0
-    assert "(7, 9, 6)" in out
+    assert out == "[PASS] N_g dims of (lie(C3), lie(C5), L) = (7, 9, 6), expected (7, 9, 6)\n"
 
 
 def test_verify_orbits_exit_codes():
@@ -96,6 +96,9 @@ def test_verify_orbits_exit_codes():
         (["enumerate", "--type", "A2", "--p", "5", "--dim", "0"], "out of range 1..3"),
         (["enumerate", "--type", "A2", "--p", "5", "--dim", "4"], "out of range 1..3"),
         (["verify", "--stage", "unipotent", "--type", "G2", "--p", "4"], "p = 4 is not a prime"),
+        # lie(C3), lie(C5) and L are points of maximal dimension only at p >= 5
+        (["verify", "--stage", "normalizers", "--type", "G2", "--p", "3"], "good prime p >= 5"),
+        (["verify", "--stage", "normalizers", "--type", "G2", "--p", "2"], "good prime p >= 5"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):

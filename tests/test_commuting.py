@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chevlie.golden import TABLE1_RANKS
 from chevlie.rootsys import Root, build_root_system
 from chevlie.commuting import (
     appendix_oracle,
@@ -30,6 +31,25 @@ def test_table2_counts(key):
     assert (cat.m, cat.count) == TABLE2[key]
 
 
+def _from_complement(n: int, edges) -> list[int]:
+    """Bitmask adjacency of the graph whose non-edges are `edges`."""
+    full = (1 << n) - 1
+    adj = [full & ~(1 << v) for v in range(n)]
+    for u, v in edges:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
+    return adj
+
+
+def _brute_force_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
+    cliques = [
+        S for S in range(1 << n)
+        if all(S & ~adj[v] & ~(1 << v) == 0 for v in range(n) if S >> v & 1)
+    ]
+    size = max(S.bit_count() for S in cliques)
+    return size, sorted(S for S in cliques if S.bit_count() == size)
+
+
 def test_maximum_cliques_on_small_graphs():
     # 5-cycle: maximum cliques are the 5 edges
     adj = [0] * 5
@@ -42,6 +62,92 @@ def test_maximum_cliques_on_small_graphs():
     adj = [((1 << 4) - 1) & ~(1 << i) for i in range(4)]
     size, cliques = maximum_cliques(adj, 4)
     assert size == 4 and cliques == [15]
+    # complement path a-b-c-d: {a,c}, {a,d} and {b,d}
+    adj = _from_complement(4, [(0, 1), (1, 2), (2, 3)])
+    assert maximum_cliques(adj, 4) == (2, sorted([0b0101, 0b1001, 0b1010]))
+    # complement perfect matching on k edges: one end of each edge, 2^k ways
+    for k in range(1, 6):
+        adj = _from_complement(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
+        size, cliques = maximum_cliques(adj, 2 * k)
+        assert size == k and len(cliques) == 2 ** k == len(set(cliques))
+        assert cliques == _brute_force_cliques(adj, 2 * k)[1]
+
+
+def test_maximum_cliques_match_brute_force():
+    rng = random.Random(20150304)
+    for _ in range(240):
+        n = rng.randint(1, 14)
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = set()
+        # split into several components, each a random sparse graph with a
+        # pendant tail, and leave some vertices isolated in the complement
+        start = 0
+        while start < n:
+            size = rng.randint(1, n - start)
+            comp = order[start:start + size]
+            start += size
+            if rng.random() < 0.2:
+                continue
+            density = rng.choice([0.15, 0.3, 0.5])
+            for i, u in enumerate(comp):
+                for v in comp[i + 1:]:
+                    if rng.random() < density:
+                        edges.add((u, v))
+            for i in range(1, len(comp)):
+                if rng.random() < 0.3:
+                    edges.add((comp[i - 1], comp[i]))
+        adj = _from_complement(n, edges)
+        assert maximum_cliques(adj, n) == _brute_force_cliques(adj, n)
+
+
+def _malcev_m(t: str, n: int) -> int:
+    if t == "A":
+        return (n + 1) ** 2 // 4
+    if t == "B":
+        return {2: 3, 3: 5}.get(n, n * (n - 1) // 2 + 1)
+    if t == "C":
+        return n * (n + 1) // 2
+    if t == "D":
+        return n * (n - 1) // 2
+    return {("E", 6): 16, ("E", 7): 27, ("E", 8): 36, ("F", 4): 9, ("G", 2): 3}[(t, n)]
+
+
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_m_matches_malcev(t, n):
+    """m is the largest dimension of a commutative subalgebra of u, as found by
+    A. I. Malcev, "Commutative subalgebras of semi-simple Lie algebras",
+    Izv. Akad. Nauk SSSR Ser. Mat. 9 (1945): a second route to the m the
+    clique search computes."""
+    assert enumerate_max_commuting(build_root_system(t, n)).m == _malcev_m(t, n)
+
+
+# (m, count) of the p-commuting catalogs at p = 2 and p = 3; the golden files
+# pin only the plain predicate
+P_CATALOGS = {
+    ("G", 2): {2: (4, 1), 3: (4, 3)},
+    ("B", 3): {2: (6, 1), 3: (5, 1)},
+    ("B", 4): {2: (10, 1), 3: (7, 8)},
+    ("C", 3): {2: (6, 1), 3: (6, 1)},
+    ("F", 4): {2: (11, 56), 3: (9, 28)},
+    ("A", 4): {2: (6, 2), 3: (6, 2)},
+    ("D", 4): {2: (6, 3), 3: (6, 3)},
+    ("E", 6): {2: (16, 2), 3: (16, 2)},
+}
+
+
+@pytest.mark.parametrize("t,n,p", [(t, n, p) for (t, n), by_p in P_CATALOGS.items() for p in by_p])
+def test_p_commuting_catalogs(t, n, p):
+    sys_ = build_root_system(t, n)
+    cat = enumerate_max_commuting(sys_, p=p)
+    assert (cat.m, cat.count) == P_CATALOGS[(t, n)][p]
+    assert len({s.mask for s in cat.sets}) == cat.count
+    for s in cat.sets:
+        members = s.members()
+        assert len(members) == cat.m
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                assert sys_.commute(a, b, p)
 
 
 def test_catalog_sets_are_maximal_and_commuting():
