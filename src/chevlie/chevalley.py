@@ -8,6 +8,15 @@ the standard triangle relation N_{a,b}/(c,c) = N_{b,c}/(a,a) for
 a + b + c = 0.  All derived constants are checked to be integers of absolute
 value r+1, and the test suite verifies the Jacobi identity over Z.
 
+Every nonzero bracket of two basis elements, [x_I, x_J] = C x_K, is one row
+(I, J, K, C) of the integer table `ChevalleyBasis.brackets`, built once per
+basis with numpy from `RootSystem.sum_index` and the positive constants: root
+with root, x_a with x_{-a} (the coroot h_a) and h with a root.  E8 has 16,694
+rows.  `ad_matrix` is one slice of it over Z; `field_data` scatters it mod p
+into one int16 (dim, dim, dim) stack per prime, and `ad_of` combines only the
+stack rows in the support of its vectors.  The `Root`-arithmetic routes `N`
+and `sparse_bracket` stay as the reference the tests compare the table with.
+
 Group elements act through integer divided-power exponentials: the matrices
 ad(x_a)^k / k! are formed over Z first and only then reduced mod p.  The mod-p
 exponential of the reduced matrix is *not* the same thing when p is smaller
@@ -49,9 +58,9 @@ class ChevalleyBasis:
         self._n_table: dict[tuple[Root, Root], int] = {}
         self._n_memo: dict[tuple[Root, Root], Fraction] = {}
         self._build_positive_table()
-        self._ad_cache: dict[int, np.ndarray] = {}
+        self.brackets, self._bracket_rows = self._bracket_table()
         self._exp_cache: dict[int, list[np.ndarray]] = {}
-        self._field_cache: dict[tuple[int, int], dict] = {}
+        self._field_cache: dict[int, np.ndarray] = {}
 
     # -- indices -------------------------------------------------------------
 
@@ -60,11 +69,6 @@ class ChevalleyBasis:
         if root.is_positive:
             return self.system.index(root)
         return self.n_pos + self.system.index(-root)
-
-    def basis_root(self, idx: int) -> Root:
-        if idx < self.n_pos:
-            return self.system.root(idx)
-        return -self.system.root(idx - self.n_pos)
 
     # -- structure constants ---------------------------------------------------
 
@@ -129,19 +133,12 @@ class ChevalleyBasis:
             B = -b
             pi = a - B
             if pi.is_positive:
-                val = -Fraction(self._norm(pi), self._norm(a)) * self._n_signed(B, pi)
+                val = -Fraction(self._nrm[pi], self._nrm[a]) * self._n_signed(B, pi)
             else:
                 pi2 = B - a
-                val = -Fraction(self._norm(pi2), self._norm(B)) * self._n_signed(a, pi2)
+                val = -Fraction(self._nrm[pi2], self._nrm[B]) * self._n_signed(a, pi2)
         self._n_memo[key] = val
         return val
-
-    def _norm(self, r: Root) -> int:
-        v = self._nrm.get(r)
-        if v is None:
-            v = self.system.norm2(r)
-            self._nrm[r] = v
-        return v
 
     def N(self, a: Root, b: Root) -> int:
         """Structure constant N_{a,b}; zero when a+b is not a root."""
@@ -187,69 +184,85 @@ class ChevalleyBasis:
                     bv = " ".join(map(str, b.coeffs))
                     yield f"{av},{bv},{self.N(a, b)}"
 
-    # -- Z-form adjoint matrices ------------------------------------------------
+    # -- the bracket table ------------------------------------------------------
+
+    def _bracket_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every nonzero Z-form bracket [x_I, x_J] = C x_K of two basis elements.
+
+        Rows (I, J, K, C) sorted by I, then J, then K, with the row offsets of
+        each I.  Root with root uses the signed constants, derived here from the
+        positive ones by the same relations as `_n_signed`; x_a with x_{-a}
+        gives the coroot h_a; h_l with x_b gives <b, a_l^vee> x_b.
+        """
+        sys, n, d = self.system, self.n_pos, self.dim
+        sums = sys.sum_index
+        pos = np.array([r.coeffs for r in sys.positive_roots], dtype=np.int64)
+        nrm = np.array([self._nrm[r] for r in sys.positive_roots])
+        c_pos = np.zeros((n, n), dtype=np.int64)
+        for (a, b), v in self._n_table.items():
+            c_pos[sys.index(a), sys.index(b)] = v
+        c_pos = c_pos - c_pos.T
+        # N(a, -b) for positive a, b: k is the positive root a - b or b - a
+        i, j = np.nonzero(sums[:n, n:] >= 0)
+        k = sums[i, n + j] % n
+        up = sums[i, n + j] < n
+        num = -nrm[k] * np.where(up, c_pos[j, k], c_pos[i, k])
+        den = np.where(up, nrm[i], nrm[j])
+        if (num % den).any():
+            raise ArithmeticError("non-integral mixed-sign structure constant")
+        c_signed = np.zeros((2 * n, 2 * n), dtype=np.int64)
+        c_signed[:n, :n], c_signed[n:, n:] = c_pos, -c_pos
+        c_signed[i, n + j], c_signed[n + j, i] = num // den, -(num // den)
+        coroot = np.array([sys.coroot_coeffs(r) for r in sys.positive_roots])
+        pairing = np.concatenate([pos, -pos]) @ np.array(sys.cartan).T  # <root k, a_l^vee>
+        I, J = np.nonzero(sums >= 0)
+        a, l = np.nonzero(coroot)
+        k, m = np.nonzero(pairing)
+        parts = [
+            (I, J, sums[I, J], c_signed[I, J]),
+            (a, n + a, 2 * n + l, coroot[a, l]),
+            (n + a, a, 2 * n + l, -coroot[a, l]),
+            (2 * n + m, k, k, pairing[k, m]),
+            (k, 2 * n + m, k, -pairing[k, m]),
+        ]
+        table = np.concatenate([np.stack(part, axis=1) for part in parts])
+        table = table[np.lexsort(table[:, 2::-1].T)]
+        return table, np.searchsorted(table[:, 0], np.arange(d + 1))
 
     def ad_matrix(self, idx: int) -> np.ndarray:
         """ad of the idx-th basis element on the g-basis, over Z (columns act)."""
-        if idx in self._ad_cache:
-            return self._ad_cache[idx]
-        sys = self.system
-        d = self.dim
-        M = np.zeros((d, d), dtype=np.int64)
-        if idx >= 2 * self.n_pos:  # h_j
-            j = idx - 2 * self.n_pos
-            for k in range(2 * self.n_pos):
-                M[k, k] = sys.pairing(self.basis_root(k), j)
-        else:
-            a = self.basis_root(idx)
-            for k in range(2 * self.n_pos):
-                b = self.basis_root(k)
-                s = a + b
-                if all(c == 0 for c in s.coeffs):  # b == -a: h_a
-                    for j, cj in enumerate(sys.coroot_coeffs(a)):
-                        M[2 * self.n_pos + j, k] = cj
-                elif sys.is_root(s):
-                    M[self.basis_index(s), k] = self.N(a, b)
-            for j in range(sys.rank):  # [x_a, h_j] = -<a, aj^vee> x_a
-                M[idx, 2 * self.n_pos + j] = -sys.pairing(a, j)
-        self._ad_cache[idx] = M
+        _, J, K, C = self.brackets[self._bracket_rows[idx] : self._bracket_rows[idx + 1]].T
+        M = np.zeros((self.dim, self.dim), dtype=np.int64)
+        M[K, J] = C
         return M
-
-    def ad_stack(self) -> np.ndarray:
-        """All ad matrices, shape (dim, dim, dim), over Z."""
-        if not hasattr(self, "_ad_stack"):
-            self._ad_stack = np.stack([self.ad_matrix(i) for i in range(self.dim)])
-        return self._ad_stack
-
-    def embed_u(self, coeffs_u: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=coeffs_u.dtype)
-        out[: self.n_pos] = coeffs_u
-        return out
 
     # -- per-field data ----------------------------------------------------------
 
-    def field_data(self, field: GF) -> dict:
-        key = (field.p, field.degree)
-        if key not in self._field_cache:
-            stack = (self.ad_stack() % field.p).astype(np.int16)
-            self._field_cache[key] = {
-                "ad_g": stack,
-                "ad_u": stack[: self.n_pos, : self.n_pos, : self.n_pos],
-            }
-        return self._field_cache[key]
+    def field_data(self, field: GF) -> np.ndarray:
+        """ad of every basis element mod p: an int16 (dim, dim, dim) stack whose
+        entry [I, K, J] is the x_K-coefficient of [x_I, x_J].  Built once per p
+        from the bracket table; an extension field reads the same stack, since
+        F_p is encoded as itself."""
+        if field.p not in self._field_cache:
+            stack = np.zeros((self.dim,) * 3, dtype=np.int16)
+            I, J, K, C = self.brackets.T
+            stack[I, K, J] = C % field.p
+            self._field_cache[field.p] = stack
+        return self._field_cache[field.p]
 
-    def ad_of(self, field: GF, vec: np.ndarray, scope: str = "g") -> np.ndarray:
-        """Adjoint matrix of a vector over the field (vec in scope coords)."""
-        stack = self.field_data(field)["ad_g" if scope == "g" else "ad_u"]
-        if field.degree == 1:
-            return (
-                np.tensordot(vec.astype(np.int64), stack.astype(np.int64), axes=(0, 0))
-                % field.p
-            ).astype(np.int16)
-        acc = field.zeros(stack.shape[1:])
-        for i in np.nonzero(vec)[0]:
-            acc = field.add(acc, field.mul(int(vec[i]), stack[i]))
-        return acc
+    def ad_of(self, field: GF, vecs: np.ndarray, scope: str = "g") -> np.ndarray:
+        """ad(x) over the field for x in scope coordinates ("g" or "u").
+
+        One vector gives one (d, d) matrix; a stack (..., d) gives (..., d, d).
+        Only the stack rows of the basis elements in the support are read.
+        """
+        d = self.dim if scope == "g" else self.n_pos
+        flat = vecs.reshape(-1, d)
+        support = np.flatnonzero(flat.any(axis=0))
+        if not len(support):
+            return field.zeros(vecs.shape[:-1] + (d, d))
+        rows = self.field_data(field)[support, :d, :d].reshape(len(support), d * d)
+        return field.matmul(flat[:, support], rows).reshape(vecs.shape[:-1] + (d, d))
 
     # -- divided-power exponentials ------------------------------------------------
 
@@ -312,9 +325,9 @@ class LieVector:
     def as_g(self) -> "LieVector":
         if self.scope == "g":
             return self
-        return LieVector(
-            self.basis, self.field, "g", self.basis.embed_u(self.coeffs)
-        )
+        coeffs = np.zeros(self.basis.dim, dtype=self.coeffs.dtype)
+        coeffs[: self.basis.n_pos] = self.coeffs
+        return LieVector(self.basis, self.field, "g", coeffs)
 
 
 def p_power(x: LieVector) -> LieVector:
@@ -329,11 +342,8 @@ def p_power(x: LieVector) -> LieVector:
     P = A
     for _ in range(gf.p - 1):
         P = gf.matmul(P, A)
-    idxs = (
-        range(basis.n_pos) if x.scope == "u" else range(basis.dim)
-    )
-    stack = basis.field_data(gf)["ad_g"]
-    M = np.stack([stack[i].reshape(-1) for i in idxs], axis=1)
+    k = len(x.coeffs)
+    M = basis.field_data(gf)[:k].reshape(k, -1).T
     rhs = P.reshape(-1)
     y = gf.solve_affine(M, rhs)
     if y is None:
@@ -341,15 +351,6 @@ def p_power(x: LieVector) -> LieVector:
     if len(gf.nullspace(M)):
         raise ArithmeticError("adjoint representation is not faithful on this scope")
     return LieVector(basis, gf, x.scope, y)
-
-
-def is_p_nilpotent(basis: ChevalleyBasis, field: GF, vec_u: np.ndarray) -> bool:
-    """Whether the u-vector has vanishing p-power (ad(x)^p = 0 suffices)."""
-    A = basis.ad_of(field, basis.embed_u(vec_u), "g")
-    P = A
-    for _ in range(field.p - 1):
-        P = field.matmul(P, A)
-    return not P.any()
 
 
 # -- group generators -----------------------------------------------------------
@@ -404,13 +405,9 @@ def cocharacter_element(
     """alpha_i^vee(lam) acting diagonally; i is a 1-based simple index."""
     if lam == 0:
         raise ValueError("cocharacter values must be nonzero")
-    d = basis.dim
-    M = field.zeros((d, d))
-    for k in range(2 * basis.n_pos):
-        e = basis.system.pairing(basis.basis_root(k), i - 1)
-        M[k, k] = field.power(lam, e % (field.q - 1))
-    for j in range(basis.system.rank):
-        M[2 * basis.n_pos + j, 2 * basis.n_pos + j] = 1
+    # ad(h_i) is diagonal: <root, alpha_i^vee> on each x_root, 0 on the h's
+    weights = np.diagonal(basis.ad_matrix(2 * basis.n_pos + i - 1))
+    M = np.diag([field.power(lam, int(e) % (field.q - 1)) for e in weights]).astype(np.int16)
     return GroupGenerator("cocharacter", (i, lam), field, M)
 
 

@@ -191,14 +191,9 @@ def enumerate_max_commuting(system: RootSystem, p: int | None = None) -> MaxSetC
 
 def is_ideal(R: CommutingSet) -> bool:
     """Closed under adding any positive root that lands in the positive roots."""
-    sys = R.system
-    members = R.members()
-    for alpha in sys.positive_roots:
-        for beta in members:
-            s = alpha + beta
-            if s.is_positive and sys.is_root(s) and s not in R:
-                return False
-    return True
+    n = R.system.num_positive
+    sums = R.system.sum_index[:n, [i for i in range(n) if R.mask >> i & 1]]
+    return all(R.mask >> k & 1 for k in sums[sums >= 0].tolist())
 
 
 def _reflect_mask(system: RootSystem, i: int, mask: int) -> int | None:
@@ -282,12 +277,9 @@ def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
     elements = sys.weyl_elements(exhaustive_limit)
     if elements is not None:
         members = set(R.members())
-        stab = set()
-        pos = sys.positive_roots
-        for w in elements:
-            lookup = dict(zip(pos, w))
-            if {lookup[r] for r in members} == members:
-                stab.add(w)
+        # w lists the images of the positive roots in root order
+        idx = [sys.index(r) for r in members]
+        stab = {w for w in elements if {w[i] for i in idx} == members}
         para = set(sys.weyl_words(sorted(gens), exhaustive_limit))
         report["exhaustive"] = True
         report["stabilizer_order"] = len(stab)

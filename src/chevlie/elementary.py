@@ -70,6 +70,11 @@ class Setting:
         self.perm_desc = np.array(desc)  # column k of echelon form = k-th largest root
         # column order of canonical forms and keys: u by the order, then the rest of g
         self.colperm = np.concatenate([self.perm_desc, np.arange(n, self.basis.dim)])
+        # N_{a,b} mod p for positive a, b (zero where a + b is not a root)
+        I, J, _, C = self.basis.brackets.T
+        inside = (I < n) & (J < n)
+        self.n_mod_p = np.zeros((n, n), dtype=np.int64)
+        self.n_mod_p[I[inside], J[inside]] = C[inside] % self.field.p
         self._check_faithful()
 
     def _check_faithful(self):
@@ -81,7 +86,7 @@ class Setting:
         a trivial kernel of ad on u.
         """
         gf = self.field
-        stack = self.basis.field_data(gf)["ad_g"]
+        stack = self.basis.field_data(gf)
         n = self.system.num_positive
         M = np.stack([stack[i][2 * n :, n : 2 * n].reshape(-1) for i in range(n)], axis=1)
         if len(gf.nullspace(M)):
@@ -187,11 +192,10 @@ def lie(setting: Setting, roots) -> ElementarySubalgebra:
     roots = list(roots)
     gf = setting.field
     idx = [setting.system.index(r) for r in roots]
-    for a, b in combinations(roots, 2):
-        s = a + b
-        if setting.system.is_root(s) and s.is_positive:
-            if setting.basis.N(a, b) % gf.p:
-                raise ValueError(f"{a} and {b} do not commute in characteristic {gf.p}")
+    clash = np.argwhere(np.triu(setting.n_mod_p[np.ix_(idx, idx)], 1))
+    if len(clash):
+        a, b = clash[0]
+        raise ValueError(f"{roots[a]} and {roots[b]} do not commute in characteristic {gf.p}")
     rows = gf.zeros((len(idx), setting.n_pos))
     for k, i in enumerate(idx):
         rows[k, i] = 1
@@ -210,41 +214,24 @@ def is_elementary(setting: Setting, rows_u: np.ndarray) -> bool:
     suffice for all elements.
     """
     gf = setting.field
-    r = rows_u.shape[0]
-    ads = [setting.basis.ad_of(gf, row, "u") for row in rows_u]
-    for i in range(r):
-        for j in range(i + 1, r):
-            if gf.matmul(ads[i], rows_u[j][:, None]).any():
-                return False
+    # [x_i, x_j] is column j of ads[i]
+    if gf.matmul(setting.basis.ad_of(gf, rows_u, "u"), rows_u.T).any():
+        return False
     return bool(_p_nilpotent_mask(setting, rows_u).all())
 
 
 def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
     """Boolean mask over candidate u-rows: ad(x)^p == 0 in g."""
     gf = setting.field
-    stack = setting.basis.field_data(gf)["ad_g"]
-    n, d = setting.n_pos, setting.basis.dim
     out = np.zeros(len(rows_u), dtype=bool)
     for lo in range(0, len(rows_u), 2048):
         chunk = rows_u[lo : lo + 2048]
-        if gf.degree == 1:
-            A = (
-                np.tensordot(chunk.astype(np.int64), stack[:n].astype(np.int64), axes=(1, 0))
-                % gf.p
-            )
-            P = A
-            for _ in range(gf.p - 1):
-                P = np.matmul(P, A) % gf.p
-        else:
-            A = gf.zeros((len(chunk), d, d))
-            for i in range(n):
-                col = chunk[:, i]
-                nz = np.nonzero(col)[0]
-                if len(nz):
-                    A[nz] = gf.add(A[nz], gf.mul(col[nz, None, None], stack[i][None]))
-            P = A
-            for _ in range(gf.p - 1):
-                P = gf.matmul(P, A)
+        rows_g = gf.zeros((len(chunk), setting.basis.dim))
+        rows_g[:, : setting.n_pos] = chunk
+        A = setting.basis.ad_of(gf, rows_g, "g")
+        P = A
+        for _ in range(gf.p - 1):
+            P = gf.matmul(P, A)
         out[lo : lo + 2048] = ~P.any(axis=(1, 2))
     return out
 
@@ -260,37 +247,22 @@ def _pattern_is_dead(setting: Setting, piv_cols: tuple[int, ...]) -> bool:
     contribution unless some pair (alpha, beta) from the allowed supports also
     sums to sigma.  Supports are {pivot} plus non-pivot columns right of it.
     """
-    sys = setting.system
-    gf = setting.field
     perm = setting.perm_desc
-    r = len(piv_cols)
-    pivset = set(piv_cols)
-    supports = []
     n = setting.n_pos
-    for c in piv_cols:
-        sup = [int(perm[c])] + [int(perm[j]) for j in range(c + 1, n) if j not in pivset]
-        supports.append(sup)
-    roots = [sys.root(i) for i in range(n)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            rho_i, rho_j = roots[supports[i][0]], roots[supports[j][0]]
-            sigma = rho_i + rho_j
-            if not (sys.is_root(sigma) and sigma.is_positive):
-                continue
-            if setting.basis.N(rho_i, rho_j) % gf.p == 0:
-                continue
-            extra = False
-            for a in supports[i]:
-                for b in supports[j]:
-                    if (a, b) == (supports[i][0], supports[j][0]):
-                        continue
-                    if roots[a] + roots[b] == sigma:
-                        extra = True
-                        break
-                if extra:
-                    break
-            if not extra:
-                return True
+    sums = setting.system.sum_index
+    pivset = set(piv_cols)
+    supports = [
+        [int(perm[c])] + [int(perm[j]) for j in range(c + 1, n) if j not in pivset]
+        for c in piv_cols
+    ]
+    for sup_i, sup_j in combinations(supports, 2):
+        rho_i, rho_j = sup_i[0], sup_j[0]
+        if not setting.n_mod_p[rho_i, rho_j]:
+            continue
+        sigma = sums[rho_i, rho_j]
+        # the pivot pair itself is one route to sigma; dead if it is the only one
+        if (sums[np.ix_(sup_i, sup_j)] == sigma).sum() == 1:
+            return True
     return False
 
 
@@ -350,9 +322,7 @@ def brute_force_Eu(
             e_piv = ident[perm[piv_cols[k]]].copy()
             B = free_basis(k)
             if rows_fixed:
-                ads = np.concatenate(
-                    [setting.basis.ad_of(gf, w, "u") for w in rows_fixed], axis=0
-                )
+                ads = setting.basis.ad_of(gf, np.stack(rows_fixed), "u").reshape(-1, n)
                 rhs = gf.neg(gf.matmul(ads, e_piv[:, None])[:, 0])
                 A = gf.matmul(ads, B.T.copy())
                 part = gf.solve_affine(A, rhs)
@@ -413,42 +383,38 @@ class LeadingTermSystem:
 
 
 def build_leading_term_system(setting: Setting, target: CommutingSet) -> LeadingTermSystem:
-    sys = setting.system
     gf = setting.field
-    rk = {sys.root(int(i)): k for k, i in enumerate(setting.perm_desc)}
-    pivots = sorted(
-        (sys.index(r) for r in target.members()),
-        key=lambda i: rk[sys.root(i)],
-    )
+    n = setting.n_pos
+    place = np.empty(n, dtype=np.int64)  # position of each root in the descending order
+    place[setting.perm_desc] = np.arange(n)
+    pivots = sorted((i for i in range(n) if target.mask >> i & 1), key=lambda i: place[i])
     pivset = set(pivots)
     unknowns: list[tuple[int, int]] = []
     var_id: dict[tuple[int, int], int] = {}
     row_support: list[list[tuple[int, int | None]]] = []  # (storage col, var or None)
     for k, p_i in enumerate(pivots):
         sup = [(p_i, None)]
-        for col in range(setting.n_pos):
+        for col in range(n):
             if col in pivset:
                 continue
-            if rk[sys.root(col)] > rk[sys.root(p_i)]:  # strictly below the pivot
+            if place[col] > place[p_i]:  # strictly below the pivot
                 var_id[(k, col)] = len(unknowns)
                 unknowns.append((k, col))
                 sup.append((col, var_id[(k, col)]))
         row_support.append(sup)
+    sums = setting.system.sum_index[:n, :n].tolist()
+    n_mod_p = setting.n_mod_p.tolist()
     equations = []
     for i in range(len(pivots)):
         for j in range(i + 1, len(pivots)):
             by_out: dict[int, dict[tuple, int]] = {}
             for (ca, va) in row_support[i]:
                 for (cb, vb) in row_support[j]:
-                    s = sys.root(ca) + sys.root(cb)
-                    if not (sys.is_root(s) and s.is_positive):
-                        continue
-                    coeff = setting.basis.N(sys.root(ca), sys.root(cb)) % gf.p
+                    coeff = n_mod_p[ca][cb]
                     if coeff == 0:
                         continue
                     mono = tuple(sorted(v for v in (va, vb) if v is not None))
-                    out = sys.index(s)
-                    eq = by_out.setdefault(out, {})
+                    eq = by_out.setdefault(sums[ca][cb], {})
                     eq[mono] = (eq.get(mono, 0) + coeff) % gf.p
             for eq in by_out.values():
                 eq = {m: c for m, c in eq.items() if c}
@@ -610,9 +576,9 @@ def normalizer_basis(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
     gf = setting.field
     Rg, pivots = gf.rref(rows_g)
     conds = []
-    for e in Rg:
+    for ad_e in setting.basis.ad_of(gf, Rg, "g"):
         # y -> [y, e] = -ad_e y, reduced modulo the span by clearing pivot coordinates
-        Mred = gf.neg(setting.basis.ad_of(gf, e, "g"))
+        Mred = gf.neg(ad_e)
         for r, pc in enumerate(pivots):
             Mred = gf.sub(Mred, gf.mul(Rg[r][:, None], Mred[pc, :][None, :]))
         conds.append(Mred)

@@ -16,8 +16,9 @@ coefficient at the first distinguishing priority position makes a root
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .rootsys import Root, RootSystem
 
@@ -45,28 +46,23 @@ class RootOrder:
             raise ValueError("order is not total on the positive roots")
         return out
 
-    def respects_addition(self, system: RootSystem, probes: int = 10_000,
-                          seed: int = 0, exhaustive: bool | None = None) -> bool:
-        """Check beta <= gamma implies beta+lam <= gamma+lam on root triples."""
-        pos = system.positive_roots
-        key = {r: self.key(r) for r in pos}
-        if exhaustive is None:
-            exhaustive = len(pos) <= 40
-        if exhaustive:
-            triples = (
-                (b, g, l) for b in pos for g in pos for l in pos if b != g
-            )
-        else:
-            rng = random.Random(seed)
-            triples = (
-                (rng.choice(pos), rng.choice(pos), rng.choice(pos))
-                for _ in range(probes)
-            )
-        for beta, gamma, lam in triples:
-            b2, g2 = beta + lam, gamma + lam
-            if not (system.is_root(b2) and system.is_root(g2)):
-                continue
-            if (key[beta] <= key[gamma]) != (key[b2] <= key[g2]):
+    def respects_addition(self, system: RootSystem) -> bool:
+        """Whether beta <= gamma iff beta+lam <= gamma+lam on positive roots.
+
+        Exhaustive: for each lam, the map beta -> beta+lam must be strictly
+        increasing on the roots beta with beta+lam a root (ties, where the
+        order is not total, must map to ties).
+        """
+        n = system.num_positive
+        keys = [self.key(r) for r in system.positive_roots]
+        level = {k: i for i, k in enumerate(sorted(set(keys)))}
+        rank = np.array([level[k] for k in keys])
+        sums = system.sum_index[:n, :n]
+        for lam in range(n):
+            beta = np.flatnonzero(sums[:, lam] >= 0)
+            before, after = rank[beta], rank[sums[beta, lam]]
+            step = np.lexsort((after, before))
+            if ((np.diff(before[step]) > 0) != (np.diff(after[step]) > 0)).any():
                 return False
         return True
 

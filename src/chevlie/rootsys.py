@@ -9,10 +9,13 @@ which fixes the canonical index used for masks and matrices everywhere else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+
+import numpy as np
 
 VALID_TYPES = "ABCDEFG"
 
@@ -136,6 +139,7 @@ class RootSystem:
         self._pos_index = {r.coeffs: i for i, r in enumerate(self.positive_roots)}
         self._all = set(self._pos_index) | {(-r).coeffs for r in self.positive_roots}
         self.highest_root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
+        self._weyl_elements = None
 
     # -- construction ------------------------------------------------------
 
@@ -160,7 +164,7 @@ class RootSystem:
                     seen[j] = True
         scale = 1
         for x in d:
-            scale = scale * x.denominator // __import__("math").gcd(scale, x.denominator)
+            scale = scale * x.denominator // math.gcd(scale, x.denominator)
         return [int(x * scale) for x in d]
 
     def _closure(self) -> list[Root]:
@@ -197,6 +201,23 @@ class RootSystem:
     @property
     def num_positive(self) -> int:
         return len(self.positive_roots)
+
+    @cached_property
+    def sum_index(self) -> np.ndarray:
+        """(2N, 2N) table over the signed roots in g-basis order: the positive
+        roots in storage order, then their negatives.  Entry [i, j] is the
+        position of root_i + root_j in that list, or -1 if the sum is not a
+        root."""
+        # root coefficients are at most 6, so sums fit int8; each vector is
+        # compared as one opaque byte string
+        pos = np.array([r.coeffs for r in self.positive_roots], dtype=np.int8)
+        signed = np.concatenate([pos, -pos])
+        as_bytes = np.dtype((np.void, self.rank))
+        roots = signed.view(as_bytes)[:, 0]
+        order = np.argsort(roots)
+        sums = (signed[:, None, :] + signed[None, :, :]).view(as_bytes)[..., 0]
+        at = np.searchsorted(roots[order], sums).clip(max=len(roots) - 1)
+        return np.where(roots[order][at] == sums, order[at], -1)
 
     def is_root(self, r: Root) -> bool:
         return r.coeffs in self._all
@@ -293,6 +314,17 @@ class RootSystem:
                 longest = max(longest, r + s + 1)
         return PrimeProfile(bad, torsion, det, longest)
 
+    def degrees(self) -> tuple[int, ...]:
+        """Degrees of the basic invariants of W, ascending; their product is |W|.
+
+        Kostant: the exponents e_i form the partition dual to the numbers of
+        positive roots of each height, and d_i = 1 + e_i.
+        """
+        heights = [r.height for r in self.positive_roots]
+        per_height = [heights.count(h) for h in set(heights)]
+        exponents = [sum(c >= i for c in per_height) for i in range(1, self.rank + 1)]
+        return tuple(sorted(1 + e for e in exponents))
+
     def reflect(self, i: int, beta: Root) -> Root:
         """Simple reflection s_i (1-based) applied to beta."""
         c = self.pairing(beta, i - 1)
@@ -313,10 +345,13 @@ class RootSystem:
         reflections by default), so the first word found for an element is a
         shortest one.  Returns a dict keyed by the element's image tuple (the
         images of the positive roots, in root order), or None if the group has
-        more than `limit` elements.
+        more than `limit` elements; for the whole group that is decided from
+        its order before the search.
         """
         pos = self.positive_roots
         if letters is None:
+            if math.prod(self.degrees()) > limit:
+                return None
             letters = range(1, self.rank + 1)
         # w s_i sends root k to +-w(root idx), where s_i(root k) = +-(root idx)
         gens = []
@@ -324,6 +359,9 @@ class RootSystem:
             imgs = [self.reflect(i, r) for r in pos]
             gens.append((i, [(img.is_positive, self.index(img if img.is_positive else -img))
                              for img in imgs]))
+        # images share the 2N root objects, so a kept element costs one tuple
+        negate = {r: -r for r in pos}
+        negate.update({v: k for k, v in negate.items()})
         ident = tuple(pos)
         words = {ident: WeylWord(())}
         frontier = [ident]
@@ -332,7 +370,7 @@ class RootSystem:
             for w in frontier:
                 base = words[w].letters
                 for i, g in gens:
-                    img = tuple(w[k] if up else -w[k] for up, k in g)
+                    img = tuple(w[k] if up else negate[w[k]] for up, k in g)
                     if img not in words:
                         if len(words) >= limit:
                             return None
@@ -346,10 +384,14 @@ class RootSystem:
 
         Each element is the tuple of images of the positive roots (Root
         objects, one entry per positive root).  Gives up (returns None) if the
-        group has more than `limit` elements.
+        group has more than `limit` elements.  The group is enumerated once per
+        system and the same tuple is returned on every later call.
         """
-        words = self.weyl_words(limit=limit)
-        return None if words is None else sorted(words)
+        if math.prod(self.degrees()) > limit:
+            return None
+        if self._weyl_elements is None:
+            self._weyl_elements = tuple(sorted(self.weyl_words(limit=limit)))
+        return self._weyl_elements
 
 
 def is_prime(n: int) -> bool:

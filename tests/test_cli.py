@@ -86,6 +86,14 @@ def test_verify_orbits_exit_codes():
     assert "classes: 1 " in out
 
 
+def test_verify_orbits_a2_q_1_mod_3():
+    # five classes at p = 7 against the tabulated three; the verdict stays red
+    # (LEDGER.md, A2 over F_q with q = 1 mod 3)
+    code, out = run(["verify", "--stage", "orbits", "--type", "A2", "--p", "7"])
+    assert code == 1
+    assert "[FAIL] class count 5 vs expected 3" in out
+
+
 @pytest.mark.parametrize(
     "argv,reason",
     [

@@ -52,7 +52,7 @@ from chevlie.elementary import (
 )
 def test_canonical_orders_respect_addition(t, n):
     sys_ = build_root_system(t, n)
-    assert canonical_order(t, n).respects_addition(sys_, exhaustive=sys_.num_positive <= 40)
+    assert canonical_order(t, n).respects_addition(sys_)
 
 
 def test_canonical_order_blocks_B():
@@ -404,6 +404,33 @@ def test_a2_orbits_fusion_and_ambient_agree():
     assert sorted(c.normalizer_dim for c in classes) == [4, 6, 6]
     data = report.to_json()
     assert data["point_count"] == 806 and len(data["orbits"]) == 3
+
+
+@pytest.mark.parametrize("p,count", [(7, 5), (11, 3)])
+def test_a2_generic_classes_are_cube_cosets(p, count):
+    # LEDGER.md, A2 over F_q with q = 1 mod 3: the generic points
+    # span(x_a1 + c x_a2, x_{a1+a2}) fall into one class per coset of the
+    # cubes in F_p^x, so there are 2 + gcd(3, p - 1) classes, not 3
+    setting = get_setting("A", 2, p)
+    a1, a2 = (setting.system.index(Root(c)) for c in [(1, 0), (0, 1)])
+    points = brute_force_Eu(setting, 2)
+    classes = g_conjugacy_classes(setting, points)
+    assert len(classes) == count
+    cubes = {pow(t, 3, p) for t in range(1, p)}
+    cosets = []
+    for c in classes:
+        ratios = {
+            int(row[a2]) * pow(int(row[a1]), -1, p) % p
+            for i in c.point_indices
+            for row in points[i].rows
+            if row[a1] and row[a2]
+        }
+        if ratios:
+            c0 = min(ratios)
+            assert ratios == {c0 * u % p for u in cubes}
+            cosets.append(ratios)
+    assert len(cosets) == count - 2
+    assert set().union(*cosets) == set(range(1, p))
 
 
 def test_single_point_identity_orbit():

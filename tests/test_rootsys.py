@@ -1,5 +1,7 @@
 """Root system construction, arithmetic, and classical data."""
 
+import math
+
 import pytest
 
 from chevlie.rootsys import (
@@ -169,6 +171,14 @@ def test_weyl_enumeration_sizes():
     assert len(build_root_system("A", 3).weyl_elements()) == 24
     assert len(build_root_system("F", 4).weyl_elements()) == 1152
     assert build_root_system("B", 5).weyl_elements(2000) is None
+
+
+def test_weyl_group_order_from_degrees():
+    for t, n in [("G", 2), ("B", 2), ("A", 3), ("F", 4)]:
+        sys_ = build_root_system(t, n)
+        assert math.prod(sys_.degrees()) == len(sys_.weyl_elements())
+    for n, order in [(6, 51_840), (7, 2_903_040), (8, 696_729_600)]:
+        assert math.prod(build_root_system("E", n).degrees()) == order
 
 
 @pytest.mark.parametrize("t,n", [("A", 3), ("B", 3), ("D", 4), ("G", 2)])
