@@ -345,10 +345,11 @@ def p_power(x: LieVector) -> LieVector:
     k = len(x.coeffs)
     M = basis.field_data(gf)[:k].reshape(k, -1).T
     rhs = P.reshape(-1)
-    y = gf.solve_affine(M, rhs)
-    if y is None:
+    sol = gf.solve_affine(M, rhs)
+    if sol is None:
         raise ArithmeticError("ad(y) = ad(x)^p has no solution in this scope")
-    if len(gf.nullspace(M)):
+    y, kernel = sol
+    if len(kernel):
         raise ArithmeticError("adjoint representation is not faithful on this scope")
     return LieVector(basis, gf, x.scope, y)
 

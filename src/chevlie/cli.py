@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -23,6 +22,7 @@ from .elementary import (
     g2_normal_forms,
     g_conjugacy_classes,
     get_setting,
+    is_elementary,
     leading_term_solve,
     lie,
     lt,
@@ -53,8 +53,10 @@ def _parse_type(label: str) -> tuple[str, int]:
     return t, n
 
 
-def _default_budget() -> int:
-    return int(os.environ.get("CHEVLIE_BUDGET", DEFAULT_BUDGET))
+def _budget(args) -> int:
+    if args.budget < 1:
+        raise CliError(f"--budget {args.budget} is out of range: it must be at least 1")
+    return args.budget
 
 
 def _emit_table(rows: list[dict], fmt: str, out):
@@ -83,14 +85,18 @@ def _emit_table(rows: list[dict], fmt: str, out):
 
 def cmd_tables(args, out) -> int:
     which = args.which
-    if args.type:
+    if args.type is not None:
+        if which != "maxsets" or args.golden or args.golden_file or args.write_golden:
+            raise CliError(
+                "--type works only with --which maxsets and without "
+                "--golden, --golden-file or --write-golden"
+            )
         t, n = _parse_type(args.type)
-        if which == "maxsets":
-            cat = enumerate_max_commuting(build_root_system(t, n))
-            _emit_table([catalog_to_json(cat)] if args.format == "json" else [
-                {"type": t, "rank": n, "m": cat.m, "count": cat.count}
-            ], args.format, out)
-            return EXIT_PASS
+        cat = enumerate_max_commuting(build_root_system(t, n))
+        _emit_table([catalog_to_json(cat)] if args.format == "json" else [
+            {"type": t, "rank": n, "m": cat.m, "count": cat.count}
+        ], args.format, out)
+        return EXIT_PASS
     rows = goldmod.BUILDERS[which]()
     if args.write_golden:
         path = goldmod.write_golden(which)
@@ -110,8 +116,6 @@ def cmd_tables(args, out) -> int:
 
 
 def _verify_unipotent(t, n, p, budget, out) -> int:
-    import math
-
     system = build_root_system(t, n)
     GF.get(p)  # reject a bad p before any verdict is printed
     cat = enumerate_max_commuting(system)
@@ -124,12 +128,6 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
         ok = (cat.m, cat.count) == golden[(t, n)]
         verdicts.append(("clique-level m and count match the table", ok))
         out.write(f"[{'PASS' if ok else 'FAIL'}] max commuting sets: m={cat.m} count={cat.count}\n")
-    if math.comb(system.num_positive, cat.m) > budget:
-        out.write(
-            f"[BUDGET] exhaustive enumeration rejected: "
-            f"{math.comb(system.num_positive, cat.m)} pivot patterns exceed {budget}\n"
-        )
-        return EXIT_BUDGET
     setting = get_setting(t, n, p)
     try:
         points = brute_force_Eu(setting, cat.m, budget=budget)
@@ -140,8 +138,6 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
     ok = all(lt(E).mask in masks for E in points)
     verdicts.append(("every leading-term set is a maximal commuting set", ok))
     out.write(f"[{'PASS' if ok else 'FAIL'}] {len(points)} points; lt lands in max(Phi)\n")
-    from .elementary import is_elementary
-
     total = 0
     for k, R in enumerate(cat.sets):
         lts = build_leading_term_system(setting, R)
@@ -235,7 +231,7 @@ def _verify_normalizers(t, n, p, budget, out) -> int:
 
 def cmd_verify(args, out) -> int:
     t, n = _parse_type(args.type)
-    budget = args.budget if args.budget else _default_budget()
+    budget = _budget(args)
     stages = {
         "unipotent": _verify_unipotent,
         "orbits": _verify_orbits,
@@ -246,7 +242,7 @@ def cmd_verify(args, out) -> int:
 
 def cmd_enumerate(args, out) -> int:
     t, n = _parse_type(args.type)
-    budget = args.budget if args.budget else _default_budget()
+    budget = _budget(args)
     setting = get_setting(t, n, args.p, degree=args.r_ext)
     if not 1 <= args.dim <= setting.n_pos:
         raise CliError(f"--dim {args.dim} is out of range 1..{setting.n_pos} for {t}{n}")
@@ -304,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--stage", required=True, choices=["unipotent", "orbits", "normalizers"])
     vp.add_argument("--type", required=True)
     vp.add_argument("--p", required=True, type=int)
-    vp.add_argument("--budget", type=int, default=None)
+    vp.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     ep = sub.add_parser("enumerate", help="enumerate E(u)(F_q) and its conjugacy classes")
     ep.add_argument("--type", required=True)
     ep.add_argument("--p", required=True, type=int)
     ep.add_argument("--dim", required=True, type=int)
     ep.add_argument("--r-ext", type=int, default=1, help="field extension degree")
-    ep.add_argument("--budget", type=int, default=None)
+    ep.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     return ap
 
 

@@ -6,23 +6,26 @@ largest root carrying a nonzero coefficient, rows are normalized to leading
 coefficient one, and leading roots are eliminated from the other rows.  The
 set of leading roots of an elementary subalgebra is always a commuting set.
 
-Exhaustive enumeration walks echelon cells (pivot patterns), solving the
-bracket constraints row by row (they are linear in each new row) and filtering
-rows by p-nilpotency of the adjoint matrix; nothing here presumes which
-leading-term sets can occur.  G-conjugacy of points inside u is decided with
-the Bruhat decomposition: two subalgebras of u are conjugate iff some fixed
-Weyl representative maps a point of one B-orbit into the B-orbit of the
-other, so a B-orbit partition of the point set plus one Weyl sweep is a
-complete and exact fusion analysis.  The generic orbit BFS over ambient
-subspaces is also provided and cross-checked against the Bruhat engine at
-desk scale.
+A point lies in the echelon cell of its set of leading roots, and `_cell` is
+the one description of that cell: exhaustive enumeration, its dead-pattern
+test and the leading-term systems all read it.  Exhaustive enumeration walks
+every cell, solving the bracket constraints row by row (they are linear in
+each new row) and filtering rows by p-nilpotency of the adjoint matrix;
+nothing here presumes which leading-term sets can occur.  G-conjugacy of
+points inside u is decided with the Bruhat decomposition: two subalgebras of
+u are conjugate iff some fixed Weyl representative maps a point of one
+B-orbit into the B-orbit of the other, so a B-orbit partition of the point
+set plus one Weyl sweep is a complete and exact fusion analysis.  The generic
+orbit BFS over ambient subspaces is also provided and cross-checked against
+the Bruhat engine at desk scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import numpy as np
 
@@ -68,6 +71,7 @@ class Setting:
         n = self.system.num_positive
         desc = sorted(range(n), key=lambda i: key(self.system.root(i)), reverse=True)
         self.perm_desc = np.array(desc)  # column k of echelon form = k-th largest root
+        self.place = np.argsort(self.perm_desc)  # position of each root in that order
         # column order of canonical forms and keys: u by the order, then the rest of g
         self.colperm = np.concatenate([self.perm_desc, np.arange(n, self.basis.dim)])
         # N_{a,b} mod p for positive a, b (zero where a + b is not a root)
@@ -239,29 +243,39 @@ def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
 # -- exhaustive enumeration -------------------------------------------------------
 
 
-def _pattern_is_dead(setting: Setting, piv_cols: tuple[int, ...]) -> bool:
-    """Cheap sound rejection: some pivot pair forces a nonzero bracket entry.
+def _cell(setting: Setting, pivots) -> tuple[list[int], list[list[int]]]:
+    """The echelon cell of a set of pivot roots, given by storage indices.
+
+    Returns the pivots sorted largest root first and `below`, where
+    `below[k]` holds the storage indices, ascending, of the non-pivot roots
+    under pivot k in the order.  A point of the cell has one row per pivot:
+    coefficient one at the pivot, its other entries in `below[k]`.
+    """
+    n = setting.n_pos
+    perm = setting.perm_desc.tolist()
+    pos = sorted(int(setting.place[i]) for i in pivots)
+    taken = set(pos)
+    below = [sorted(perm[j] for j in range(c + 1, n) if j not in taken) for c in pos]
+    return [perm[c] for c in pos], below
+
+
+def _pattern_is_dead(setting: Setting, pivots: list[int], below: list[list[int]]) -> bool:
+    """Cheap sound rejection of a cell: some pivot pair forces a nonzero
+    bracket entry.
 
     For pivots rho_i, rho_j with rho_i + rho_j a positive root sigma and
     N nonzero mod p, the sigma-coordinate of the bracket receives no other
-    contribution unless some pair (alpha, beta) from the allowed supports also
-    sums to sigma.  Supports are {pivot} plus non-pivot columns right of it.
+    contribution unless some pair (alpha, beta) from the two row supports,
+    each a pivot and the roots below it, also sums to sigma.
     """
-    perm = setting.perm_desc
-    n = setting.n_pos
     sums = setting.system.sum_index
-    pivset = set(piv_cols)
-    supports = [
-        [int(perm[c])] + [int(perm[j]) for j in range(c + 1, n) if j not in pivset]
-        for c in piv_cols
-    ]
-    for sup_i, sup_j in combinations(supports, 2):
-        rho_i, rho_j = sup_i[0], sup_j[0]
+    for i, j in combinations(range(len(pivots)), 2):
+        rho_i, rho_j = pivots[i], pivots[j]
         if not setting.n_mod_p[rho_i, rho_j]:
             continue
         sigma = sums[rho_i, rho_j]
         # the pivot pair itself is one route to sigma; dead if it is the only one
-        if (sums[np.ix_(sup_i, sup_j)] == sigma).sum() == 1:
+        if (sums[np.ix_([rho_i, *below[i]], [rho_j, *below[j]])] == sigma).sum() == 1:
             return True
     return False
 
@@ -271,14 +285,13 @@ def brute_force_Eu(
 ) -> list[ElementarySubalgebra]:
     """Every r-dimensional elementary subalgebra of u over the field.
 
-    Echelon-cell traversal: for each pivot pattern the rows are filled from
-    the smallest pivot up; bracket conditions against already-fixed rows are
-    linear, so each new row ranges over an affine subspace, which is then
-    filtered by p-nilpotency.  The budget counts candidate rows processed and
-    the pattern count is bounded up front.
+    Echelon-cell traversal: for each set of r pivots the rows of its `_cell`
+    are filled from the smallest pivot up.  The bracket conditions against
+    the rows already fixed are linear in the new row's entries below its
+    pivot, so one row reduction gives them as an affine subspace, whose
+    points are then filtered by p-nilpotency.  The budget counts candidate
+    rows processed and the pattern count is bounded up front.
     """
-    import math
-
     gf = setting.field
     n = setting.n_pos
     if r < 1:
@@ -291,26 +304,13 @@ def brute_force_Eu(
             f"full echelon enumeration would process about {needed} candidates",
             needed=needed,
         )
-    perm = setting.perm_desc
     processed = 0
     found: list[ElementarySubalgebra] = []
-    ident = np.eye(n, dtype=np.int16)
 
     for piv_cols in combinations(range(n), r):
-        if _pattern_is_dead(setting, piv_cols):
+        pivots, below = _cell(setting, setting.perm_desc[list(piv_cols)])
+        if _pattern_is_dead(setting, pivots, below):
             continue
-        pivset = set(piv_cols)
-        free_cols = [
-            [j for j in range(c + 1, n) if j not in pivset] for c in piv_cols
-        ]
-        # row k (pivot column piv_cols[k]) in storage coordinates
-        def free_basis(k):
-            cols = free_cols[k]
-            B = gf.zeros((len(cols), n))
-            for a, j in enumerate(cols):
-                B[a, perm[j]] = 1
-            return B
-
         rows_fixed: list[np.ndarray] = []
 
         def descend(k: int):
@@ -319,33 +319,24 @@ def brute_force_Eu(
                 rows = np.stack(list(reversed(rows_fixed)))
                 found.append(ElementarySubalgebra(setting, rows))
                 return
-            e_piv = ident[perm[piv_cols[k]]].copy()
-            B = free_basis(k)
             if rows_fixed:
                 ads = setting.basis.ad_of(gf, np.stack(rows_fixed), "u").reshape(-1, n)
-                rhs = gf.neg(gf.matmul(ads, e_piv[:, None])[:, 0])
-                A = gf.matmul(ads, B.T.copy())
-                part = gf.solve_affine(A, rhs)
-                if part is None:
+                sol = gf.solve_affine(ads[:, below[k]], gf.neg(ads[:, pivots[k]]))
+                if sol is None:
                     return
-                null = gf.nullspace(A)
+                part, kernel = sol
             else:
-                part, null = None, gf.eye(len(B))
+                part, kernel = gf.zeros(len(below[k])), gf.eye(len(below[k]))
             # count the q^k candidate rows before building them
-            processed += gf.q ** len(null)
+            processed += gf.q ** len(kernel)
             if processed > budget:
                 raise BudgetExceeded(
                     f"candidate-row budget of {budget} exceeded", needed=None
                 )
-            coeffs = gf.span_points(null, part)
-            if len(B):
-                cand = gf.add(
-                    e_piv[None, :], gf.matmul(coeffs, B)
-                )
-            else:
-                cand = e_piv[None, :]
-            keep = cand[_p_nilpotent_mask(setting, cand)]
-            for row in keep:
+            cand = gf.zeros((gf.q ** len(kernel), n))
+            cand[:, pivots[k]] = 1
+            cand[:, below[k]] = gf.span_points(kernel, part)
+            for row in cand[_p_nilpotent_mask(setting, cand)]:
                 rows_fixed.append(row)
                 descend(k - 1)
                 rows_fixed.pop()
@@ -385,23 +376,12 @@ class LeadingTermSystem:
 def build_leading_term_system(setting: Setting, target: CommutingSet) -> LeadingTermSystem:
     gf = setting.field
     n = setting.n_pos
-    place = np.empty(n, dtype=np.int64)  # position of each root in the descending order
-    place[setting.perm_desc] = np.arange(n)
-    pivots = sorted((i for i in range(n) if target.mask >> i & 1), key=lambda i: place[i])
-    pivset = set(pivots)
-    unknowns: list[tuple[int, int]] = []
-    var_id: dict[tuple[int, int], int] = {}
-    row_support: list[list[tuple[int, int | None]]] = []  # (storage col, var or None)
-    for k, p_i in enumerate(pivots):
-        sup = [(p_i, None)]
-        for col in range(n):
-            if col in pivset:
-                continue
-            if place[col] > place[p_i]:  # strictly below the pivot
-                var_id[(k, col)] = len(unknowns)
-                unknowns.append((k, col))
-                sup.append((col, var_id[(k, col)]))
-        row_support.append(sup)
+    pivots, below = _cell(setting, [i for i in range(n) if target.mask >> i & 1])
+    unknowns = [(k, col) for k, cols in enumerate(below) for col in cols]
+    var = count()  # unknown ids in the order of `unknowns`
+    row_support = [  # (storage col, var or None): the pivot, then the roots below it
+        [(p_i, None)] + [(col, next(var)) for col in cols] for p_i, cols in zip(pivots, below)
+    ]
     sums = setting.system.sum_index[:n, :n].tolist()
     n_mod_p = setting.n_mod_p.tolist()
     equations = []

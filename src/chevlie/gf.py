@@ -186,37 +186,36 @@ class GF:
             r += 1
         return R, pivots
 
+    def _kernel(self, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
+        """Rows form a basis of {x : R[:, :n] x = 0}, for R reduced echelon
+        with `pivots` its pivot columns among the first n."""
+        free = np.delete(np.arange(n), pivots)
+        basis = self.zeros((len(free), n))
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.NEG[R[: len(pivots), free]].T
+        return basis
+
     def nullspace(self, M: np.ndarray) -> np.ndarray:
         """Rows form a basis of {x : M x = 0}."""
         R, pivots = self.rref(M)
-        n = M.shape[1]
-        free = [c for c in range(n) if c not in pivots]
-        basis = self.zeros((len(free), n))
-        for i, fc in enumerate(free):
-            basis[i, fc] = 1
-            for r, pc in enumerate(pivots):
-                basis[i, pc] = self.NEG[R[r, fc]]
-        return basis
+        return self._kernel(R, pivots, M.shape[1])
 
     def solve_affine(self, A: np.ndarray, b: np.ndarray):
-        """Particular solution of A x = b, or None if inconsistent."""
+        """All solutions of A x = b from one reduction: (x, kernel), where x is
+        one solution and the rows of kernel are a basis of {y : A y = 0}, so
+        the solutions are x + span(kernel); None if the system is inconsistent."""
         m, n = A.shape
         aug = np.concatenate([A, np.asarray(b, dtype=np.int16).reshape(m, 1)], axis=1)
         R, pivots = self.rref(aug, ncols=n)
+        if R[len(pivots) :, n].any():  # a zero row of A with a nonzero right side
+            return None
         x = self.zeros(n)
-        for r, pc in enumerate(pivots):
-            x[pc] = R[r, n]
-        # rows beyond the pivot rows must have zero RHS
-        for r in range(len(pivots), m):
-            if R[r, n]:
-                return None
-        return x
+        x[pivots] = R[: len(pivots), n]
+        return x, self._kernel(R, pivots, n)
 
-    def span_points(self, basis: np.ndarray, offset: np.ndarray | None = None):
+    def span_points(self, basis: np.ndarray, offset: np.ndarray):
         """Iterate all points offset + span(basis rows); basis rows independent."""
         k, n = basis.shape
-        if offset is None:
-            offset = self.zeros(n)
         coeffs = np.array(
             np.meshgrid(*([np.arange(self.q)] * k), indexing="ij")
         ).reshape(k, -1).T.astype(np.int16) if k else self.zeros((1, 0))

@@ -107,6 +107,14 @@ def test_verify_orbits_a2_q_1_mod_3():
         # lie(C3), lie(C5) and L are points of maximal dimension only at p >= 5
         (["verify", "--stage", "normalizers", "--type", "G2", "--p", "3"], "good prime p >= 5"),
         (["verify", "--stage", "normalizers", "--type", "G2", "--p", "2"], "good prime p >= 5"),
+        # --budget has no sentinel value: 0 and negative budgets are rejected
+        (["verify", "--stage", "unipotent", "--type", "A2", "--p", "3", "--budget", "0"],
+         "--budget 0 is out of range"),
+        (["enumerate", "--type", "A2", "--p", "5", "--dim", "2", "--budget", "-1"],
+         "--budget -1 is out of range"),
+        # --type selects one row of the maxsets table, and is never diffed
+        (["tables", "--which", "primes", "--type", "A2"], "--type works only with"),
+        (["tables", "--which", "maxsets", "--type", "A2", "--golden"], "--type works only with"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):

@@ -193,32 +193,33 @@ def test_brute_force_a2(p, count):
         assert is_elementary(setting, E.rows)
 
 
-def test_brute_force_a2_matches_naive_enumeration():
-    # independent oracle: loop over every echelon matrix directly
+@pytest.mark.parametrize("t,n,p,r", [("A", 2, 3, 2), ("A", 3, 2, 4), ("B", 2, 3, 3),
+                                     ("G", 2, 3, 4), ("A", 3, 2, 2)])
+def test_brute_force_matches_naive_enumeration(t, n, p, r):
+    # independent oracle: loop over every echelon matrix directly, cell by cell;
+    # below the maximal dimension (A3, r = 2) some row systems are inhomogeneous
     from itertools import combinations, product
 
-    setting = get_setting("A", 2, 3)
+    setting = get_setting(t, n, p)
     gf = setting.field
-    naive = set()
+    npos = setting.n_pos
     perm = setting.perm_desc
-    for pivots in combinations(range(3), 2):
-        free = [c for c in range(3) if c not in pivots]
-        for vals in product(range(3), repeat=2 * len(free)):
-            rows = gf.zeros((2, 3))
-            ok = True
+    # the ascending root order is not the storage order
+    assert (perm[::-1] != np.arange(npos)).any()
+    naive = set()
+    for pivots in combinations(range(npos), r):
+        # echelon positions below each pivot that no pivot takes
+        free = [[c for c in range(pc + 1, npos) if c not in pivots] for pc in pivots]
+        for vals in product(range(gf.q), repeat=sum(map(len, free))):
+            rows = gf.zeros((r, npos))
+            it = iter(vals)
             for k, pc in enumerate(pivots):
                 rows[k, perm[pc]] = 1
-            i = 0
-            for k, pc in enumerate(pivots):
-                for fc in free:
-                    if fc > pc:
-                        rows[k, perm[fc]] = vals[i]
-                        i += 1
-                    else:
-                        i += 1
+                for c in free[k]:
+                    rows[k, perm[c]] = next(it)
             if is_elementary(setting, rows):
                 naive.add(subalgebra_from_rows(setting, rows).pack())
-    got = {E.pack() for E in brute_force_Eu(setting, 2)}
+    got = {E.pack() for E in brute_force_Eu(setting, r)}
     assert got == naive
 
 
