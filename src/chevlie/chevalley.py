@@ -42,7 +42,8 @@ class ChevalleyBasis:
     """Structure constants and the Z-form bracket for one root system.
 
     Basis layout: x_a for positive roots a (storage order of the system),
-    then x_{-a}, then h_1..h_rank.
+    then x_{-a}, then h_1..h_rank; x_root is basis element
+    `RootSystem.signed_index(root)`.
     """
 
     def __init__(self, system: RootSystem, order: RootOrder | None = None):
@@ -61,14 +62,6 @@ class ChevalleyBasis:
         self.brackets, self._bracket_rows = self._bracket_table()
         self._exp_cache: dict[int, list[np.ndarray]] = {}
         self._field_cache: dict[int, np.ndarray] = {}
-
-    # -- indices -------------------------------------------------------------
-
-    def basis_index(self, root: Root) -> int:
-        """Index of x_root in the g-basis (root may be negative)."""
-        if root.is_positive:
-            return self.system.index(root)
-        return self.n_pos + self.system.index(-root)
 
     # -- structure constants ---------------------------------------------------
 
@@ -268,7 +261,7 @@ class ChevalleyBasis:
 
     def exp_terms(self, root: Root) -> list[np.ndarray]:
         """Integer matrices ad(x_root)^k / k!, k = 0, 1, ... until zero."""
-        idx = self.basis_index(root)
+        idx = self.system.signed_index(root)
         if idx in self._exp_cache:
             return self._exp_cache[idx]
         M = self.ad_matrix(idx)

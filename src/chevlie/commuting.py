@@ -16,6 +16,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .rootsys import Root, RootSystem, build_root_system, EuclidModel
 
 
@@ -156,14 +158,15 @@ def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
 
 
 def commutation_adjacency(system: RootSystem, p: int | None = None) -> list[int]:
+    """Bitmask rows of the (p-)commutation graph on the positive roots."""
     n = system.num_positive
-    adj = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if system.commute(system.root(i), system.root(j), p):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return adj
+    commute = system.sum_index[:n, :n] < 0
+    if p is not None:
+        commute |= system.string_down[:n, :n] == p - 1
+    # the pair (i, j), i < j, is decided as commute(root i, root j, p)
+    upper = np.triu(commute, 1)
+    bits = np.packbits(upper | upper.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
 _CATALOG_CACHE: dict = {}
@@ -198,14 +201,11 @@ def is_ideal(R: CommutingSet) -> bool:
 
 def _reflect_mask(system: RootSystem, i: int, mask: int) -> int | None:
     """Image of a positive-root mask under s_i, or None if it leaves Phi+."""
-    out = 0
-    for k in range(system.num_positive):
-        if mask >> k & 1:
-            img = system.reflect(i, system.root(k))
-            if not img.is_positive:
-                return None
-            out |= 1 << system.index(img)
-    return out
+    n = system.num_positive
+    imgs = system.reflections[i - 1, [k for k in range(n) if mask >> k & 1]].tolist()
+    if any(k >= n for k in imgs):
+        return None
+    return sum(1 << k for k in imgs)
 
 
 def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
@@ -260,31 +260,25 @@ def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
     indices by exhaustive enumeration; otherwise only containment facts.
     """
     sys = R.system
-    gens = set()
-    for i in range(1, sys.rank + 1):
-        img = _reflect_mask(sys, i, R.mask)
-        if img == R.mask:
-            gens.add(i)
+    moved = {i: _reflect_mask(sys, i, R.mask) != R.mask for i in range(1, sys.rank + 1)}
+    gens = {i for i, m in moved.items() if not m}
     report = {
         "generators": sorted(gens),
-        "non_generators_move_R": all(
-            _reflect_mask(sys, i, R.mask) != R.mask
-            for i in range(1, sys.rank + 1)
-            if i not in gens
-        ),
+        "non_generators_move_R": all(m for i, m in moved.items() if i not in gens),
         "exhaustive": False,
     }
     elements = sys.weyl_elements(exhaustive_limit)
     if elements is not None:
-        members = set(R.members())
-        # w lists the images of the positive roots in root order
-        idx = [sys.index(r) for r in members]
-        stab = {w for w in elements if {w[i] for i in idx} == members}
-        para = set(sys.weyl_words(sorted(gens), exhaustive_limit))
+        # w is the row of positions of the images of the positive roots
+        idx = [k for k in range(sys.num_positive) if R.mask >> k & 1]
+        member = np.zeros(2 * sys.num_positive, dtype=bool)
+        member[idx] = True
+        stab = elements[member[elements[:, idx]].all(axis=1)]
+        para = sys.weyl_words(sorted(gens), exhaustive_limit)
         report["exhaustive"] = True
         report["stabilizer_order"] = len(stab)
         report["parabolic_order"] = len(para)
-        report["stabilizer_equals_parabolic"] = stab == para
+        report["stabilizer_equals_parabolic"] = {w.tobytes() for w in stab} == para.keys()
     return gens, report
 
 

@@ -298,11 +298,9 @@ def brute_force_Eu(
         raise ValueError(f"dimension {r} is out of range: it must be at least 1")
     n_patterns = math.comb(n, r)
     if n_patterns > budget:
-        needed = _gaussian_binomial(n, r, gf.q)
         raise BudgetExceeded(
-            f"{n_patterns} pivot patterns exceed the budget of {budget}; "
-            f"full echelon enumeration would process about {needed} candidates",
-            needed=needed,
+            f"{n_patterns} pivot patterns exceed the budget of {budget}",
+            needed=_gaussian_binomial(n, r, gf.q),
         )
     processed = 0
     found: list[ElementarySubalgebra] = []

@@ -5,6 +5,14 @@ Euclidean (epsilon-coordinate) models of the classical types are provided as
 conversion helpers only.  Positive roots are generated by string closure
 from the Cartan matrix and enumerated by height, ties broken lexicographically,
 which fixes the canonical index used for masks and matrices everywhere else.
+
+The signed roots are the positive roots in that order, then their negatives;
+`RootSystem.signed_index` gives a root's position there, also the index of
+x_root in the Chevalley basis.  Sums, simple reflections and root strings are
+integer tables over these positions, each located by one lookup of
+coefficient vectors (`_position`); a Weyl group element is the int16 row of
+the positions of the images of the positive roots.  `Root` arithmetic and
+`reflect` stay as the reference the tests compare the tables with.
 """
 
 from __future__ import annotations
@@ -137,7 +145,10 @@ class RootSystem:
             r for r in self.positive_roots if r.height == 1
         ]
         self._pos_index = {r.coeffs: i for i, r in enumerate(self.positive_roots)}
-        self._all = set(self._pos_index) | {(-r).coeffs for r in self.positive_roots}
+        signed = self.positive_roots + [-r for r in self.positive_roots]
+        self._signed_index = {r.coeffs: i for i, r in enumerate(signed)}
+        # _neg[k] is the position of -root_k
+        self._neg = np.roll(np.arange(len(signed), dtype=np.int16), len(signed) // 2)
         self.highest_root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
         self._weyl_elements = None
 
@@ -203,24 +214,52 @@ class RootSystem:
         return len(self.positive_roots)
 
     @cached_property
-    def sum_index(self) -> np.ndarray:
-        """(2N, 2N) table over the signed roots in g-basis order: the positive
-        roots in storage order, then their negatives.  Entry [i, j] is the
-        position of root_i + root_j in that list, or -1 if the sum is not a
-        root."""
-        # root coefficients are at most 6, so sums fit int8; each vector is
-        # compared as one opaque byte string
-        pos = np.array([r.coeffs for r in self.positive_roots], dtype=np.int8)
-        signed = np.concatenate([pos, -pos])
+    def _signed(self) -> np.ndarray:
+        """(2N, rank) int8 coefficients of the signed roots."""
+        return np.array(list(self._signed_index), dtype=np.int8)  # |coeff| <= 6: sums fit
+
+    def _position(self, vecs: np.ndarray) -> np.ndarray:
+        """Position of each int8 coefficient vector (last axis) among the
+        signed roots, or -1 if it is not a root."""
+        # each vector is compared as one opaque byte string
         as_bytes = np.dtype((np.void, self.rank))
-        roots = signed.view(as_bytes)[:, 0]
+        roots = self._signed.view(as_bytes)[:, 0]
         order = np.argsort(roots)
-        sums = (signed[:, None, :] + signed[None, :, :]).view(as_bytes)[..., 0]
-        at = np.searchsorted(roots[order], sums).clip(max=len(roots) - 1)
-        return np.where(roots[order][at] == sums, order[at], -1)
+        keys = np.ascontiguousarray(vecs, dtype=np.int8).view(as_bytes)[..., 0]
+        at = np.searchsorted(roots[order], keys).clip(max=len(roots) - 1)
+        return np.where(roots[order][at] == keys, order[at], -1)
+
+    @cached_property
+    def sum_index(self) -> np.ndarray:
+        """(2N, 2N) table over the signed roots: entry [i, j] is the position
+        of root_i + root_j, or -1 if the sum is not a root."""
+        return self._position(self._signed[:, None] + self._signed[None])
+
+    @cached_property
+    def reflections(self) -> np.ndarray:
+        """(rank, 2N) table: entry [i, k] is the position of s_{i+1}(root_k)."""
+        pairing = self._signed.astype(np.int64) @ np.array(self.cartan).T  # (2N, rank)
+        step = pairing.T[:, :, None] * np.eye(self.rank, dtype=np.int64)[:, None]
+        return self._position(self._signed - step)
+
+    @cached_property
+    def string_down(self) -> np.ndarray:
+        """(2N, 2N) table: entry [i, j] is the length of the root_i-string
+        below root_j, the number of k >= 1 with root_j - k root_i a root."""
+        n2 = 2 * self.num_positive
+        minus = self.sum_index[self._neg]  # row i adds -root_i
+        cur, out = np.broadcast_to(np.arange(n2), (n2, n2)), 0
+        while (cur >= 0).any():  # strings have at most four roots
+            cur = np.where(cur >= 0, np.take_along_axis(minus, cur, 1), -1)
+            out = out + (cur >= 0)
+        return out
 
     def is_root(self, r: Root) -> bool:
-        return r.coeffs in self._all
+        return r.coeffs in self._signed_index
+
+    def signed_index(self, r: Root) -> int:
+        """Position of a root, positive or negative, among the signed roots."""
+        return self._signed_index[r.coeffs]
 
     def index(self, r: Root) -> int:
         return self._pos_index[r.coeffs]
@@ -259,33 +298,19 @@ class RootSystem:
         """The alpha-string through beta: maximal (r, s) with -r..s steps roots."""
         if not (self.is_root(alpha) and self.is_root(beta)):
             raise ValueError("root_string arguments must be roots")
-        diff = beta - alpha
-        if all(c == 0 for c in diff.coeffs) or all(
-            a == -b for a, b in zip(alpha.coeffs, beta.coeffs)
-        ):
+        a, b = self.signed_index(alpha), self.signed_index(beta)
+        if b in (a, self._neg[a]):
             raise ValueError("alpha proportional to beta has no root string")
-        r = 0
-        cur = beta - alpha
-        while self.is_root(cur):
-            r += 1
-            cur = cur - alpha
-        s = 0
-        cur = beta + alpha
-        while self.is_root(cur):
-            s += 1
-            cur = cur + alpha
-        return r, s
+        return int(self.string_down[a, b]), int(self.string_down[self._neg[a], b])
 
     def commute(self, alpha: Root, beta: Root, p: int | None = None) -> bool:
         """Whether alpha and beta commute (sum not a root); p gives p-commuting."""
         if alpha == beta:
             raise ValueError("commute is defined for distinct roots")
-        if not self.is_root(alpha + beta):
+        a, b = self.signed_index(alpha), self.signed_index(beta)
+        if self.sum_index[a, b] < 0:
             return True
-        if p is None:
-            return False
-        r, _ = self.root_string(alpha, beta)
-        return r == p - 1
+        return p is not None and bool(self.string_down[a, b] == p - 1)
 
     def phi_rad(self, S) -> frozenset[Root]:
         """Positive roots needing at least one simple root from S (1-based indices)."""
@@ -303,15 +328,9 @@ class RootSystem:
         dual = self.coroot_coeffs(theta)
         torsion = frozenset(m for m in dual if m >= 2 and is_prime(m))
         det = _int_det([row[:] for row in self.cartan])
-        # string lengths are Weyl invariant and every root is conjugate to a
-        # simple one, so scanning simple alpha against positive beta suffices
-        longest = 2
-        for a in self.simple_roots:
-            for b in self.positive_roots:
-                if a == b:
-                    continue
-                r, s = self.root_string(a, b)
-                longest = max(longest, r + s + 1)
+        # the longest string over all pairs; a proportional pair counts 1
+        down = self.string_down
+        longest = max(2, int((down + down[self._neg]).max()) + 1)
         return PrimeProfile(bad, torsion, det, longest)
 
     def degrees(self) -> tuple[int, ...]:
@@ -343,54 +362,50 @@ class RootSystem:
 
         Breadth-first over right multiplication by the letters (all simple
         reflections by default), so the first word found for an element is a
-        shortest one.  Returns a dict keyed by the element's image tuple (the
-        images of the positive roots, in root order), or None if the group has
-        more than `limit` elements; for the whole group that is decided from
-        its order before the search.
+        shortest one.  Returns a dict keyed by the element's row as bytes:
+        the int16 positions among the signed roots of the images of the
+        positive roots, in root order.  Returns None if the group has more
+        than `limit` elements; for the whole group that is decided from its
+        order before the search.
         """
-        pos = self.positive_roots
+        n = self.num_positive
         if letters is None:
             if math.prod(self.degrees()) > limit:
                 return None
             letters = range(1, self.rank + 1)
-        # w s_i sends root k to +-w(root idx), where s_i(root k) = +-(root idx)
-        gens = []
-        for i in letters:
-            imgs = [self.reflect(i, r) for r in pos]
-            gens.append((i, [(img.is_positive, self.index(img if img.is_positive else -img))
-                             for img in imgs]))
-        # images share the 2N root objects, so a kept element costs one tuple
-        negate = {r: -r for r in pos}
-        negate.update({v: k for k, v in negate.items()})
-        ident = tuple(pos)
-        words = {ident: WeylWord(())}
-        frontier = [ident]
+        letters = list(letters)
+        # (w s_i)(root k) = w(s_i(root k)), w extended to the negative roots
+        refl = self.reflections[[i - 1 for i in letters], :n]
+        frontier = [np.arange(n, dtype=np.int16).tobytes()]
+        words = {frontier[0]: WeylWord(())}
         while frontier:
+            level = np.frombuffer(b"".join(frontier), dtype=np.int16).reshape(-1, n)
+            images = np.hstack([level, self._neg[level]])[:, refl]
             nxt = []
-            for w in frontier:
-                base = words[w].letters
-                for i, g in gens:
-                    img = tuple(w[k] if up else negate[w[k]] for up, k in g)
-                    if img not in words:
-                        if len(words) >= limit:
-                            return None
-                        words[img] = WeylWord(base + (i,))
-                        nxt.append(img)
+            for k, img in enumerate(images.reshape(-1, n)):  # element first, then letter
+                key = img.tobytes()
+                if key not in words:
+                    if len(words) >= limit:
+                        return None
+                    base = words[frontier[k // len(letters)]].letters
+                    words[key] = WeylWord(base + (letters[k % len(letters)],))
+                    nxt.append(key)
             frontier = nxt
         return words
 
     def weyl_elements(self, limit: int = 2000):
-        """All Weyl group elements as image tuples, sorted, or None.
+        """All Weyl group elements as one (|W|, N) int16 array, or None.
 
-        Each element is the tuple of images of the positive roots (Root
-        objects, one entry per positive root).  Gives up (returns None) if the
-        group has more than `limit` elements.  The group is enumerated once per
-        system and the same tuple is returned on every later call.
+        Row w holds the positions among the signed roots of w(root_k) for the
+        positive roots root_k, in BFS order.  Gives up (returns None) if the
+        group has more than `limit` elements.  The group is enumerated once
+        per system and the same array is returned on every later call.
         """
         if math.prod(self.degrees()) > limit:
             return None
         if self._weyl_elements is None:
-            self._weyl_elements = tuple(sorted(self.weyl_words(limit=limit)))
+            rows = b"".join(self.weyl_words(limit=limit))
+            self._weyl_elements = np.frombuffer(rows, dtype=np.int16).reshape(-1, self.num_positive)
         return self._weyl_elements
 
 

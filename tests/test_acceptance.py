@@ -539,7 +539,7 @@ def test_criterion_10_property_suites():
     # integer exponential vs mod-3 exponential for ad(x_{-a1}) in G2
     g2 = build_root_system("G", 2)
     cb = build_constants(g2, canonical_order("G", 2))
-    M0 = cb.ad_matrix(cb.basis_index(-g2.simple_roots[0]))
+    M0 = cb.ad_matrix(g2.signed_index(-g2.simple_roots[0]))
     M3 = M0 % 3
     if not np.linalg.matrix_power(M0, 3).any():
         failures.append("M0^3 vanished over Z")

@@ -56,6 +56,22 @@ def test_budget_exit_code():
     assert "m=36 count=134" in out  # clique-level checks still reported
 
 
+def test_budget_lines_are_short():
+    # the pattern count and the budget only: the exact candidate count of E8
+    # has about 1,000 digits
+    for argv in (
+        ["verify", "--stage", "unipotent", "--type", "E8", "--p", "2"],
+        ["verify", "--stage", "orbits", "--type", "E8", "--p", "2"],
+        ["verify", "--stage", "orbits", "--type", "E7", "--p", "3"],
+        ["enumerate", "--type", "E7", "--p", "2", "--dim", "27", "--budget", "1000"],
+    ):
+        code, out = run(argv)
+        assert code == 3, argv
+        line = out.splitlines()[-1]
+        assert "pivot patterns exceed the budget" in line
+        assert len(line.encode()) < 200, (argv, line)
+
+
 def test_verify_unipotent_b4():
     code, out = run(["verify", "--stage", "unipotent", "--type", "B4", "--p", "3"])
     assert code == 0

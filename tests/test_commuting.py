@@ -1,5 +1,6 @@
 """Maximal commuting sets, ideals, stabilizers, and the closed forms."""
 
+import math
 import random
 
 import pytest
@@ -249,6 +250,15 @@ def test_weyl_stabilizers_table3():
             assert rep["non_generators_move_R"]
             if rep["exhaustive"]:
                 assert rep["stabilizer_equals_parabolic"]
+    # the certified orders in closed form: A4 phi<i> is fixed by S_i x S_{5-i}
+    a4, d4 = build_root_system("A", 4), build_root_system("D", 4)
+    for i in range(1, 5):
+        _, rep = weyl_stabilizer_generators(commuting_set(a4, a4.phi_rad(i)))
+        order = math.factorial(i) * math.factorial(5 - i)
+        assert rep["stabilizer_order"] == rep["parabolic_order"] == order
+    for i, order in [(1, 24), (2, 8), (3, 24), (4, 24)]:
+        _, rep = weyl_stabilizer_generators(commuting_set(d4, d4.phi_rad(i)))
+        assert rep["stabilizer_order"] == rep["parabolic_order"] == order
     # B_n: S_1 has generators Delta minus {alpha_1, alpha_n}
     for n in (4, 5):
         cat = enumerate_max_commuting(build_root_system("B", n))

@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from chevlie.commuting import commutation_adjacency
+from chevlie.golden import TABLE1_RANKS
 from chevlie.rootsys import (
     EuclidModel,
     Root,
@@ -185,10 +188,38 @@ def test_weyl_group_order_from_degrees():
 def test_weyl_words_are_reduced(t, n):
     sys_ = build_root_system(t, n)
     words = sys_.weyl_words()
-    for img, word in words.items():
+    signed = sys_.positive_roots + [-r for r in sys_.positive_roots]
+    for key, word in words.items():
+        img = tuple(signed[k] for k in np.frombuffer(key, dtype=np.int16))
         assert tuple(sys_.apply_weyl(word, r) for r in sys_.positive_roots) == img
         # a reduced word is as long as the number of positive roots sent negative
         assert len(word.letters) == sum(not r.is_positive for r in img)
+
+
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_index_tables_match_root_arithmetic(t, n):
+    sys_ = build_root_system(t, n)
+    signed = sys_.positive_roots + [-r for r in sys_.positive_roots]
+    at = {r: k for k, r in enumerate(signed)}
+    for i in range(1, n + 1):
+        assert sys_.reflections[i - 1].tolist() == [at[sys_.reflect(i, r)] for r in signed]
+
+    def down(a, b):
+        k, cur = 0, b - a
+        while sys_.is_root(cur):
+            k, cur = k + 1, cur - a
+        return k
+
+    assert sys_.string_down.tolist() == [[down(a, b) for b in signed] for a in signed]
+    pos = sys_.positive_roots
+    for p in (None, 2, 3):
+        expected = [0] * len(pos)
+        for i, a in enumerate(pos):
+            for j, b in enumerate(pos):
+                if i < j and (not sys_.is_root(a + b) or (p is not None and down(a, b) == p - 1)):
+                    expected[i] |= 1 << j
+                    expected[j] |= 1 << i
+        assert commutation_adjacency(sys_, p) == expected, p
 
 
 def test_direct_sum():
