@@ -67,13 +67,12 @@ class ChevalleyBasis:
 
     def _build_positive_table(self):
         sys = self.system
+        pos, N = sys.positive_roots, sys.num_positive
+        rank = np.array([self.rank_of[r] for r in pos])
+        sums = sys.sum_index[:N, :N]
         by_sum: dict[Root, list] = defaultdict(list)
-        for a in sys.positive_roots:
-            for b in sys.positive_roots:
-                if self.rank_of[a] < self.rank_of[b]:
-                    s = a + b
-                    if sys.is_root(s):
-                        by_sum[s].append((a, b))
+        for i, j in zip(*np.nonzero((rank[:, None] < rank[None, :]) & (sums >= 0))):
+            by_sum[pos[sums[i, j]]].append((pos[i], pos[j]))
         self.extraspecial: dict[Root, tuple[Root, Root]] = {}
         for gamma in sorted(sys.positive_roots, key=lambda r: (r.height, r.coeffs)):
             pairs = by_sum.get(gamma)

@@ -260,13 +260,8 @@ def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
     indices by exhaustive enumeration; otherwise only containment facts.
     """
     sys = R.system
-    moved = {i: _reflect_mask(sys, i, R.mask) != R.mask for i in range(1, sys.rank + 1)}
-    gens = {i for i, m in moved.items() if not m}
-    report = {
-        "generators": sorted(gens),
-        "non_generators_move_R": all(m for i, m in moved.items() if i not in gens),
-        "exhaustive": False,
-    }
+    gens = {i for i in range(1, sys.rank + 1) if _reflect_mask(sys, i, R.mask) == R.mask}
+    report = {"generators": sorted(gens), "exhaustive": False}
     elements = sys.weyl_elements(exhaustive_limit)
     if elements is not None:
         # w is the row of positions of the images of the positive roots

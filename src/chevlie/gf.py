@@ -7,8 +7,9 @@ polynomial.  The polynomial per (p, r) is pinned in IRREDUCIBLE so that
 encodings never change between runs.
 
 All elementwise operations go through q x q lookup tables, which makes them
-vectorizable with numpy fancy indexing.  Matrix products use a fast int64
-path for prime fields and a table-driven inner loop for extensions.
+vectorizable with numpy fancy indexing.  A matrix product is r integer
+products over the base-p digit planes of the encodings (`GF.matmul`),
+accumulated in int16 while r k (p-1)^2 < 2^15 for contraction length k.
 """
 
 from __future__ import annotations
@@ -152,14 +153,39 @@ class GF:
         return np.zeros(shape, dtype=np.int16)
 
     def matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """Matrix product; supports batched stacks on either argument."""
-        if self.degree == 1:
-            return (A.astype(np.int64) @ B.astype(np.int64) % self.p).astype(np.int16)
+        """Matrix product; supports batched stacks on either argument.
+
+        With A = sum_i A_i t^i over the base-p digit planes A_i of the
+        encoding, AB = sum_i A_i (t^i B), and MUL has already reduced each
+        t^i B by the irreducible polynomial.  So digit j of AB is
+        A_hat @ digit_j(B_hat) mod p, where A_hat concatenates the r digit
+        planes of A along the last axis and B_hat stacks B, tB, ...,
+        t^(r-1) B along axis -2 (t is encoded as p): r integer products of
+        contraction length r*k.  Each entry of such a product is a sum of
+        r*k terms of at most (p-1)^2, so it is accumulated in int16 while
+        that bound stays below 2^15 and in int64 past it.  The prime field
+        is the case r = 1.
+        """
+        p, r = self.p, self.degree
         k = A.shape[-1]
-        acc = self.MUL[A[..., 0, None], B[..., 0, :][..., None, :]]
-        for i in range(1, k):
-            acc = self.ADD[acc, self.MUL[A[..., i, None], B[..., i, :][..., None, :]]]
-        return acc
+        dt = np.int16 if r * k * (p - 1) ** 2 < 2**15 else np.int64
+        if r == 1:
+            out = A.astype(dt, copy=False) @ B.astype(dt, copy=False)
+            out %= p
+            return out.astype(np.int16, copy=False)
+        A_hat = np.concatenate([A // p**i % p for i in range(r)], axis=-1).astype(dt, copy=False)
+        tB = [B]
+        for _ in range(1, r):
+            tB.append(self.MUL[p, tB[-1]])
+        B_hat = np.concatenate(tB, axis=-2)
+        out = A_hat @ (B_hat % p).astype(dt, copy=False)
+        out %= p
+        for j in range(1, r):
+            prod = A_hat @ (B_hat // p**j % p).astype(dt, copy=False)
+            prod %= p
+            prod *= p**j
+            out += prod
+        return out.astype(np.int16, copy=False)
 
     def rref(self, M: np.ndarray, ncols: int | None = None):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""

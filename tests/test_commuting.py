@@ -245,9 +245,13 @@ def test_weyl_stabilizers_table3():
     for t, n in [("A", 4), ("B", 3), ("C", 3), ("D", 4)]:
         sys_ = build_root_system(t, n)
         for i in range(1, n + 1):
-            gens, rep = weyl_stabilizer_generators(commuting_set(sys_, sys_.phi_rad(i)))
+            R = commuting_set(sys_, sys_.phi_rad(i))
+            gens, rep = weyl_stabilizer_generators(R)
             assert gens == set(range(1, n + 1)) - {i}
-            assert rep["non_generators_move_R"]
+            # each other simple reflection moves R, by Root-level reflection
+            members = set(R.members())
+            for j in set(range(1, n + 1)) - gens:
+                assert {sys_.reflect(j, a) for a in members} != members
             if rep["exhaustive"]:
                 assert rep["stabilizer_equals_parabolic"]
     # the certified orders in closed form: A4 phi<i> is fixed by S_i x S_{5-i}

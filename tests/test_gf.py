@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from chevlie.gf import GF
+from chevlie.gf import GF, IRREDUCIBLE
 
 FIELDS = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F4": (2, 2), "F8": (2, 3),
           "F9": (3, 2), "F25": (5, 2)}
@@ -126,3 +126,44 @@ def test_batch_rref_matches_rref(gf):
     deficient[-1] = gf.MUL[gf.q - 1, deficient[0]]
     with pytest.raises(ValueError):
         gf.batch_rref(np.stack([stack[1], deficient]))
+
+
+def _matmul_by_tables(gf, A, B):
+    """The product by its definition, sum_l A[i, l] B[l, j] through ADD and
+    MUL (`_apply`), over every matrix pair of the broadcast stacks."""
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A = np.broadcast_to(A, batch + A.shape[-2:])
+    B = np.broadcast_to(B, batch + B.shape[-2:])
+    out = gf.zeros(batch + (A.shape[-2], B.shape[-1]))
+    for b in np.ndindex(*batch):
+        out[b] = _apply(gf, B[b].T, A[b])
+    return out
+
+
+MATMUL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), *IRREDUCIBLE]
+MATMUL_SHAPES = [
+    ((3, 4), (4, 5)),                # 2-D
+    ((3, 1), (1, 4)),                # k = 1
+    ((6, 3, 4), (4, 5)),             # batched on the left
+    ((3, 4), (6, 4, 5)),             # batched on the right
+    ((2, 1, 3, 4), (1, 3, 4, 2)),    # broadcast (N, 1, m, k) @ (1, M, k, n)
+]
+# all-(q-1) products whose largest digit sum is just below and just above
+# what int16 holds: r k (p-1)^2 < 2^15 exactly when k is the smaller one
+MATMUL_BOUND_CASES = [((13, 1), 227), ((13, 1), 228), ((7, 3), 303), ((7, 3), 304)]
+
+
+@pytest.mark.parametrize("field", MATMUL_FIELDS, ids=[f"F{p}^{r}" for p, r in MATMUL_FIELDS])
+def test_matmul_matches_table_definition(field):
+    gf = GF.get(*field)
+    rng = np.random.default_rng(gf.q)
+    cases = [(rng.integers(0, gf.q, a).astype(np.int16), rng.integers(0, gf.q, b).astype(np.int16))
+             for a, b in MATMUL_SHAPES]
+    cases += [(np.full((2, k), gf.q - 1, dtype=np.int16), np.full((k, 3), gf.q - 1, dtype=np.int16))
+              for f, k in MATMUL_BOUND_CASES if f == field]
+    for A, B in cases:
+        A0, B0 = A.copy(), B.copy()
+        C = gf.matmul(A, B)
+        assert C.dtype == np.int16
+        assert (C == _matmul_by_tables(gf, A, B)).all()
+        assert (A == A0).all() and (B == B0).all()
