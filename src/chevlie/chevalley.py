@@ -330,10 +330,7 @@ def p_power(x: LieVector) -> LieVector:
     """
     basis, gf = x.basis, x.field
     xg = x.as_g()
-    A = basis.ad_of(gf, xg.coeffs, "g")
-    P = A
-    for _ in range(gf.p - 1):
-        P = gf.matmul(P, A)
+    P = gf.matpow(basis.ad_of(gf, xg.coeffs, "g"), gf.p)
     k = len(x.coeffs)
     M = basis.field_data(gf)[:k].reshape(k, -1).T
     rhs = P.reshape(-1)

@@ -116,22 +116,26 @@ def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> SpectrumR
     )
 
 
+# candidate rows of brute force: F25 takes 17,559; F29, F49 and F125 are refused
+WITNESS_BUDGET = 20_000
+
+
 def _g2_witness_classes(p: int, r: int):
     """Bruhat fusion classes of the 3-dimensional points of u for G2 over F_q."""
-    if p != 5 or r not in (1, 2):
-        raise ValueError("the witness is implemented for p = 5, r in {1, 2} only")
+    if p < 5:
+        raise ValueError(f"p = {p} is bad for G2: the maximal dimension is 4, not 3")
     from .elementary import brute_force_Eu, g_conjugacy_classes, get_setting
 
     setting = get_setting("G", 2, p, degree=r)
-    return g_conjugacy_classes(setting, brute_force_Eu(setting, 3))
+    return g_conjugacy_classes(setting, brute_force_Eu(setting, 3, budget=WITNESS_BUDGET))
 
 
 def g2_class_count_witness(p: int, r: int) -> int:
     """Exact number of G(F_q)-classes of maximal elementary abelian subgroups
-    for G2, q = 5^r, computed from the unipotent points by Bruhat fusion:
-    four for r = 1 and six for r = 2.
+    for G2 by Bruhat fusion: 3 + gcd(3, q - 1) at q = 5, 7, 11, 13, 25 (LEDGER.md).
 
-    Desk-scale only: p = 5 and r in {1, 2}.
+    Desk-scale only: p >= 5 with a field F_{p^r} (ValueError otherwise),
+    within `WITNESS_BUDGET` (BudgetExceeded otherwise).
     """
     return len(_g2_witness_classes(p, r))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -19,6 +20,7 @@ from .elementary import (
     DEFAULT_BUDGET,
     brute_force_Eu,
     build_leading_term_system,
+    check_weyl_order,
     g2_normal_forms,
     g_conjugacy_classes,
     get_setting,
@@ -158,10 +160,17 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
     return EXIT_PASS if all(v for _, v in verdicts) else EXIT_MISMATCH
 
 
+def _check_fusion(setting, r, budget):
+    """Refuse a Weyl group too large for fusion unless brute force refuses first."""
+    if math.comb(setting.n_pos, r) <= budget:
+        check_weyl_order(setting.system)
+
+
 def _verify_orbits(t, n, p, budget, out) -> int:
     setting = get_setting(t, n, p)
     # maximal p-commuting sets: at a bad prime m can exceed the good-prime value
     cat = enumerate_max_commuting(setting.system, p=p)
+    _check_fusion(setting, cat.m, budget)
     try:
         points = brute_force_Eu(setting, cat.m, budget=budget)
     except BudgetExceeded as e:
@@ -246,6 +255,7 @@ def cmd_enumerate(args, out) -> int:
     setting = get_setting(t, n, args.p, degree=args.r_ext)
     if not 1 <= args.dim <= setting.n_pos:
         raise CliError(f"--dim {args.dim} is out of range 1..{setting.n_pos} for {t}{n}")
+    _check_fusion(setting, args.dim, budget)
     try:
         points = brute_force_Eu(setting, args.dim, budget=budget)
     except BudgetExceeded as e:

@@ -15,14 +15,16 @@ nothing here presumes which leading-term sets can occur.  G-conjugacy of
 points inside u is decided with the Bruhat decomposition: two subalgebras of
 u are conjugate iff some fixed Weyl representative maps a point of one
 B-orbit into the B-orbit of the other, so a B-orbit partition of the point
-set plus one Weyl sweep is a complete and exact fusion analysis.  The generic
-orbit BFS over ambient subspaces is also provided and cross-checked against
-the Bruhat engine at desk scale.
+set plus one Weyl sweep is a complete and exact fusion analysis; its unions
+span each class by a tree, from which `conjugation_reduce` reads its words.
+The generic orbit BFS over ambient subspaces is also provided and
+cross-checked against the Bruhat engine at desk scale.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, count, product
@@ -232,10 +234,7 @@ def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
         chunk = rows_u[lo : lo + 2048]
         rows_g = gf.zeros((len(chunk), setting.basis.dim))
         rows_g[:, : setting.n_pos] = chunk
-        A = setting.basis.ad_of(gf, rows_g, "g")
-        P = A
-        for _ in range(gf.p - 1):
-            P = gf.matmul(P, A)
+        P = gf.matpow(setting.basis.ad_of(gf, rows_g, "g"), gf.p)
         out[lo : lo + 2048] = ~P.any(axis=(1, 2))
     return out
 
@@ -594,19 +593,26 @@ def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
     return _generating_set(setting, [b for a in setting.system.simple_roots for b in (a, -a)])
 
 
+def check_weyl_order(system: RootSystem, limit: int = 5000):
+    """BudgetExceeded if |W| > limit, decided from the degrees before any search."""
+    if (order := math.prod(system.degrees())) > limit:
+        raise BudgetExceeded(
+            f"the Weyl group of {system.type_label}{system.rank} has {order} elements, "
+            f"more than the {limit} that fusion enumerates"
+        )
+
+
 def weyl_words_all(system: RootSystem, limit: int = 5000) -> list[WeylWord]:
     """Shortest words for every Weyl group element (small groups only)."""
-    words = system.weyl_words(limit=limit)
-    if words is None:
-        raise RuntimeError("Weyl group too large to enumerate")
-    return list(words.values())
+    check_weyl_order(system, limit)
+    return list(system.weyl_words(limit=limit).values())
 
 
 @lru_cache(maxsize=None)
 def _moves(setting: Setting) -> tuple[list[GroupGenerator], np.ndarray]:
-    """The moves of Bruhat fusion and `_bfs_word`, built once per setting: the
-    generators of B(F_q), then the nontrivial Weyl representatives, with the
-    u-rows of their transposed matrices stacked (the points lie in u)."""
+    """The moves of Bruhat fusion, built once per setting: the generators of
+    B(F_q), then the nontrivial Weyl representatives, with the u-rows of
+    their transposed matrices stacked (the points lie in u)."""
     words = [w for w in weyl_words_all(setting.system) if w.letters]
     gens = borel_generators(setting) + [
         weyl_word_element(setting.basis, setting.field, w) for w in words
@@ -722,6 +728,7 @@ class FusionClass:
     representative: ElementarySubalgebra
     point_indices: list[int]
     normalizer_dim: int
+    edges: np.ndarray  # spanning tree, rows (i, k, j): move k of `_moves` maps E_i to E_j
 
     @property
     def size(self) -> int:
@@ -739,6 +746,7 @@ def g_conjugacy_classes(
     components under `borel_generators`, which generate B(F_q); in a finite
     group the components of a generator graph are the orbits.  The point list
     must be closed under B (true for the full enumeration output).
+    Every union that merges two classes is kept as an edge of their tree.
     """
     if not points:
         return []
@@ -751,6 +759,7 @@ def g_conjugacy_classes(
 
     # union-find
     parent = list(range(npts))
+    edges = array("i")  # (i, k, j) per merging union, flat
 
     def find(a):
         while parent[a] != a:
@@ -758,43 +767,44 @@ def g_conjugacy_classes(
             a = parent[a]
         return a
 
-    def union_images(idxs, imgs, missing: str):
-        """Union each point idxs[a] with the point spanned by imgs[a]."""
-        for i, k in zip(idxs, keys(setting, canonical(setting, imgs))):
-            j = index.get(k)
-            if j is None:
-                raise ValueError(missing)
-            ra, rb = find(int(i)), find(j)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
     # the generators of B(F_q) keep u; a Weyl representative counts on the
     # points it keeps inside u
-    for g, M in zip(*_moves(setting)):
+    for k_move, (g, M) in enumerate(zip(*_moves(setting))):
         if not M[:, n:].any():  # g keeps u: skip the columns outside it
             M = M[:, :n]
         imgs = gf.matmul(rows_all, M[None, :, :])
         idxs = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
-        if len(idxs):
-            union_images(
-                idxs, imgs[idxs][:, :, :n],
-                "Weyl image inside u is missing from the point list" if g.kind == "weyl_word"
-                else "point list is not closed under the Borel action",
-            )
+        if not len(idxs):
+            continue
+        imgs = imgs[idxs, :, :n]  # frees the full stack before the reduction
+        # union each point i with the point j spanned by its image g E_i
+        for i, k in zip(idxs, keys(setting, canonical(setting, imgs))):
+            j = index.get(k)
+            if j is None:
+                raise ValueError(
+                    "Weyl image inside u is missing from the point list" if g.kind == "weyl_word"
+                    else "point list is not closed under the Borel action"
+                )
+            ra, rb = find(int(i)), find(j)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+                edges.extend((int(i), k_move, j))
 
     groups: dict[int, list[int]] = {}
     for i in range(npts):
         groups.setdefault(find(i), []).append(i)
+    tree = np.frombuffer(edges, dtype=np.intc).reshape(-1, 3)
+    owner = np.array([find(int(i)) for i in tree[:, 0]], dtype=np.int64)
     classes = []
-    for members in groups.values():
+    for root, members in groups.items():
         rep_i = min(members, key=lambda i: point_keys[i])
         nd = len(normalizer_basis(setting, points[rep_i].as_g_rows()))
-        classes.append(FusionClass(points[rep_i], sorted(members), nd))
+        classes.append(FusionClass(points[rep_i], sorted(members), nd, tree[owner == root]))
     classes.sort(key=lambda c: c.representative.pack())
     return classes
 
 
-# -- conjugation recipes ----------------------------------------------------------------
+# -- conjugation words ------------------------------------------------------------------
 
 
 def _apply_word_u(setting: Setting, E: ElementarySubalgebra, word) -> ElementarySubalgebra:
@@ -813,63 +823,44 @@ def replay_verify(
     return _apply_word_u(setting, E, word).pack() == target.pack()
 
 
-def _bfs_word(
-    setting: Setting,
-    E: ElementarySubalgebra,
-    targets: set[bytes],
-    fallback_minimum: bool = False,
-):
-    """Shortest generator word carrying E onto one of the target packings.
-
-    Moves (`_moves`): the generators of B(F_q), which keep u, and the Weyl
-    representatives, each counted where its image stays in u.  Complete on
-    E(u)(F_q) by the Bruhat argument of `g_conjugacy_classes`.  Each BFS
-    level is expanded in one batch, and its images are visited level by
-    level, then point by point, then move by move, so the word is a shortest
-    one and the same on every run.  With fallback_minimum, an unreachable
-    target set yields a word onto the minimal canonical point of the class
-    of E instead of an error.
-    """
-    gf = setting.field
-    n = setting.n_pos
-    gens, mats = _moves(setting)
-    start = E.pack()
-    if start in targets:
-        return [], E
-    prev: dict[bytes, tuple[bytes, GroupGenerator]] = {}
-    seen: dict[bytes, np.ndarray] = {start: E.rows}
-    frontier = [start]
-    while frontier:
-        level = np.stack([seen[k] for k in frontier])
-        imgs = gf.matmul(level[:, None], mats[None]).reshape(-1, E.dim, mats.shape[-1])
-        inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
-        canon = canonical(setting, imgs[inside][:, :, :n])
-        nxt = []
-        for flat, rows, k2 in zip(inside, canon, keys(setting, canon)):
-            if k2 in seen:
-                continue
-            seen[k2] = rows
-            src, g_i = divmod(int(flat), len(gens))
-            prev[k2] = (frontier[src], gens[g_i])
-            if k2 in targets:
-                return _rebuild_word(prev, start, k2), ElementarySubalgebra(setting, rows)
-            nxt.append(k2)
-        frontier = nxt
-    if fallback_minimum:
-        kmin = min(seen)
-        return _rebuild_word(prev, start, kmin), ElementarySubalgebra(setting, seen[kmin])
-    raise ValueError("no conjugation word found: input is not in the expected class")
-
-
-def _rebuild_word(prev, start: bytes, end: bytes):
-    word = []
-    cur = end
-    while cur != start:
-        pk, pg = prev[cur]
-        word.append(pg)
-        cur = pk
-    word.reverse()
-    return word
+@lru_cache(maxsize=None)
+def _fusion_words(setting: Setting) -> dict[bytes, tuple[list, ElementarySubalgebra]]:
+    """For every point of maximal dimension, by packing: a word onto the normal
+    form of its class, and that form.  The words are the paths from the form
+    in the class's fusion tree; an edge walked against its direction gives
+    the inverse generator, from one row reduction of [M | I].  A G_2 class
+    has lie(R_1) at p = 3, else its member of `g2_normal_forms`; every other
+    class has its minimal point."""
+    system, gf = setting.system, setting.field
+    check_weyl_order(system)
+    points = brute_force_Eu(setting, enumerate_max_commuting(system, p=gf.p).m)
+    packs = [E.pack() for E in points]
+    forms = []
+    if system.type_label == "G":
+        R1 = [Root((1, 1)), Root((2, 1)), Root((3, 1)), Root((3, 2))]
+        forms = [lie(setting, R1)] if gf.p == 3 else g2_normal_forms(setting).values()
+    forms = {F.pack() for F in forms}
+    gens, inverses, out = _moves(setting)[0], {}, {}
+    for c in g_conjugacy_classes(setting, points):
+        steps = {i: [] for i in c.point_indices}  # (neighbour, its first letter)
+        for i, k, j in c.edges.tolist():
+            g = gens[k]
+            if k not in inverses:
+                d = len(g.matrix)
+                R, _ = gf.rref(np.concatenate([g.matrix, gf.eye(d)], axis=1), ncols=d)
+                inverses[k] = GroupGenerator("inverse", (g.kind, g.label), gf, R[:, d:])
+            steps[j].append((i, g))
+            steps[i].append((j, inverses[k]))
+        start = min(c.point_indices, key=lambda i: (packs[i] not in forms, packs[i]))
+        words, todo = {start: []}, [start]
+        while todo:
+            y = todo.pop()
+            for x, g in steps[y]:
+                if x not in words:
+                    words[x] = [g] + words[y]
+                    todo.append(x)
+        out.update((packs[i], (w, points[start])) for i, w in words.items())
+    return out
 
 
 def conjugation_reduce(
@@ -879,28 +870,25 @@ def conjugation_reduce(
 
     E must have the maximal dimension m of its type and characteristic.  The
     two B_n families (n >= 4) reduce to lie(S_1) by the recipe
-    `_reduce_b_family`; a word search over their classes would be far too
-    large.  Every G_2 point goes to the word search `_bfs_word`, which is
-    complete on E(u)(F_q): at p = 3 onto lie(R_1); otherwise onto lie(C_3),
-    lie(C_5) or L (`g2_normal_forms`), and a point whose class holds none of
-    them reduces to the minimal point of its class (over F_5 that is
-    N4 = span(x_{(0,1)} + x_{(3,1)}, x_{(1,1)} + 2x_{(2,1)}, x_{(3,2)})).
+    `_reduce_b_family`; fusion over their points would be far too large.
+    Every other type reads a path in the fusion forest (`_fusion_words`, not
+    a shortest word).  A G_2 point lands on lie(R_1) at p = 3, otherwise on
+    lie(C_3), lie(C_5), L or, over F_5, N4 = span(x_{(0,1)} + x_{(3,1)},
+    x_{(1,1)} + 2x_{(2,1)}, x_{(3,2)}), the minimal point of the fourth class.
     """
-    sys = setting.system
-    if sys.type_label == "B" and sys.rank >= 4:
-        reduce = _reduce_b_family
-    elif sys.type_label == "G":
-        reduce = _reduce_g2
-    else:
-        raise ValueError(f"no conjugation recipe for type {sys.type_label}{sys.rank}")
-    p = setting.field.p
+    sys, p = setting.system, setting.field.p
     m = enumerate_max_commuting(sys, p=p).m
     if E.dim != m:
         raise ValueError(
             f"dimension {E.dim} is not the maximal dimension {m} "
             f"for type {sys.type_label}{sys.rank} at p = {p}"
         )
-    word, out = reduce(setting, E)
+    if sys.type_label == "B" and sys.rank >= 4:
+        word, out = _reduce_b_family(setting, E)
+    elif (found := _fusion_words(setting).get(E.pack())) is not None:
+        word, out = list(found[0]), found[1]
+    else:
+        raise ValueError("E is not an elementary subalgebra of u")
     if not replay_verify(setting, E, word, out):
         raise AssertionError("conjugation word failed replay verification")
     return word, out
@@ -990,14 +978,3 @@ def g2_normal_forms(setting: Setting) -> dict[str, ElementarySubalgebra]:
         "lie(C5)": lie(setting, [Root((2, 1)), Root((3, 1)), Root((3, 2))]),
         "L": subalgebra_from_rows(setting, L),
     }
-
-
-def _reduce_g2(setting: Setting, E: ElementarySubalgebra):
-    """G_2: a shortest word onto lie(R_1) at p = 3; otherwise onto lie(C3),
-    lie(C5) or L, or onto the minimal point of a class that holds none of
-    them (N4, the fourth class over F_5)."""
-    if setting.field.p == 3:
-        R1 = [Root((1, 1)), Root((2, 1)), Root((3, 1)), Root((3, 2))]
-        return _bfs_word(setting, E, {lie(setting, R1).pack()})
-    targets = {F.pack() for F in g2_normal_forms(setting).values()}
-    return _bfs_word(setting, E, targets, fallback_minimum=True)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -177,6 +178,25 @@ def test_enumerate_budget_exit():
     assert code == 3
     assert json.loads(out)["error"] == "budget"
     assert "candidate-row budget" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--type", "A6", "--p", "2", "--dim", "12"],
+        ["verify", "--stage", "orbits", "--type", "A6", "--p", "2"],
+    ],
+)
+def test_weyl_group_too_large_for_fusion(argv, capsys):
+    # |W(A6)| = 5040: refused from the group order before any brute force
+    start = time.perf_counter()
+    code, out = run(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 1.0
+    assert len(err.splitlines()) == 1 and "Weyl group of A6 has 5040 elements" in err
+    assert "Traceback" not in err + out
 
 
 def test_output_is_deterministic():

@@ -36,6 +36,7 @@ from chevlie.elementary import (
     lt,
     normalizer_in_g,
     orbit_decompose,
+    replay_verify,
     solution_subalgebra,
     subalgebra_from_rows,
     weyl_words_all,
@@ -598,11 +599,21 @@ def test_conjugation_reduce_g2_p3():
         assert out.pack() == target.pack()
 
 
-def test_conjugation_reduce_rejects_unknown_type():
-    setting = get_setting("A", 3, 2)
-    E = lie(setting, setting.system.phi_rad(2))
-    with pytest.raises(ValueError, match="recipe"):
-        conjugation_reduce(setting, E)
+def test_conjugation_reduce_classical_types_read_the_fusion_forest():
+    """Outside G2 and the B_n recipe, every point reduces to the minimal point
+    of its fusion class, by a word that replays."""
+    for t, n, p, npts, nclasses in [
+        ("A", 3, 2, 1, 1), ("A", 2, 5, 6, 3), ("A", 2, 7, 8, 5), ("A", 2, 13, 14, 5)
+    ]:
+        setting = get_setting(t, n, p)
+        points = brute_force_Eu(setting, enumerate_max_commuting(setting.system, p=p).m)
+        classes = g_conjugacy_classes(setting, points)
+        assert (len(points), len(classes)) == (npts, nclasses)
+        for c in classes:
+            for i in c.point_indices:
+                word, out = conjugation_reduce(setting, points[i])
+                assert out.pack() == c.representative.pack()
+                assert replay_verify(setting, points[i], word, c.representative)
 
 
 def test_conjugation_reduce_rejects_wrong_dimension():

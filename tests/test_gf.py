@@ -167,3 +167,27 @@ def test_matmul_matches_table_definition(field):
         assert C.dtype == np.int16
         assert (C == _matmul_by_tables(gf, A, B)).all()
         assert (A == A0).all() and (B == B0).all()
+
+
+@pytest.mark.parametrize("field", [(2, 1), (5, 1), (13, 1), (5, 2)], ids=["F2", "F5", "F13", "F25"])
+def test_matpow_matches_repeated_matmul(field, monkeypatch):
+    gf = GF.get(*field)
+    rng = np.random.default_rng(gf.q)
+    A = rng.integers(0, gf.q, (4, 5, 5)).astype(np.int16)
+    A0 = A.copy()
+    P = A
+    for n in range(1, 14):
+        if n > 1:
+            P = gf.matmul(P, A)
+        Q = gf.matpow(A, n)
+        assert Q.shape == A.shape and Q.dtype == np.int16
+        assert (Q == P).all(), n
+    assert (A == A0).all()
+    # square-and-multiply: floor(log2 n) squarings and popcount(n) - 1 products
+    calls = []
+    matmul = gf.matmul
+    monkeypatch.setattr(gf, "matmul", lambda X, Y: calls.append(1) or matmul(X, Y))
+    for n, products in [(5, 3), (13, 5)]:
+        calls.clear()
+        gf.matpow(A, n)
+        assert len(calls) == products
