@@ -120,16 +120,18 @@ def cmd_tables(args, out) -> int:
 def _verify_unipotent(t, n, p, budget, out) -> int:
     system = build_root_system(t, n)
     GF.get(p)  # reject a bad p before any verdict is printed
-    cat = enumerate_max_commuting(system)
     verdicts = []
     golden = {
         (row["type"], row["rank"]): (row["m"], row["count"])
         for row in goldmod.load_golden("maxsets")
     }
     if (t, n) in golden:
-        ok = (cat.m, cat.count) == golden[(t, n)]
+        cat0 = enumerate_max_commuting(system)  # the table is the characteristic-0 catalog
+        ok = (cat0.m, cat0.count) == golden[(t, n)]
         verdicts.append(("clique-level m and count match the table", ok))
-        out.write(f"[{'PASS' if ok else 'FAIL'}] max commuting sets: m={cat.m} count={cat.count}\n")
+        out.write(f"[{'PASS' if ok else 'FAIL'}] max commuting sets: m={cat0.m} count={cat0.count}\n")
+    # maximal p-commuting sets: at a bad prime m can exceed the good-prime value
+    cat = enumerate_max_commuting(system, p=p)
     setting = get_setting(t, n, p)
     try:
         points = brute_force_Eu(setting, cat.m, budget=budget)

@@ -178,7 +178,11 @@ def enumerate_max_commuting(system: RootSystem, p: int | None = None) -> MaxSetC
     if key in _CATALOG_CACHE:
         return _CATALOG_CACHE[key]
     adj = commutation_adjacency(system, p)
-    m, cliques = maximum_cliques(adj, system.num_positive)
+    if p is not None and adj == commutation_adjacency(system):
+        plain = enumerate_max_commuting(system)  # the same graph: reuse its cliques
+        m, cliques = plain.m, [s.mask for s in plain.sets]
+    else:
+        m, cliques = maximum_cliques(adj, system.num_positive)
     sets = [CommutingSet(system, mask) for mask in cliques]
     catalog = MaxSetCatalog(
         system=system,

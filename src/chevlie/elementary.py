@@ -9,8 +9,9 @@ set of leading roots of an elementary subalgebra is always a commuting set.
 A point lies in the echelon cell of its set of leading roots, and `_cell` is
 the one description of that cell: exhaustive enumeration, its dead-pattern
 test and the leading-term systems all read it.  Exhaustive enumeration walks
-every cell, solving the bracket constraints row by row (they are linear in
-each new row) and filtering rows by p-nilpotency of the adjoint matrix;
+every cell one row level at a time, solving the bracket constraints of all
+partial fillings of a level as one stack of linear systems (they are linear
+in each new row) and filtering rows by p-nilpotency of the adjoint matrix;
 nothing here presumes which leading-term sets can occur.  G-conjugacy of
 points inside u is decided with the Bruhat decomposition: two subalgebras of
 u are conjugate iff some fixed Weyl representative maps a point of one
@@ -54,6 +55,11 @@ class BudgetExceeded(RuntimeError):
 
 
 DEFAULT_BUDGET = 100_000_000
+
+# partial fillings of a cell whose next row is solved for in one stacked system
+_FILL_BATCH = 256
+# entries of the int16 ad stack of one `_p_nilpotent_mask` chunk
+_AD_CHUNK = 1 << 18
 
 
 # -- settings -----------------------------------------------------------------
@@ -227,15 +233,18 @@ def is_elementary(setting: Setting, rows_u: np.ndarray) -> bool:
 
 
 def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
-    """Boolean mask over candidate u-rows: ad(x)^p == 0 in g."""
+    """Boolean mask over candidate u-rows: ad(x)^p == 0 in g.  The rows go
+    in chunks whose (rows, dim, dim) ad stacks hold about `_AD_CHUNK` entries."""
     gf = setting.field
+    d = setting.basis.dim
+    step = max(1, _AD_CHUNK // d**2)
     out = np.zeros(len(rows_u), dtype=bool)
-    for lo in range(0, len(rows_u), 2048):
-        chunk = rows_u[lo : lo + 2048]
-        rows_g = gf.zeros((len(chunk), setting.basis.dim))
+    for lo in range(0, len(rows_u), step):
+        chunk = rows_u[lo : lo + step]
+        rows_g = gf.zeros((len(chunk), d))
         rows_g[:, : setting.n_pos] = chunk
         P = gf.matpow(setting.basis.ad_of(gf, rows_g, "g"), gf.p)
-        out[lo : lo + 2048] = ~P.any(axis=(1, 2))
+        out[lo : lo + step] = ~P.any(axis=(1, 2))
     return out
 
 
@@ -285,11 +294,16 @@ def brute_force_Eu(
     """Every r-dimensional elementary subalgebra of u over the field.
 
     Echelon-cell traversal: for each set of r pivots the rows of its `_cell`
-    are filled from the smallest pivot up.  The bracket conditions against
-    the rows already fixed are linear in the new row's entries below its
-    pivot, so one row reduction gives them as an affine subspace, whose
-    points are then filtered by p-nilpotency.  The budget counts candidate
-    rows processed and the pattern count is bounded up front.
+    are filled from the smallest pivot up, one level at a time for all
+    partial fillings of the cell.  The bracket conditions against the rows
+    already fixed are linear in the new row's entries below its pivot, so
+    for a batch of at most `_FILL_BATCH` fillings one stacked
+    `GF.solve_affine` gives each as an affine subspace.  The candidate rows
+    of fillings with equal pivot sets are built in one `GF.span_points`
+    broadcast, and all rows of the batch are filtered by p-nilpotency at
+    once.  The budget counts candidate rows, q^k for each consistent system
+    with k free entries, before they are built; the pattern count is
+    bounded up front.
     """
     gf = setting.field
     n = setting.n_pos
@@ -308,37 +322,42 @@ def brute_force_Eu(
         pivots, below = _cell(setting, setting.perm_desc[list(piv_cols)])
         if _pattern_is_dead(setting, pivots, below):
             continue
-        rows_fixed: list[np.ndarray] = []
-
-        def descend(k: int):
-            nonlocal processed
-            if k < 0:
-                rows = np.stack(list(reversed(rows_fixed)))
-                found.append(ElementarySubalgebra(setting, rows))
-                return
-            if rows_fixed:
-                ads = setting.basis.ad_of(gf, np.stack(rows_fixed), "u").reshape(-1, n)
-                sol = gf.solve_affine(ads[:, below[k]], gf.neg(ads[:, pivots[k]]))
-                if sol is None:
-                    return
-                part, kernel = sol
-            else:
-                part, kernel = gf.zeros(len(below[k])), gf.eye(len(below[k]))
-            # count the q^k candidate rows before building them
-            processed += gf.q ** len(kernel)
-            if processed > budget:
-                raise BudgetExceeded(
-                    f"candidate-row budget of {budget} exceeded", needed=None
+        # partial fillings (F, r - 1 - k, n): the rows of pivots k + 1, ..., r - 1
+        fills = gf.zeros((1, 0, n))
+        for k in range(r - 1, -1, -1):
+            grown = []
+            for lo in range(0, len(fills), _FILL_BATCH):
+                F = fills[lo : lo + _FILL_BATCH]
+                ads = setting.basis.ad_of(gf, F, "u").reshape(len(F), F.shape[1] * n, n)
+                ok, part, piv, kernel = gf.solve_affine(
+                    ads[:, :, below[k]], gf.neg(ads[:, :, pivots[k]])
                 )
-            cand = gf.zeros((gf.q ** len(kernel), n))
-            cand[:, pivots[k]] = 1
-            cand[:, below[k]] = gf.span_points(kernel, part)
-            for row in cand[_p_nilpotent_mask(setting, cand)]:
-                rows_fixed.append(row)
-                descend(k - 1)
-                rows_fixed.pop()
-
-        descend(r - 1)
+                live = np.flatnonzero(ok)
+                sets, group = np.unique(piv[live], axis=0, return_inverse=True)
+                group = group.reshape(-1)
+                cands, parents = [], []
+                for g, pivot_set in enumerate(sets):
+                    items = live[group == g]
+                    free = np.flatnonzero(~pivot_set)
+                    # count the q^k candidate rows of each system before building them
+                    processed += len(items) * gf.q ** len(free)
+                    if processed > budget:
+                        raise BudgetExceeded(
+                            f"candidate-row budget of {budget} exceeded", needed=None
+                        )
+                    pts = gf.span_points(kernel[items][:, free], part[items])
+                    cand = gf.zeros(pts.shape[:2] + (n,))
+                    cand[:, :, pivots[k]] = 1
+                    cand[:, :, below[k]] = pts
+                    cands.append(cand.reshape(-1, n))
+                    parents.append(np.repeat(lo + items, pts.shape[1]))
+                if not cands:
+                    continue
+                cand, parent = np.concatenate(cands), np.concatenate(parents)
+                keep = _p_nilpotent_mask(setting, cand)
+                grown.append(np.concatenate([cand[keep, None], fills[parent[keep]]], axis=1))
+            fills = np.concatenate(grown) if grown else gf.zeros((0, r - k, n))
+        found.extend(ElementarySubalgebra(setting, rows) for rows in fills)
     found.sort(key=lambda E: E.pack())
     return found
 

@@ -7,9 +7,12 @@ polynomial.  The polynomial per (p, r) is pinned in IRREDUCIBLE so that
 encodings never change between runs.
 
 All elementwise operations go through q x q lookup tables, which makes them
-vectorizable with numpy fancy indexing.  A matrix product is r integer
-products over the base-p digit planes of the encodings (`GF.matmul`),
-accumulated in int16 while r k (p-1)^2 < 2^15 for contraction length k.
+vectorizable with numpy fancy indexing.  A matrix product is r BLAS products
+over the base-p digit planes of the encodings (`GF.matmul`), in float32 while
+r k (p-1)^2 < 2^24 for contraction length k: every partial sum is then an
+integer below 2^24, which float32 holds exactly in any summation order.
+Stacks of linear systems share one batched elimination (`GF.solve_affine`,
+`GF.batch_rref`).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ IRREDUCIBLE = {
 }
 
 _CACHE: dict[tuple[int, int], "GF"] = {}
+
+# float elements per piece of a `GF.matmul` product (256 KiB of float32)
+_MATMUL_PIECE = 1 << 16
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
@@ -160,32 +166,57 @@ class GF:
         t^i B by the irreducible polynomial.  So digit j of AB is
         A_hat @ digit_j(B_hat) mod p, where A_hat concatenates the r digit
         planes of A along the last axis and B_hat stacks B, tB, ...,
-        t^(r-1) B along axis -2 (t is encoded as p): r integer products of
+        t^(r-1) B along axis -2 (t is encoded as p): r products of
         contraction length r*k.  Each entry of such a product is a sum of
-        r*k terms of at most (p-1)^2, so it is accumulated in int16 while
-        that bound stays below 2^15 and in int64 past it.  The prime field
-        is the case r = 1.
+        r*k terms of at most (p-1)^2, so while r*k*(p-1)^2 < 2^24 every
+        partial sum is an integer that float32 represents exactly, whatever
+        order BLAS adds in; past that bound the product is taken in float64.
+        The float result is cast to an integer type before the reduction
+        mod p.  The leading output axis (the rows of A for a plain product,
+        else the first stack axis) is split so that the float temporaries of
+        each piece stay near `_MATMUL_PIECE` elements.  The prime field is
+        the case r = 1.
         """
         p, r = self.p, self.degree
         k = A.shape[-1]
-        dt = np.int16 if r * k * (p - 1) ** 2 < 2**15 else np.int64
-        if r == 1:
-            out = A.astype(dt, copy=False) @ B.astype(dt, copy=False)
-            out %= p
-            return out.astype(np.int16, copy=False)
-        A_hat = np.concatenate([A // p**i % p for i in range(r)], axis=-1).astype(dt, copy=False)
-        tB = [B]
-        for _ in range(1, r):
-            tB.append(self.MUL[p, tB[-1]])
-        B_hat = np.concatenate(tB, axis=-2)
-        out = A_hat @ (B_hat % p).astype(dt, copy=False)
-        out %= p
-        for j in range(1, r):
-            prod = A_hat @ (B_hat // p**j % p).astype(dt, copy=False)
-            prod %= p
-            prod *= p**j
-            out += prod
-        return out.astype(np.int16, copy=False)
+        ft, it = (np.float32, np.int32) if r * k * (p - 1) ** 2 < 2**24 else (np.float64, np.int64)
+        nd = max(A.ndim, B.ndim)
+        A = A.reshape((1,) * (nd - A.ndim) + A.shape)
+        B = B.reshape((1,) * (nd - B.ndim) + B.shape)
+        out = self.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]))
+        lead = len(out)
+        split_B = nd > 2 and len(B) == lead > 1
+
+        def planes_A(X):  # A_hat
+            if r == 1:
+                return X.astype(ft)
+            return np.concatenate([X // p**i % p for i in range(r)], axis=-1).astype(ft)
+
+        def planes_B(X):  # the r digit planes of B_hat
+            if r == 1:
+                return [X.astype(ft)]
+            tX = [X]
+            for _ in range(1, r):
+                tX.append(self.MUL[p, tX[-1]])
+            X_hat = np.concatenate(tX, axis=-2)
+            return [(X_hat // p**j % p).astype(ft) for j in range(r)]
+
+        A_all = None if len(A) == lead > 1 else planes_A(A)
+        B_all = None if split_B else planes_B(B)
+        unit = out[:1].size + r * A[:1].size * (A_all is None) + r * r * B[:1].size * split_B
+        step = max(1, _MATMUL_PIECE // max(unit, 1))
+        for lo in range(0, lead, step):
+            Ah = planes_A(A[lo : lo + step]) if A_all is None else A_all
+            Bh = planes_B(B[lo : lo + step]) if B_all is None else B_all
+            acc = (Ah @ Bh[0]).astype(it)
+            acc %= p
+            for j in range(1, r):
+                digit = (Ah @ Bh[j]).astype(it)
+                digit %= p
+                digit *= p**j
+                acc += digit
+            out[lo : lo + step] = acc
+        return out
 
     def matpow(self, A: np.ndarray, n: int) -> np.ndarray:
         """A^n for n >= 1 by square-and-multiply over the bits of n, leading
@@ -223,57 +254,71 @@ class GF:
             r += 1
         return R, pivots
 
-    def _kernel(self, R: np.ndarray, pivots: list[int], n: int) -> np.ndarray:
-        """Rows form a basis of {x : R[:, :n] x = 0}, for R reduced echelon
-        with `pivots` its pivot columns among the first n."""
-        free = np.delete(np.arange(n), pivots)
-        basis = self.zeros((len(free), n))
-        basis[np.arange(len(free)), free] = 1
-        basis[:, pivots] = self.NEG[R[: len(pivots), free]].T
-        return basis
-
     def nullspace(self, M: np.ndarray) -> np.ndarray:
         """Rows form a basis of {x : M x = 0}."""
-        R, pivots = self.rref(M)
-        return self._kernel(R, pivots, M.shape[1])
+        return self.solve_affine(M, self.zeros(len(M)))[1]
 
     def solve_affine(self, A: np.ndarray, b: np.ndarray):
-        """All solutions of A x = b from one reduction: (x, kernel), where x is
-        one solution and the rows of kernel are a basis of {y : A y = 0}, so
-        the solutions are x + span(kernel); None if the system is inconsistent."""
-        m, n = A.shape
-        aug = np.concatenate([A, np.asarray(b, dtype=np.int16).reshape(m, 1)], axis=1)
-        R, pivots = self.rref(aug, ncols=n)
-        if R[len(pivots) :, n].any():  # a zero row of A with a nonzero right side
-            return None
-        x = self.zeros(n)
-        x[pivots] = R[: len(pivots), n]
-        return x, self._kernel(R, pivots, n)
+        """All solutions of A x = b from one reduction.
 
-    def span_points(self, basis: np.ndarray, offset: np.ndarray):
-        """Iterate all points offset + span(basis rows); basis rows independent."""
-        k, n = basis.shape
+        One system, A (m, n) and b (m,): (x, kernel), where x is one solution
+        and the rows of kernel are a basis of {y : A y = 0}, so the solutions
+        are x + span(kernel); None if the system is inconsistent.
+
+        A stack, A (N, m, n) and b (N, m), is reduced in one batched pass
+        (`_batch_echelon`) and gives arrays (ok, x, pivots, kernel): ok (N,)
+        marks the consistent systems, x (N, n) holds one solution of each
+        (zero where inconsistent), pivots (N, n) marks the pivot columns, and
+        row c of kernel (N, n, n) is, for each free column c, the kernel
+        vector with 1 at c and 0 at the other free columns (zero at pivot
+        columns).  The solutions of system i are x[i] + span(kernel[i, ~pivots[i]]).
+        """
+        if A.ndim == 2:
+            ok, x, pivots, kernel = self.solve_affine(A[None], np.asarray(b)[None])
+            return (x[0], kernel[0, ~pivots[0]]) if ok[0] else None
+        N, m, n = A.shape
+        aug = np.concatenate([A, np.asarray(b).reshape(N, m, 1)], axis=2).astype(np.int16)
+        aug = aug[:, aug.any(axis=(0, 2))]  # equations that vanish in every system hold
+        rank, pivots = self._batch_echelon(aug, n)
+        # a row below the rank is zero in A; its right side must be zero too
+        ok = ~((np.arange(aug.shape[1]) >= rank[:, None]) & (aug[:, :, n] != 0)).any(axis=1)
+        items, cols = np.nonzero(pivots)
+        rows = (np.cumsum(pivots, axis=1) - 1)[items, cols]  # pivot row of each pivot
+        x = self.zeros((N, n))
+        x[items, cols] = aug[items, rows, n]
+        x[~ok] = 0
+        kernel = self.zeros((N, n, n))
+        kernel[items, :, cols] = self.NEG[aug[items, rows, :n]]
+        kernel[pivots] = 0
+        diag = np.arange(n)
+        kernel[:, diag, diag] = ~pivots
+        return ok, x, pivots, kernel
+
+    def span_points(self, basis: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """All q^k points offset + span(basis rows), for independent rows: a
+        (k, n) basis and an (n,) offset give (q^k, n); stacks (..., k, n) and
+        (..., n) give (..., q^k, n), in the same coefficient order."""
+        k, n = basis.shape[-2:]
         coeffs = np.array(
             np.meshgrid(*([np.arange(self.q)] * k), indexing="ij")
         ).reshape(k, -1).T.astype(np.int16) if k else self.zeros((1, 0))
-        pts = np.broadcast_to(offset, (coeffs.shape[0], n)).copy()
+        offset = np.asarray(offset)[..., None, :]
+        pts = np.broadcast_to(offset, offset.shape[:-2] + (len(coeffs), n)).copy()
         for i in range(k):
-            pts = self.ADD[pts, self.MUL[coeffs[:, i, None], basis[i][None, :]]]
+            pts = self.ADD[pts, self.MUL[coeffs[:, i, None], basis[..., i, None, :]]]
         return pts
 
-    # -- batched echelon (canonical forms for subspaces) ---------------------
+    # -- batched echelon (canonical forms for subspaces, stacked systems) ------
 
-    def batch_rref(self, A: np.ndarray) -> np.ndarray:
-        """Reduced row echelon form of each matrix in a stack (N, r, n).
-
-        Assumes every matrix has full row rank r (true for images of full-rank
-        matrices under invertible maps); raises otherwise.
-        """
-        A = np.array(A, dtype=np.int16)
-        N, r, n = A.shape
+    def _batch_echelon(self, A: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Reduce each matrix of an int16 stack (N, m, n) in place to reduced
+        row echelon form over its first ncols columns.  Returns the rank of
+        each item (N,) and its pivot columns as a mask (N, ncols)."""
+        N, m, n = A.shape
         cur = np.zeros(N, dtype=np.int64)  # next pivot row per item
-        rows = np.arange(r)
-        for c in range(n):
+        pivots = np.zeros((N, ncols), dtype=bool)
+        rows = np.arange(m)
+        for c in range(ncols):
             col = A[:, :, c]
             eligible = (rows[None, :] >= cur[:, None]) & (col != 0)
             has = eligible.any(axis=1)
@@ -282,7 +327,7 @@ class GF:
                 continue
             k = np.argmax(eligible[idx], axis=1)
             # swap row k -> cur within each selected item
-            perm = np.broadcast_to(rows, (idx.size, r)).copy()
+            perm = np.broadcast_to(rows, (idx.size, m)).copy()
             perm[np.arange(idx.size), cur[idx]] = k
             perm[np.arange(idx.size), k] = cur[idx]
             A[idx] = A[idx[:, None], perm, :]
@@ -293,7 +338,18 @@ class GF:
             upd = self.SUB[A[idx], self.MUL[fac[:, :, None], piv[:, None, :]]]
             upd[np.arange(idx.size), cur[idx], :] = piv
             A[idx] = upd
+            pivots[idx, c] = True
             cur[idx] += 1
-        if (cur != r).any():
+        return cur, pivots
+
+    def batch_rref(self, A: np.ndarray) -> np.ndarray:
+        """Reduced row echelon form of each matrix in a stack (N, r, n).
+
+        Assumes every matrix has full row rank r (true for images of full-rank
+        matrices under invertible maps); raises otherwise.
+        """
+        A = np.array(A, dtype=np.int16)
+        rank, _ = self._batch_echelon(A, A.shape[2])
+        if (rank != A.shape[1]).any():
             raise ValueError("rank drop in batch_rref")
         return A

@@ -57,6 +57,19 @@ def test_budget_exit_code():
     assert "m=36 count=134" in out  # clique-level checks still reported
 
 
+@pytest.mark.parametrize("t,p,points", [("G2", 3, 7), ("G2", 2, 1), ("B3", 2, 1), ("B4", 2, 1)])
+def test_verify_unipotent_at_bad_primes(t, p, points):
+    # r and the leading-term targets come from the maximal p-commuting sets:
+    # the characteristic-0 catalog gives a smaller r at these primes, so the
+    # brute force listed non-maximal subalgebras (B4 at p = 2: r = 7 against 10)
+    start = time.perf_counter()
+    code, out = run(["verify", "--stage", "unipotent", "--type", t, "--p", str(p)])
+    assert code == 0, out
+    assert f"[PASS] {points} points; lt lands in max(Phi)" in out
+    assert f"[PASS] solution total {points} vs brute force {points}" in out
+    assert time.perf_counter() - start < 10
+
+
 def test_budget_lines_are_short():
     # the pattern count and the budget only: the exact candidate count of E8
     # has about 1,000 digits

@@ -10,6 +10,7 @@ from chevlie.rootsys import Root, build_root_system
 from chevlie.commuting import (
     appendix_oracle,
     catalog_to_json,
+    commutation_adjacency,
     commuting_set,
     enumerate_max_commuting,
     is_ideal,
@@ -143,6 +144,9 @@ def test_p_commuting_catalogs(t, n, p):
     cat = enumerate_max_commuting(sys_, p=p)
     assert (cat.m, cat.count) == P_CATALOGS[(t, n)][p]
     assert len({s.mask for s in cat.sets}) == cat.count
+    # where the p-graph is the plain one the catalog reuses the plain cliques
+    adj = commutation_adjacency(sys_, p)
+    assert [s.mask for s in cat.sets] == maximum_cliques(adj, sys_.num_positive)[1]
     for s in cat.sets:
         members = s.members()
         assert len(members) == cat.m

@@ -1,5 +1,6 @@
 """Leading terms, exhaustive enumeration, solving, conjugation, orbits."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -250,6 +251,35 @@ def test_brute_force_budget():
     with pytest.raises(BudgetExceeded) as exc:
         brute_force_Eu(setting, 2, budget=2)
     assert exc.value.needed == 13  # gaussian binomial [3 choose 2]_3
+
+
+# the smallest budget each run passes, measured before brute force solved
+# each level of a cell as one batch: the budget sums q^k over the consistent
+# systems, so it does not depend on the order in which they are solved
+@pytest.mark.parametrize("t,n,p,degree,r,budget", [
+    ("G", 2, 5, 1, 3, 219), ("G", 2, 7, 1, 3, 513), ("A", 2, 3, 1, 2, 6),
+    ("G", 2, 5, 2, 3, 17_559),
+], ids=["G2-F5", "G2-F7", "A2-F3", "G2-F25"])
+def test_brute_force_smallest_budget(t, n, p, degree, r, budget):
+    setting = get_setting(t, n, p, degree)
+    assert brute_force_Eu(setting, r, budget=budget)
+    with pytest.raises(BudgetExceeded, match="candidate-row budget"):
+        brute_force_Eu(setting, r, budget=budget - 1)
+
+
+# SHA-256 of the concatenated pack()s of brute force's sorted output, recorded
+# from the one-row-at-a-time descent that the batched levels replaced
+@pytest.mark.parametrize("t,n,p,degree,r,count,digest", [
+    ("B", 4, 3, 1, 7, 80, "a2ea8eedfc64e7c15b131cbebd897a286f85b8c741020e856482883ac98dde35"),
+    ("D", 4, 3, 1, 6, 3, "6e374a137347c1d108596b452b01e24d4d881d689cacca802a19afaf25ae581e"),
+    ("G", 2, 5, 1, 3, 181, "26a0cec4a6429fb2e85e114729d7cbdef698f14ae2183943f1841d1856965b16"),
+    ("G", 2, 5, 2, 3, 16_901, "360502078b414fc105b04a4efb605e9e079c05b8ea1bff40822b11028b996d2e"),
+], ids=["B4-F3", "D4-F3", "G2-F5", "G2-F25"])
+def test_brute_force_points_pinned(t, n, p, degree, r, count, digest):
+    points = brute_force_Eu(get_setting(t, n, p, degree), r)
+    packs = [E.pack() for E in points]
+    assert len(points) == count and packs == sorted(packs)
+    assert hashlib.sha256(b"".join(packs)).hexdigest() == digest
 
 
 RMAX_CASES = [

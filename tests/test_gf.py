@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from chevlie.gf import GF, IRREDUCIBLE
+from chevlie.gf import _MATMUL_PIECE, GF, IRREDUCIBLE
 
 FIELDS = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F4": (2, 2), "F8": (2, 3),
           "F9": (3, 2), "F25": (5, 2)}
@@ -112,6 +112,57 @@ def test_solve_affine_matches_exhaustive_solutions(gf):
     assert inconsistent  # the rank-deficient cases have sides outside the columns
 
 
+def test_solve_affine_stack_matches_single_systems(gf):
+    """One stack of every `_matrices` system with its `_right_sides`, zero rows
+    padding A to a common height: consistent, inconsistent and rank-deficient
+    items, each equal to the 2-D call and to exhaustive enumeration."""
+    rng = np.random.default_rng(gf.q + 1)
+    n = _matrices(gf)[0].shape[1]
+    m = n + 1
+    systems = [(A, b) for A in _matrices(gf) for b in _right_sides(gf, A, rng)]
+    A = gf.zeros((len(systems), m, n))
+    b = gf.zeros((len(systems), m))
+    for i, (Ai, bi) in enumerate(systems):
+        A[i, : len(Ai)], b[i, : len(bi)] = Ai, bi
+    A0, b0 = A.copy(), b.copy()
+    ok, x, pivots, kernel = gf.solve_affine(A, b)
+    assert (A == A0).all() and (b == b0).all()
+    assert ok.shape == (len(systems),) and x.shape == pivots.shape == (len(systems), n)
+    assert kernel.shape == (len(systems), n, n)
+    X = _vectors(gf.q, n)
+    for i in range(len(systems)):
+        solutions = {v.tobytes() for v in X[(_apply(gf, A[i], X) == b[i]).all(axis=1)]}
+        single = gf.solve_affine(A[i], b[i])
+        assert list(np.flatnonzero(pivots[i])) == gf.rref(A[i])[1]
+        assert not kernel[i, pivots[i]].any()
+        if not solutions:
+            assert not ok[i] and single is None and not x[i].any()
+            continue
+        assert ok[i]
+        basis = kernel[i, ~pivots[i]]
+        assert (x[i] == single[0]).all() and (basis == single[1]).all()
+        affine = {v.tobytes() for v in gf.ADD[x[i][None, :], _apply(gf, basis.T,
+                  _vectors(gf.q, len(basis)))]}
+        assert affine == solutions
+    assert ok.any() and not ok.all()
+    assert len({tuple(row) for row in pivots[ok]}) > 1  # several ranks and pivot sets
+
+
+def test_span_points_stack_matches_single_calls(gf):
+    rng = np.random.default_rng(gf.q + 2)
+    n = 4 if gf.q <= 9 else 3
+    for k in range(3):
+        basis = gf.zeros((3, k, n))
+        basis[:, np.arange(k), np.arange(k)] = 1  # independent rows
+        basis[:, :, k:] = rng.integers(0, gf.q, (3, k, n - k))
+        offset = rng.integers(0, gf.q, (3, n)).astype(np.int16)
+        pts = gf.span_points(basis, offset)
+        assert pts.shape == (3, gf.q**k, n)
+        for B, o, P in zip(basis, offset, pts):
+            assert (P == gf.span_points(B, o)).all()
+            assert len({v.tobytes() for v in P}) == gf.q**k
+
+
 def test_batch_rref_matches_rref(gf):
     rng = np.random.default_rng(gf.q)
     n = 4 if gf.q <= 9 else 3
@@ -161,12 +212,38 @@ def test_matmul_matches_table_definition(field):
              for a, b in MATMUL_SHAPES]
     cases += [(np.full((2, k), gf.q - 1, dtype=np.int16), np.full((k, 3), gf.q - 1, dtype=np.int16))
               for f, k in MATMUL_BOUND_CASES if f == field]
+    # a paired (N, d, d) @ (N, d, d) stack split into several pieces on both sides
+    N = _MATMUL_PIECE // (3 * 6 * 6) + 5
+    cases.append((rng.integers(0, gf.q, (N, 6, 6)).astype(np.int16),
+                  rng.integers(0, gf.q, (N, 6, 6)).astype(np.int16)))
     for A, B in cases:
         A0, B0 = A.copy(), B.copy()
         C = gf.matmul(A, B)
         assert C.dtype == np.int16
         assert (C == _matmul_by_tables(gf, A, B)).all()
         assert (A == A0).all() and (B == B0).all()
+    # a left stack longer than a piece against the same rows as one 2-D product
+    A = rng.integers(0, gf.q, (_MATMUL_PIECE // 3 + 7, 2, 3)).astype(np.int16)
+    B = rng.integers(0, gf.q, (3, 2)).astype(np.int16)
+    expected = _apply(gf, B.T, A.reshape(-1, 3)).reshape(A.shape[0], 2, 2)
+    assert (gf.matmul(A, B) == expected).all()
+    assert (gf.matmul(A.reshape(-1, 3), B) == expected.reshape(-1, 2)).all()
+
+
+# contraction lengths on both sides of the float32 bound r k (p-1)^2 < 2^24 with
+# all-(q-1) factors, and over F13 with 11 * 11 = 121 summed 200,001 times: the
+# sum 24,200,121 is odd and above 2^24, so float32 cannot hold it
+FLOAT32_BOUND_CASES = [((13, 1), 116508, 12), ((13, 1), 116509, 12),
+                       ((7, 3), 155345, 342), ((7, 3), 155346, 342), ((13, 1), 200001, 11)]
+
+
+@pytest.mark.parametrize("field,k,a", FLOAT32_BOUND_CASES,
+                         ids=[f"F{p}^{r}-k{k}" for (p, r), k, _ in FLOAT32_BOUND_CASES])
+def test_matmul_past_the_float32_bound(field, k, a):
+    gf = GF.get(*field)
+    C = gf.matmul(np.full((2, k), a, dtype=np.int16), np.full((k, 3), a, dtype=np.int16))
+    # k copies of a * a: (k mod p) * a * a, with F_p encoded as itself
+    assert (C == gf.MUL[k % gf.p, gf.MUL[a, a]]).all()
 
 
 @pytest.mark.parametrize("field", [(2, 1), (5, 1), (13, 1), (5, 2)], ids=["F2", "F5", "F13", "F25"])
