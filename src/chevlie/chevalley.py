@@ -5,17 +5,20 @@ respects addition: for each non-simple positive root the pair (a1, b1) with
 a1 + b1 = gamma and a1 minimal is the extraspecial pair and gets
 N_{a1,b1} = +(r+1); every other sign follows from the Jacobi identity and
 the standard triangle relation N_{a,b}/(c,c) = N_{b,c}/(a,a) for
-a + b + c = 0.  All derived constants are checked to be integers of absolute
-value r+1, and the test suite verifies the Jacobi identity over Z.
+a + b + c = 0.  `ChevalleyBasis.constants` holds every N_{a,b} over the
+signed roots, derived once with numpy from `RootSystem.sum_index` one height
+of sums at a time; `N` reads it.  All derived constants are checked to be
+integers of absolute value r+1, and the test suite verifies the Jacobi
+identity over Z.
 
 Every nonzero bracket of two basis elements, [x_I, x_J] = C x_K, is one row
 (I, J, K, C) of the integer table `ChevalleyBasis.brackets`, built once per
-basis with numpy from `RootSystem.sum_index` and the positive constants: root
-with root, x_a with x_{-a} (the coroot h_a) and h with a root.  E8 has 16,694
-rows.  `ad_matrix` is one slice of it over Z; `field_data` scatters it mod p
-into one int16 (dim, dim, dim) stack per prime, and `ad_of` combines only the
-stack rows in the support of its vectors.  The `Root`-arithmetic routes `N`
-and `sparse_bracket` stay as the reference the tests compare the table with.
+basis from `sum_index` and `constants`: root with root, x_a with x_{-a} (the
+coroot h_a) and h with a root.  E8 has 16,694 rows.  `ad_matrix` is one
+slice of it over Z; `field_data` scatters it mod p into one int16
+(dim, dim, dim) stack per prime, and `ad_of` combines only the stack rows in
+the support of its vectors.  `sparse_bracket` brackets with `Root`
+arithmetic and stays as the reference the tests compare the table with.
 
 Group elements act through integer divided-power exponentials: the matrices
 ad(x_a)^k / k! are formed over Z first and only then reduced mod p.  The mod-p
@@ -26,9 +29,7 @@ than a root-string length, and nothing here ever computes it.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,92 +52,81 @@ class ChevalleyBasis:
         self.order = order if order is not None else default_order(system)
         if not self.order.respects_addition(system):
             raise ValueError("root order does not respect addition of positive roots")
-        self.pos_sorted = self.order.sorted_roots(system)
-        self.rank_of = {r: i for i, r in enumerate(self.pos_sorted)}
+        ascending = [system.index(r) for r in self.order.sorted_roots(system)]
+        self.order_index = np.argsort(ascending)  # place of each positive root, ascending
         self.n_pos = system.num_positive
         self.dim = 2 * self.n_pos + system.rank
-        self._nrm = {r: system.norm2(r) for r in system.positive_roots}
-        self._n_table: dict[tuple[Root, Root], int] = {}
-        self._n_memo: dict[tuple[Root, Root], Fraction] = {}
-        self._build_positive_table()
+        self.constants = self._constants()
         self.brackets, self._bracket_rows = self._bracket_table()
         self._exp_cache: dict[int, list[np.ndarray]] = {}
         self._field_cache: dict[int, np.ndarray] = {}
 
     # -- structure constants ---------------------------------------------------
 
-    def _build_positive_table(self):
-        sys = self.system
-        pos, N = sys.positive_roots, sys.num_positive
-        rank = np.array([self.rank_of[r] for r in pos])
-        sums = sys.sum_index[:N, :N]
-        by_sum: dict[Root, list] = defaultdict(list)
-        for i, j in zip(*np.nonzero((rank[:, None] < rank[None, :]) & (sums >= 0))):
-            by_sum[pos[sums[i, j]]].append((pos[i], pos[j]))
-        self.extraspecial: dict[Root, tuple[Root, Root]] = {}
-        for gamma in sorted(sys.positive_roots, key=lambda r: (r.height, r.coeffs)):
-            pairs = by_sum.get(gamma)
-            if not pairs:
-                continue
-            a1, b1 = min(pairs, key=lambda p: self.rank_of[p[0]])
-            self.extraspecial[gamma] = (a1, b1)
-            r, _ = sys.root_string(a1, b1)
-            self._n_table[(a1, b1)] = r + 1
-            n1 = r + 1
-            for a, b in pairs:
-                if (a, b) == (a1, b1):
-                    continue
-                t2 = t3 = Fraction(0)
-                if sys.is_root(b1 - a):
-                    t2 = self._n_signed(b1, -a) * self._n_signed(b1 - a, a1)
-                if sys.is_root(a1 - a):
-                    t3 = self._n_signed(-a, a1) * self._n_signed(a1 - a, b1)
-                val = Fraction(self._nrm[gamma], self._nrm[b]) * (t2 + t3) / n1
-                if val.denominator != 1:
-                    raise ArithmeticError(f"non-integral constant for {a}+{b}")
-                rr, _ = sys.root_string(a, b)
-                if abs(int(val)) != rr + 1:
-                    raise ArithmeticError(f"constant magnitude check failed at {a},{b}")
-                self._n_table[(a, b)] = int(val)
+    def _constants(self) -> np.ndarray:
+        """(2N, 2N) table of N_{a,b} over the signed roots, zero where a + b
+        is not a root; also sets `extraspecial`.
 
-    def _n_pos(self, a: Root, b: Root) -> int:
-        if (a, b) in self._n_table:
-            return self._n_table[(a, b)]
-        return -self._n_table[(b, a)]
+        Positive pairs are filled one height of their sum at a time.  The
+        mixed pairs N_{x,-y} (x, y positive) are re-derived from the positive
+        pairs of lower sums before each height, by the triangle relation
+        N_{x,-y} = -(k,k)/(x,x) N_{y,k} when x = y + k, and
+        -(k,k)/(y,y) N_{x,k} when y = x + k.
+        """
+        sys, n = self.system, self.n_pos
+        pos, sums, down, neg = sys.positive_roots, sys.sum_index, sys.string_down, sys._neg
+        nrm = np.array([sys.norm2(r) for r in pos])
+        height = np.array([r.height for r in pos])
+        C = np.zeros((2 * n, 2 * n), dtype=np.int64)
 
-    def _n_signed(self, a: Root, b: Root) -> Fraction:
-        if not (
-            self.system.is_root(a)
-            and self.system.is_root(b)
-            and self.system.is_root(a + b)
-        ):
-            return Fraction(0)
-        key = (a, b)
-        if key in self._n_memo:
-            return self._n_memo[key]
-        apos, bpos = a.is_positive, b.is_positive
-        if apos and bpos:
-            val = Fraction(self._n_pos(a, b))
-        elif not apos and not bpos:
-            val = -self._n_signed(-a, -b)
-        elif not apos:
-            val = -self._n_signed(b, a)
-        else:
-            B = -b
-            pi = a - B
-            if pi.is_positive:
-                val = -Fraction(self._nrm[pi], self._nrm[a]) * self._n_signed(B, pi)
-            else:
-                pi2 = B - a
-                val = -Fraction(self._nrm[pi2], self._nrm[B]) * self._n_signed(a, pi2)
-        self._n_memo[key] = val
-        return val
+        i, j = np.nonzero(sums[:n, n:] >= 0)
+        k = sums[i, n + j] % n
+        up = sums[i, n + j] < n  # x = y + k
+        src, den = np.where(up, j, i), nrm[np.where(up, i, j)]
+
+        def mixed():
+            num = -nrm[k] * C[src, k]
+            if (num % den).any():
+                raise ArithmeticError("non-integral mixed-sign structure constant")
+            C[i, n + j], C[n + j, i] = num // den, -(num // den)
+
+        # positive pairs a < b in the order, grouped by sum; the first of each
+        # sum is its extraspecial pair (a1, b1), with N_{a1,b1} = r + 1
+        place = self.order_index
+        a, b = np.nonzero((place[:, None] < place[None, :]) & (sums[:n, :n] >= 0))
+        step = np.lexsort((place[a], sums[a, b]))
+        a, b = a[step], b[step]
+        g = sums[a, b]
+        new = np.diff(g, prepend=-1) != 0
+        first = np.flatnonzero(new)
+        self.extraspecial = {pos[g[f]]: (pos[a[f]], pos[b[f]]) for f in first}
+        lead = first[np.cumsum(new) - 1]
+        a1, b1 = a[lead], b[lead]
+        n1 = down[a1, b1] + 1
+        for h in range(2, height.max() + 1):  # every height above 1 is a sum
+            mixed()
+            s = height[g] == h
+            x, y, x1, y1, nx, ny = a[s], b[s], a1[s], b1[s], neg[a[s]], neg[b[s]]
+            # N_{a,b} = (a+b, a+b)/(b,b) (N_{b1,-a} N_{b1-a,a1} + N_{-a,a1} N_{a1-a,b1})
+            # / N_{a1,b1}; C is zero where a sum is not a root, so an absent
+            # term vanishes
+            t = C[y1, nx] * C[sums[y1, nx], x1] + C[nx, x1] * C[sums[x1, nx], y1]
+            val, rem = np.divmod(nrm[g[s]] * t, nrm[y] * n1[s])
+            extra = x == x1
+            val[extra] = n1[s][extra]
+            for bad, what in ((rem.astype(bool) & ~extra, "non-integral constant"),
+                              (np.abs(val) != down[x, y] + 1, "constant magnitude check failed")):
+                if bad.any():
+                    f = np.flatnonzero(bad)[0]
+                    raise ArithmeticError(f"{what} at {pos[x[f]]},{pos[y[f]]}")
+            C[x, y], C[y, x], C[nx, ny], C[ny, nx] = val, -val, -val, val
+        mixed()
+        return C
 
     def N(self, a: Root, b: Root) -> int:
         """Structure constant N_{a,b}; zero when a+b is not a root."""
-        val = self._n_signed(a, b)
-        assert val.denominator == 1
-        return int(val)
+        sys = self.system
+        return int(self.constants[sys.signed_index(a), sys.signed_index(b)])
 
     def sparse_bracket(self, x: dict, y: dict) -> dict:
         """Bracket of formal Z-combinations {("x", root) | ("h", i): coeff}."""
@@ -169,12 +159,11 @@ class ChevalleyBasis:
     def csv_lines(self):
         """Deterministic (alpha, beta, N) dump over positive pairs."""
         yield "alpha,beta,N"
-        for a in self.system.positive_roots:
-            for b in self.system.positive_roots:
-                if a != b and self.system.is_root(a + b) and (a + b).is_positive:
-                    av = " ".join(map(str, a.coeffs))
-                    bv = " ".join(map(str, b.coeffs))
-                    yield f"{av},{bv},{self.N(a, b)}"
+        n, pos = self.n_pos, self.system.positive_roots
+        for i, j in zip(*np.nonzero(self.constants[:n, :n])):
+            av = " ".join(map(str, pos[i].coeffs))
+            bv = " ".join(map(str, pos[j].coeffs))
+            yield f"{av},{bv},{self.constants[i, j]}"
 
     # -- the bracket table ------------------------------------------------------
 
@@ -182,36 +171,19 @@ class ChevalleyBasis:
         """Every nonzero Z-form bracket [x_I, x_J] = C x_K of two basis elements.
 
         Rows (I, J, K, C) sorted by I, then J, then K, with the row offsets of
-        each I.  Root with root uses the signed constants, derived here from the
-        positive ones by the same relations as `_n_signed`; x_a with x_{-a}
-        gives the coroot h_a; h_l with x_b gives <b, a_l^vee> x_b.
+        each I.  Root with root reads `constants`; x_a with x_{-a} gives the
+        coroot h_a; h_l with x_b gives <b, a_l^vee> x_b.
         """
         sys, n, d = self.system, self.n_pos, self.dim
         sums = sys.sum_index
         pos = np.array([r.coeffs for r in sys.positive_roots], dtype=np.int64)
-        nrm = np.array([self._nrm[r] for r in sys.positive_roots])
-        c_pos = np.zeros((n, n), dtype=np.int64)
-        for (a, b), v in self._n_table.items():
-            c_pos[sys.index(a), sys.index(b)] = v
-        c_pos = c_pos - c_pos.T
-        # N(a, -b) for positive a, b: k is the positive root a - b or b - a
-        i, j = np.nonzero(sums[:n, n:] >= 0)
-        k = sums[i, n + j] % n
-        up = sums[i, n + j] < n
-        num = -nrm[k] * np.where(up, c_pos[j, k], c_pos[i, k])
-        den = np.where(up, nrm[i], nrm[j])
-        if (num % den).any():
-            raise ArithmeticError("non-integral mixed-sign structure constant")
-        c_signed = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        c_signed[:n, :n], c_signed[n:, n:] = c_pos, -c_pos
-        c_signed[i, n + j], c_signed[n + j, i] = num // den, -(num // den)
         coroot = np.array([sys.coroot_coeffs(r) for r in sys.positive_roots])
         pairing = np.concatenate([pos, -pos]) @ np.array(sys.cartan).T  # <root k, a_l^vee>
         I, J = np.nonzero(sums >= 0)
         a, l = np.nonzero(coroot)
         k, m = np.nonzero(pairing)
         parts = [
-            (I, J, sums[I, J], c_signed[I, J]),
+            (I, J, sums[I, J], self.constants[I, J]),
             (a, n + a, 2 * n + l, coroot[a, l]),
             (n + a, a, 2 * n + l, -coroot[a, l]),
             (2 * n + m, k, k, pairing[k, m]),

@@ -182,9 +182,7 @@ def _verify_orbits(t, n, p, budget, out) -> int:
     verdicts = []
     const = True
     for c in classes:
-        dims = {
-            _norm_dim(setting, points[i]) for i in c.point_indices[: min(8, c.size)]
-        }
+        dims = {normalizer_in_g(points[i])[1] for i in c.point_indices[: min(8, c.size)]}
         if len(dims) != 1:
             const = False
     verdicts.append(("normalizer dimension constant on classes", const))
@@ -204,18 +202,13 @@ def _verify_orbits(t, n, p, budget, out) -> int:
     return EXIT_PASS if all(v for _, v in verdicts) else EXIT_MISMATCH
 
 
-def _norm_dim(setting, E):
-    _, d = normalizer_in_g(E)
-    return d
-
-
 def _verify_normalizers(t, n, p, budget, out) -> int:
     if (t, n) == ("G", 2) and p < 5:
         # lie(C3), lie(C5) and L have maximal dimension only at a good prime
         raise CliError(f"the G2 normalizer check needs a good prime p >= 5, not p = {p}")
     setting = get_setting(t, n, p)
     if (t, n) == ("G", 2):
-        dims = tuple(_norm_dim(setting, E) for E in g2_normal_forms(setting).values())
+        dims = tuple(normalizer_in_g(E)[1] for E in g2_normal_forms(setting).values())
         ok = dims == (7, 9, 6)
         out.write(f"[{'PASS' if ok else 'FAIL'}] N_g dims of (lie(C3), lie(C5), L) = {dims}, expected (7, 9, 6)\n")
         return EXIT_PASS if ok else EXIT_MISMATCH
@@ -226,7 +219,7 @@ def _verify_normalizers(t, n, p, budget, out) -> int:
         rows[0, sys_.index(Root((1, 0)))] = 1
         rows[0, sys_.index(Root((0, 1)))] = 1
         rows[1, sys_.index(Root((1, 1)))] = 1
-        d = _norm_dim(setting, subalgebra_from_rows(setting, rows))
+        _, d = normalizer_in_g(subalgebra_from_rows(setting, rows))
         out.write(
             f"dim N_g(L3) = {d}; orbit dimension dim(G) - d = {8 - d} "
             "(the printed orbit dimension 5 disagrees; see LEDGER.md)\n"
@@ -235,7 +228,7 @@ def _verify_normalizers(t, n, p, budget, out) -> int:
     cat = enumerate_max_commuting(setting.system)
     for k, R in enumerate(cat.sets):
         if cat.ideals[k]:
-            d = _norm_dim(setting, lie(setting, R))
+            _, d = normalizer_in_g(lie(setting, R))
             out.write(f"ideal #{k}: dim N_g(lie(R)) = {d}\n")
     return EXIT_PASS
 

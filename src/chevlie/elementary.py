@@ -1,4 +1,4 @@
-"""Elementary subalgebras of the nilpotent radical over small prime fields.
+"""Elementary subalgebras of the nilpotent radical over small finite fields F_q.
 
 The central objects are subspaces of u in reduced echelon form with respect
 to an addition-respecting root order: the leading position of a row is the
@@ -75,10 +75,9 @@ class Setting:
     field: GF
 
     def __post_init__(self):
-        key = self.order.key
         n = self.system.num_positive
-        desc = sorted(range(n), key=lambda i: key(self.system.root(i)), reverse=True)
-        self.perm_desc = np.array(desc)  # column k of echelon form = k-th largest root
+        # column k of echelon form = k-th largest root
+        self.perm_desc = np.argsort(self.basis.order_index)[::-1]
         self.place = np.argsort(self.perm_desc)  # position of each root in that order
         # column order of canonical forms and keys: u by the order, then the rest of g
         self.colperm = np.concatenate([self.perm_desc, np.arange(n, self.basis.dim)])
@@ -571,14 +570,13 @@ def normalizer_basis(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
     """Basis rows of the normalizer in g of the span of the rows of g."""
     gf = setting.field
     Rg, pivots = gf.rref(rows_g)
-    conds = []
-    for ad_e in setting.basis.ad_of(gf, Rg, "g"):
-        # y -> [y, e] = -ad_e y, reduced modulo the span by clearing pivot coordinates
-        Mred = gf.neg(ad_e)
-        for r, pc in enumerate(pivots):
-            Mred = gf.sub(Mred, gf.mul(Rg[r][:, None], Mred[pc, :][None, :]))
-        conds.append(Mred)
-    return gf.nullspace(np.concatenate(conds, axis=0))
+    R = Rg[: len(pivots)]
+    # y -> [y, e] = -ad_e y for each basis row e, reduced modulo the span by
+    # clearing its pivot coordinates: M - R^T M[pivots] (R is reduced, so
+    # clearing one pivot leaves the others' coordinates alone)
+    M = gf.neg(setting.basis.ad_of(gf, R, "g"))
+    M = gf.sub(M, gf.matmul(R.T, M[:, pivots, :]))
+    return gf.nullspace(M.reshape(-1, M.shape[-1]))
 
 
 # -- generator sets -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Structure constants, brackets, p-powers, and group generator actions."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -221,6 +222,71 @@ CSV_GOLDEN = {
 def test_csv_dump_golden(key):
     sys_, cb = constants(*key)
     assert "\n".join(cb.csv_lines()) == CSV_GOLDEN[key]
+
+
+# SHA-256 of `brackets.tobytes()` and of the (2N, 2N) int64 table of N(a, b)
+# over the signed roots, recorded from the `Root`/`Fraction` recursion that
+# the signed table replaced: the default order of every Table 1 type, and the
+# canonical order where one is defined
+CONSTANT_PINS = [
+    ("A", 1, "default", "ea56c4b26d86843d5d5c05efea7466743be7f3a94badb37cd0abf8295c9cbfc4", "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+    ("A", 1, "canonical", "ea56c4b26d86843d5d5c05efea7466743be7f3a94badb37cd0abf8295c9cbfc4", "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925"),
+    ("A", 2, "default", "a67812281c2bb5bfd1ef086f2590b7879df2cd2ca4fd4b2388875e7bccbed1f8", "6859b2f5e2138883a3e2209a69f7e5ea60068e842abb2f786d9a6cd629632b31"),
+    ("A", 2, "canonical", "579404263fd6962918c8fc5ae0ebb6322838501ccc1c288771355627eb4ec99e", "74524ae0b62945298c054f46dd24dad85789c6e71b1d6838b41716e10b2f22dd"),
+    ("A", 3, "default", "9a6787fc3b57f03acaf6978f0cb4524c48d88f67fd5e9d12fa1f9622ccf5a3da", "cd6f5c50b2f5bc2f5cb6c10f453e003756f910c11c5e2f8a2a0cc2d8af99cdff"),
+    ("A", 3, "canonical", "0063a5af88a987d7c29f4603bb120b454ab375e40fd2753adda9f7fc7efa6060", "f67d5846bcce9955e3cb553386c325f5f47fcf0a8c489a231640b39657fb68c1"),
+    ("A", 4, "default", "20a2b5445ac173d4c162caacd64c51ffa2219aa48cc6c7932d59a940810f6397", "ea06db47cce1f8f2a592a9ac9e1ba9ad8ee0337f23017ec5e09778b3ffd8ed89"),
+    ("A", 4, "canonical", "cc70dac02558a7bde248ac611beda1b04e2ca3bca9d088c178b9d0781e7c62d1", "c94b4857c3e71dea233173cfc7e45f220e297be05edb228ec60c6f3e8b4938f7"),
+    ("A", 5, "default", "422be15e344290cc32627f922b67a583e5ad0afec0d1b604b484c95268853b6e", "c549788402c7cd4214274074b61ed681dd4fc2bfd2d68b9a5c506077e6a959fd"),
+    ("A", 5, "canonical", "3eab5df2b1e9d2936f0fa4a7a8ea9fa3dc81f10de05d4b53a77d328b5f9a9847", "a39998cd6e192759c2db80b4ca9343d1341e6412ff50be871b59d30c7035e783"),
+    ("A", 6, "default", "8c8885ff0c4ca511acfa649a4f97dec48f274803d7771bf39306643b3349cf35", "14a388fd0870370c2738321275d2f5056531e6f1033305ac2c834d7bd874db8f"),
+    ("A", 6, "canonical", "2c0446799abec80076bf0014b89dad0e657ca99d68d798702c1dabcde7c1cabf", "4282507e6265a0f73ee7127f592c9e11cf7f1b90578aa63b19e3befc3c247f9e"),
+    ("B", 2, "default", "5f79fcfb2debca7cb5583886241289845ec48a1303921df0af55ffae2fc233b9", "3f73e66b8a77e146c02079f2892b96005d7a3b07c2deafac6dcc60ea309a508c"),
+    ("B", 2, "canonical", "9c661c6121f9777c5eeabd2b11fcd9bd49b145234a8e29f64a57c69ac2030340", "4413e05a6cd35a3e29e53686cffba5bfd9bb4f8e2477f15495488401ccb8e16e"),
+    ("B", 3, "default", "9d676b474cc1e1e2836be00f509eec2da7236bfed167db84b4a55ae9d67216c5", "1c2ec57b47c73a026e28e7c97fa69d7232eba815dda76e658a6d097a8ff1ccc6"),
+    ("B", 3, "canonical", "33512d1855e6ff7b0f4b2d577f4c57d4e32a020671c5111d2be3ce9ffe017778", "94ce38f2511eaab0ea12d3c80e55d5dcc9803caf81d440d3ac75bac396956bfa"),
+    ("B", 4, "default", "5aeec8e60e9530fcc851dc62f3c3bf04409b10cf5ebf7e36ab5bdc6ec7c7e9f4", "384418bb0f2e22c41e21b9652ce7b23fc50cc012b2ffaef515b7f708d348af06"),
+    ("B", 4, "canonical", "04925c7508df74cab909f4c1eefe7709bd38a1706097eb3811644b202f53d428", "84a9e5458a6be719662318ca8f5f165567feb14d1997ae51929a0395f3f5ff2a"),
+    ("B", 5, "default", "faee7e99a4a52d8274e47b1378eaddd5c0ea76c3bc52cd5a7efa2e934571da9e", "d4f12c2554b9fe4bdd5cf1e413515d90906c27ee3d94b984ee651ffc72cd9527"),
+    ("B", 5, "canonical", "1aac1c11d8363e2af044695d25c342e73b2c81da7a51bcd9c5529f77e1fc50d6", "04d3b3369560eda626972ff16e09a245e5b3ee405ee03e960c54ee53636bcf02"),
+    ("B", 6, "default", "ab1b8de24bb77537566fbccd7f13712c8b6c0618a4203b7d4dc691a6e0d33fd2", "0f81fbf56b2fc048b2262d4f7b42a4c077ea12d61e243804263212440a6145e6"),
+    ("B", 6, "canonical", "f3627ca035456920e262e27fc89f06519ed0434dadaef8b4bfcc6fb9de7aa0ab", "b60ca580a75303cbaa5ed2362f04dc086547b384ef0af6bb37baca9a275eac9d"),
+    ("C", 2, "default", "0eb3b29aca6932d04acb4601095d0ac59847953591e8e5fb5942aaab27db33ad", "356409657b69d6c6ef0f31dd616f0c76b4594bceba9aaa122739ff329c610750"),
+    ("C", 2, "canonical", "daa0ffdc1ce1bcea9e1149fa35e9be753533d7950b9f4c53a5776f66fa472d02", "2f34742203c38258c8852df1167b6ec0bd75b0c0a63c4318d6d1ae66c76f3724"),
+    ("C", 3, "default", "903828b1bb92be3ef98f6b1cd9a46cf710ac5710d2ebd4d4ab3a15cffd448f47", "69d45decb7f333049a08a15e28b9f4e4d4dddc3521fabcf2be54f5750515fd9a"),
+    ("C", 3, "canonical", "585c265b3b5ad90568b70e35a6c9c7b1135f672bcdb638b1c2ed6d63ea5c773f", "53c91aeb932106b23574c6fc83ecfa11da00e66105d52c13a42b459777376cb1"),
+    ("C", 4, "default", "11b6364b9d415be35c56fd069359306b935fc132553c8aeea0176ce3e30221b3", "0da1fae5196c3b5401cc11560454f79c758ed5673e139bc5a0bddc3aa080a78c"),
+    ("C", 4, "canonical", "b326c9c3d6e472c35effd1f71ae2d4a2a51a96ce9a8acac53721200e32732df6", "5a1263e7ab3be6a5686ec3234511cab066b226d4de4f0c4dcf69fdf6f316e8f1"),
+    ("C", 5, "default", "b53e52e912419785e42ba53d8366c34f28b19810886a36a0b9704ae9a7a3cf32", "a4b3bb0128ac62098b1fedd3ab5275813264dbf34b931b4d887c7f75517e2fc6"),
+    ("C", 5, "canonical", "261419f6253c93a7fa97b4012342513a06b58095dc7bedb5099bb735e8142d49", "1fd61604968c2558337ebef09b64207ed35c8f0e61e71312c803293d40fc4efc"),
+    ("D", 4, "default", "6bccf8f155dcb9d864287837d2fad4686eafdbda03c936ce14657de60755cf13", "12c2299edfd54626e2006726705c808ed1b1cd2b95c5532aff69b24bb247174c"),
+    ("D", 4, "canonical", "dba85b04bc63e08e94e13816ae214b4f29de87acd9a06f47ddce19e27137cbe9", "deb1109c33f22a1ff1ebfddbf07444719d05e7fdc83acc0bdfbc5705b89a82ee"),
+    ("D", 5, "default", "11fef87e463d67c99db36c36b01eaa9ccde98335846bb3f385e88432261298b8", "f97317b1a2c3c8a1e95056db216c0d9a31f8805490bfe9841321795703a868de"),
+    ("D", 5, "canonical", "b214782ac315dac080c03613b8af0a89a5d519aa9f9d6b9a476b543821075dbf", "219b3ecfaedce9080d51af147d5d4abde7d1621d919d954e58710f98e20ae00f"),
+    ("D", 6, "default", "2f8a6c5bf279df179df408d0cf852210384949149aaba376a054a34f15495d93", "5084d5b4883e2ff841d74fc324472708bc4e4a7298d2ca854c3662edee2a783c"),
+    ("D", 6, "canonical", "ebc5b5bff7af66ef11b2bc57681e6c249b33ef62da4047e8cbfb928fc292f130", "6f7adba696410835d4b85ec89946b5254043943a94ea31e32f810366a545a5fe"),
+    ("E", 6, "default", "a03d73532bbbaf8400308ccf92b04b21a76ea646cc01a6082c779ae276c7b841", "0278eb956b2b46335ec930e08178c29cda0d93ab67c64002b40868214f1f4de5"),
+    ("E", 7, "default", "e0d0c259b567216099145c34b19d46b98483a1d2767aa3f081c0f8319354de22", "dad6d49869930838a9e24d41d1734e2199948a17b3b15420d269a0e3b4b85bfc"),
+    ("E", 7, "canonical", "8ec889111494876ae53d9f013cdd140ac6e406bd1177637909060a88e72ad244", "ba0c0584725d069ef176210a7f465820dca2825a4624edd4a781cf9b807e9454"),
+    ("E", 8, "default", "a4944e1388bda35d87b97486063fa8a26e54bdd4c0dfa865f790f8dae4cf4839", "547ffb05b407b613ecfaeba05f59cd7ab0df5e94ca6b03354ae7a3d4fc7ba737"),
+    ("F", 4, "default", "4b2095cd5a42516c6a81a1db0edcba378761397abea5c22dd34e6289f99186cb", "8684164d8ffbf101ce54748d2a3ead0d762c12a1fbc68a12e4472676413ab082"),
+    ("G", 2, "default", "bf7ce88d9cdc335c8d130761a21f16dbfb0f24e6a8989bec2372cbaf465c1437", "ad1829bb6a6c50deeeea524f10db7e170b80bba23a3a87b51c5d9c3a283a3129"),
+    ("G", 2, "canonical", "96ea7c4fa96a0fa9166cc42f88dd3af0c9529de52c2421498ce0284d65c0946b", "887d415465295ec2c24118158e7a157ac7d4a7012f8536565da7bbfbe247c054"),
+]
+
+
+@pytest.mark.parametrize(
+    "t,n,order,brackets,signed", CONSTANT_PINS, ids=[f"{t}{n}-{o}" for t, n, o, *_ in CONSTANT_PINS]
+)
+def test_constants_pinned(t, n, order, brackets, signed):
+    sys_ = build_root_system(t, n)
+    order = canonical_order(t, n) if order == "canonical" else default_order(sys_)
+    cb = build_constants(sys_, order)
+    roots = sys_.positive_roots + [-r for r in sys_.positive_roots]
+    table = np.array([[cb.N(a, b) for b in roots] for a in roots], dtype=np.int64)
+    assert (table == cb.constants).all()
+    assert hashlib.sha256(cb.brackets.tobytes()).hexdigest() == brackets
+    assert hashlib.sha256(table.tobytes()).hexdigest() == signed
 
 
 def test_bracket_commute_correspondence():
