@@ -373,12 +373,14 @@ def cocharacter_element(
     return GroupGenerator("cocharacter", (i, lam), field, M)
 
 
+@lru_cache(maxsize=None)
 def weyl_rep_element(basis: ChevalleyBasis, field: GF, i: int) -> GroupGenerator:
     """The representative x_i(1) x_{-i}(-1) x_i(1) of the simple reflection."""
     a = basis.system.simple_roots[i - 1]
     one = root_group_element(basis, field, a, 1)
     minus = root_group_element(basis, field, -a, field.NEG[1])
     g = one.then(minus).then(one)
+    g.matrix.flags.writeable = False  # cached: one matrix for every caller
     return GroupGenerator("weyl_rep", (i,), field, g.matrix)
 
 

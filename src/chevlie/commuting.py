@@ -256,24 +256,33 @@ def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
 # -- Weyl stabilizers ---------------------------------------------------------
 
 
-def weyl_stabilizer_generators(R: CommutingSet, exhaustive_limit: int = 2000):
+WEYL_EXHAUSTIVE_ORDER = 2000  # largest |W| whose stabilizer report is exhaustive
+
+
+def _simple_stabilizer(R: CommutingSet) -> set[int]:
+    """The 1-based indices i with s_i(R) = R."""
+    sys = R.system
+    return {i for i in range(1, sys.rank + 1) if _reflect_mask(sys, i, R.mask) == R.mask}
+
+
+def weyl_stabilizer_generators(R: CommutingSet):
     """Simple reflections fixing R setwise, plus a verification report.
 
-    For Weyl groups of at most `exhaustive_limit` elements the report
+    For Weyl groups of at most `WEYL_EXHAUSTIVE_ORDER` elements the report
     certifies Stab_W(R) equals the subgroup generated by the returned
     indices by exhaustive enumeration; otherwise only containment facts.
     """
     sys = R.system
-    gens = {i for i in range(1, sys.rank + 1) if _reflect_mask(sys, i, R.mask) == R.mask}
+    gens = _simple_stabilizer(R)
     report = {"generators": sorted(gens), "exhaustive": False}
-    elements = sys.weyl_elements(exhaustive_limit)
+    elements = sys.weyl_elements(WEYL_EXHAUSTIVE_ORDER)
     if elements is not None:
         # w is the row of positions of the images of the positive roots
         idx = [k for k in range(sys.num_positive) if R.mask >> k & 1]
         member = np.zeros(2 * sys.num_positive, dtype=bool)
         member[idx] = True
         stab = elements[member[elements[:, idx]].all(axis=1)]
-        para = sys.weyl_words(sorted(gens), exhaustive_limit)
+        para = sys.weyl_words(sorted(gens), WEYL_EXHAUSTIVE_ORDER)
         report["exhaustive"] = True
         report["stabilizer_order"] = len(stab)
         report["parabolic_order"] = len(para)
@@ -464,13 +473,12 @@ def _f4_sets(system: RootSystem) -> list[list[Root]]:
 def catalog_to_json(catalog: MaxSetCatalog) -> dict:
     sets = []
     for k, s in enumerate(catalog.sets):
-        gens, _ = weyl_stabilizer_generators(s, exhaustive_limit=1)
         sets.append(
             {
                 "roots": [list(r.coeffs) for r in s.members()],
                 "ideal": catalog.ideals[k],
                 "orbit": catalog.orbit_ids[k] if catalog.orbit_ids else None,
-                "stabilizer_generators": sorted(gens),
+                "stabilizer_generators": sorted(_simple_stabilizer(s)),
             }
         )
     return {

@@ -3,16 +3,19 @@
 The central objects are subspaces of u in reduced echelon form with respect
 to an addition-respecting root order: the leading position of a row is the
 largest root carrying a nonzero coefficient, rows are normalized to leading
-coefficient one, and leading roots are eliminated from the other rows.  The
-set of leading roots of an elementary subalgebra is always a commuting set.
+coefficient one, and leading roots are eliminated from the other rows.
+Lemma: the leading roots of an elementary subalgebra commute mod p.  Its one
+premise is an additive order key (`RootOrder.respects_addition`): for rows
+led by rho_i and rho_j only the leading entries reach the rho_i + rho_j
+coordinate of their bracket, which is therefore N_{rho_i,rho_j}.
 
 A point lies in the echelon cell of its set of leading roots, and `_cell` is
-the one description of that cell: exhaustive enumeration, its dead-pattern
-test and the leading-term systems all read it.  Exhaustive enumeration walks
-every cell one row level at a time, solving the bracket constraints of all
-partial fillings of a level as one stack of linear systems (they are linear
-in each new row) and filtering rows by p-nilpotency of the adjoint matrix;
-nothing here presumes which leading-term sets can occur.  G-conjugacy of
+the one description of that cell: exhaustive enumeration and the
+leading-term systems both read it.  Exhaustive enumeration walks the cells
+whose pivots commute mod p (`_pivot_sets`), each one row level at a time,
+solving the bracket constraints of all partial fillings of a level as one
+stack of linear systems (they are linear in each new row) and filtering rows
+by p-nilpotency of the adjoint matrix.  G-conjugacy of
 points inside u is decided with the Bruhat decomposition: two subalgebras of
 u are conjugate iff some fixed Weyl representative maps a point of one
 B-orbit into the B-orbit of the other, so a B-orbit partition of the point
@@ -28,7 +31,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, count, product
+from itertools import count, product
 
 import numpy as np
 
@@ -78,7 +81,6 @@ class Setting:
         n = self.system.num_positive
         # column k of echelon form = k-th largest root
         self.perm_desc = np.argsort(self.basis.order_index)[::-1]
-        self.place = np.argsort(self.perm_desc)  # position of each root in that order
         # column order of canonical forms and keys: u by the order, then the rest of g
         self.colperm = np.concatenate([self.perm_desc, np.arange(n, self.basis.dim)])
         # N_{a,b} mod p for positive a, b (zero where a + b is not a root)
@@ -250,41 +252,38 @@ def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
 # -- exhaustive enumeration -------------------------------------------------------
 
 
-def _cell(setting: Setting, pivots) -> tuple[list[int], list[list[int]]]:
-    """The echelon cell of a set of pivot roots, given by storage indices.
+def _cell(setting: Setting, pos) -> tuple[list[int], list[list[int]]]:
+    """The echelon cell of the pivots at ascending positions `pos` of `perm_desc`.
 
-    Returns the pivots sorted largest root first and `below`, where
-    `below[k]` holds the storage indices, ascending, of the non-pivot roots
-    under pivot k in the order.  A point of the cell has one row per pivot:
-    coefficient one at the pivot, its other entries in `below[k]`.
+    Returns their storage indices, largest root first, and `below`,
+    where `below[k]` holds the storage indices, ascending, of the non-pivot
+    roots under pivot k in the order.  A point of the cell has one row per
+    pivot: coefficient one at the pivot, its other entries in `below[k]`.
     """
     n = setting.n_pos
     perm = setting.perm_desc.tolist()
-    pos = sorted(int(setting.place[i]) for i in pivots)
     taken = set(pos)
     below = [sorted(perm[j] for j in range(c + 1, n) if j not in taken) for c in pos]
     return [perm[c] for c in pos], below
 
 
-def _pattern_is_dead(setting: Setting, pivots: list[int], below: list[list[int]]) -> bool:
-    """Cheap sound rejection of a cell: some pivot pair forces a nonzero
-    bracket entry.
-
-    For pivots rho_i, rho_j with rho_i + rho_j a positive root sigma and
-    N nonzero mod p, the sigma-coordinate of the bracket receives no other
-    contribution unless some pair (alpha, beta) from the two row supports,
-    each a pivot and the roots below it, also sums to sigma.
+def _pivot_sets(setting: Setting, r: int):
+    """The r-sets of positions in `perm_desc` whose roots commute mod p, in
+    `itertools.combinations` order (by the module docstring's lemma no other
+    cell holds a point), grown largest root first while at least
+    r - len(chosen) candidates commuting with every chosen pivot remain.
     """
-    sums = setting.system.sum_index
-    for i, j in combinations(range(len(pivots)), 2):
-        rho_i, rho_j = pivots[i], pivots[j]
-        if not setting.n_mod_p[rho_i, rho_j]:
-            continue
-        sigma = sums[rho_i, rho_j]
-        # the pivot pair itself is one route to sigma; dead if it is the only one
-        if (sums[np.ix_([rho_i, *below[i]], [rho_j, *below[j]])] == sigma).sum() == 1:
-            return True
-    return False
+    perm = setting.perm_desc
+    clash = (setting.n_mod_p[np.ix_(perm, perm)] != 0).tolist()
+
+    def grow(chosen, cands):
+        if len(chosen) == r:
+            yield chosen
+            return
+        for k, c in enumerate(cands[: len(cands) - (r - len(chosen)) + 1]):
+            yield from grow(chosen + [c], [d for d in cands[k + 1 :] if not clash[c][d]])
+
+    return grow([], list(range(setting.n_pos)))
 
 
 def brute_force_Eu(
@@ -292,17 +291,17 @@ def brute_force_Eu(
 ) -> list[ElementarySubalgebra]:
     """Every r-dimensional elementary subalgebra of u over the field.
 
-    Echelon-cell traversal: for each set of r pivots the rows of its `_cell`
-    are filled from the smallest pivot up, one level at a time for all
-    partial fillings of the cell.  The bracket conditions against the rows
-    already fixed are linear in the new row's entries below its pivot, so
-    for a batch of at most `_FILL_BATCH` fillings one stacked
-    `GF.solve_affine` gives each as an affine subspace.  The candidate rows
-    of fillings with equal pivot sets are built in one `GF.span_points`
-    broadcast, and all rows of the batch are filtered by p-nilpotency at
-    once.  The budget counts candidate rows, q^k for each consistent system
-    with k free entries, before they are built; the pattern count is
-    bounded up front.
+    Echelon-cell traversal: for each set of r pivots that commute mod p
+    (`_pivot_sets`) the rows of its `_cell` are filled from the smallest
+    pivot up, one level at a time for all partial fillings of the cell.
+    The bracket conditions against the rows already fixed are linear in the
+    new row's entries below its pivot, so for a batch of at most
+    `_FILL_BATCH` fillings one stacked `GF.solve_affine` gives each as an
+    affine subspace.  The candidate rows of fillings with equal pivot sets
+    are built in one `GF.span_points` broadcast, and all rows of the batch
+    are filtered by p-nilpotency at once.  The budget counts candidate rows,
+    q^k for each consistent system with k free entries, before they are
+    built; the count C(n, r) of all pivot patterns is bounded up front.
     """
     gf = setting.field
     n = setting.n_pos
@@ -317,10 +316,8 @@ def brute_force_Eu(
     processed = 0
     found: list[ElementarySubalgebra] = []
 
-    for piv_cols in combinations(range(n), r):
-        pivots, below = _cell(setting, setting.perm_desc[list(piv_cols)])
-        if _pattern_is_dead(setting, pivots, below):
-            continue
+    for pos in _pivot_sets(setting, r):
+        pivots, below = _cell(setting, pos)
         # partial fillings (F, r - 1 - k, n): the rows of pivots k + 1, ..., r - 1
         fills = gf.zeros((1, 0, n))
         for k in range(r - 1, -1, -1):
@@ -391,7 +388,8 @@ class LeadingTermSystem:
 def build_leading_term_system(setting: Setting, target: CommutingSet) -> LeadingTermSystem:
     gf = setting.field
     n = setting.n_pos
-    pivots, below = _cell(setting, [i for i in range(n) if target.mask >> i & 1])
+    pos = [c for c, i in enumerate(setting.perm_desc.tolist()) if target.mask >> i & 1]
+    pivots, below = _cell(setting, pos)
     unknowns = [(k, col) for k, cols in enumerate(below) for col in cols]
     var = count()  # unknown ids in the order of `unknowns`
     row_support = [  # (storage col, var or None): the pivot, then the roots below it

@@ -1,6 +1,7 @@
 """Total orders on positive roots that respect addition.
 
-An order is assembled from layers, each an addition-respecting preorder:
+An order is assembled from layers, each a tuple of linear functionals of the
+coefficients, so its key is additive (`RootOrder.respects_addition`):
 
 * ``("coeffsum", indices, sign)`` compares sign * (sum of the coefficients at
   the given 0-based simple indices);
@@ -47,24 +48,14 @@ class RootOrder:
         return out
 
     def respects_addition(self, system: RootSystem) -> bool:
-        """Whether beta <= gamma iff beta+lam <= gamma+lam on positive roots.
-
-        Exhaustive: for each lam, the map beta -> beta+lam must be strictly
-        increasing on the roots beta with beta+lam a root (ties, where the
-        order is not total, must map to ties).
+        """Whether the key is additive: key(a) + key(b) == key(a + b) for all
+        positive roots a, b with a + b a root (so beta <= gamma iff
+        beta + lam <= gamma + lam, and `elementary._pivot_sets` is exact).
         """
         n = system.num_positive
-        keys = [self.key(r) for r in system.positive_roots]
-        level = {k: i for i, k in enumerate(sorted(set(keys)))}
-        rank = np.array([level[k] for k in keys])
-        sums = system.sum_index[:n, :n]
-        for lam in range(n):
-            beta = np.flatnonzero(sums[:, lam] >= 0)
-            before, after = rank[beta], rank[sums[beta, lam]]
-            step = np.lexsort((after, before))
-            if ((np.diff(before[step]) > 0) != (np.diff(after[step]) > 0)).any():
-                return False
-        return True
+        keys = np.array([self.key(r) for r in system.positive_roots])
+        a, b = np.nonzero(system.sum_index[:n, :n] >= 0)
+        return bool((keys[a] + keys[b] == keys[system.sum_index[a, b]]).all())
 
 
 def _revlex(priority_1based, sign=-1):

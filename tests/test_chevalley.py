@@ -43,6 +43,19 @@ def test_rejects_bad_order():
     with pytest.raises(ValueError, match="respect addition"):
         build_constants(sys_, bad)
 
+    base = default_order(sys_)
+
+    class Cubed(RootOrder):
+        # the same order of the roots as the default key, but not additive
+        def key(self, root):
+            return tuple(c**3 for c in base.key(root))
+
+    cubed = Cubed(())
+    assert cubed.sorted_roots(sys_) == base.sorted_roots(sys_)
+    assert not cubed.respects_addition(sys_)
+    with pytest.raises(ValueError, match="respect addition"):
+        build_constants(sys_, cubed)
+
 
 @pytest.mark.parametrize("height", [5, 15, 20])
 def test_rejects_swapped_e8_order(height):
@@ -63,10 +76,15 @@ def test_rejects_swapped_e8_order(height):
         build_constants(e8, bad)
 
 
-@pytest.mark.parametrize("t,n", [("E", 6), ("E", 7), ("E", 8), ("F", 4)])
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
 def test_default_orders_respect_addition(t, n):
     sys_ = build_root_system(t, n)
     assert default_order(sys_).respects_addition(sys_)
+    try:
+        order = canonical_order(t, n)
+    except ValueError:
+        return
+    assert order.respects_addition(sys_)
 
 
 @pytest.mark.parametrize("t,n", TABLE1_RANKS)

@@ -42,6 +42,8 @@ from chevlie.elementary import (
     subalgebra_from_rows,
     weyl_words_all,
     _apply_word_u,
+    _cell,
+    _pivot_sets,
 )
 
 
@@ -223,6 +225,53 @@ def test_brute_force_matches_naive_enumeration(t, n, p, r):
                 naive.add(subalgebra_from_rows(setting, rows).pack())
     got = {E.pack() for E in brute_force_Eu(setting, r)}
     assert got == naive
+
+
+def _route_count_survivors(setting, r):
+    """The position sets kept by the rule `_pivot_sets` replaced: a cell is
+    dead when some pivot pair with N nonzero mod p reaches its sum sigma by
+    no other pair of roots from the two row supports."""
+    from itertools import combinations
+
+    sums = setting.system.sum_index
+    out = []
+    for pos in combinations(range(setting.n_pos), r):
+        pivots, below = _cell(setting, pos)
+        dead = False
+        for i, j in combinations(range(r), 2):
+            rho_i, rho_j = pivots[i], pivots[j]
+            if setting.n_mod_p[rho_i, rho_j]:
+                routes = sums[np.ix_([rho_i, *below[i]], [rho_j, *below[j]])]
+                if (routes == sums[rho_i, rho_j]).sum() == 1:
+                    dead = True
+                    break
+        if not dead:
+            out.append(list(pos))
+    return out
+
+
+@pytest.mark.parametrize(
+    "t,n,p,r",  # r=None: every r
+    [("A", 3, 2, None), ("B", 3, 2, None), ("B", 3, 3, None), ("C", 3, 3, None),
+     ("D", 4, 3, None), ("G", 2, 2, None), ("G", 2, 3, None), ("G", 2, 5, None),
+     ("B", 4, 3, 7)],
+)
+def test_pivot_sets_match_route_count(t, n, p, r):
+    setting = get_setting(t, n, p)
+    for r in [r] if r else range(1, setting.n_pos + 1):
+        assert list(_pivot_sets(setting, r)) == _route_count_survivors(setting, r), r
+
+
+@pytest.mark.parametrize("t,n,p", [("F", 4, 5), ("F", 4, 3), ("B", 5, 5), ("D", 5, 3)])
+def test_pivot_sets_match_p_catalog(t, n, p):
+    # the walk reads n_mod_p; the catalog is a clique search on another graph
+    setting = get_setting(t, n, p)
+    catalog = enumerate_max_commuting(setting.system, p=p)
+    perm = setting.perm_desc
+    got = [sum(1 << int(perm[c]) for c in pos) for pos in _pivot_sets(setting, catalog.m)]
+    assert len(got) == len(set(got)) == catalog.count
+    assert set(got) == {s.mask for s in catalog.sets}
+    assert not list(_pivot_sets(setting, catalog.m + 1))
 
 
 def test_brute_force_b2_b3():
