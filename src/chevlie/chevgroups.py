@@ -3,72 +3,18 @@
 Class counts are derived from the commuting-root catalogs: for a good prime,
 the classes correspond to the components of the partial Weyl action that
 contain an ideal, with two tabulated exceptions (rank-2 type A contributes a
-third, non-Chevalley class for p >= 3; G2 is reported with a lower-bound
-marker and the exact desk-scale count is available through the witness
+third, non-Chevalley class for p >= 3; G2 is reported with the lower-bound
+marker ">=3" and the exact desk-scale count is available through the witness
 below).  The subgroup order is q^m with m the maximal number of commuting
-roots, and the spectrum report mirrors the class report with Krull dimension
-p^(r*m - 1).
+roots, and the spectrum row repeats the class count with Krull dimension
+p^(r*m - 1).  Each report is the row of its golden table (`groups.json`,
+`spectrum.json`), a plain dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .commuting import MaxSetCatalog, enumerate_max_commuting
 from .rootsys import build_root_system
-
-
-@dataclass
-class ClassReport:
-    type_label: str
-    rank: int
-    p: int
-    r: int
-    class_count: int | str  # integer, or ">=3" for G2
-    order_exponent: int
-    representatives: list
-
-    @property
-    def q(self) -> int:
-        return self.p**self.r
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.type_label,
-            "rank": self.rank,
-            "p": self.p,
-            "r": self.r,
-            "class_count": self.class_count,
-            "order_exponent": self.order_exponent,
-            "order": f"q^{self.order_exponent}",
-            "representatives": self.representatives,
-        }
-
-
-@dataclass
-class SpectrumReport:
-    type_label: str
-    rank: int
-    p: int
-    r: int
-    component_count: int | str
-    dimension_exponent: int  # r * m - 1, the printed exponent
-    rank_exponent: int  # r * m, the maximal elementary abelian rank
-
-    def dimension_expression(self) -> str:
-        return f"p^{self.dimension_exponent}"
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.type_label,
-            "rank": self.rank,
-            "p": self.p,
-            "r": self.r,
-            "component_count": self.component_count,
-            "dimension": self.dimension_expression(),
-            "dimension_exponent": self.dimension_exponent,
-            "rank_exponent": self.rank_exponent,
-        }
 
 
 def _check_good(type_label: str, rank: int, p: int):
@@ -90,11 +36,12 @@ def _ideal_class_data(catalog: MaxSetCatalog):
     return reps
 
 
-def class_report(type_label: str, rank: int, p: int, r: int = 1) -> ClassReport:
-    """Classes of maximal elementary abelian p-subgroups of G(F_{p^r})."""
+def class_report(type_label: str, rank: int, p: int, r: int = 1) -> dict:
+    """Classes of maximal elementary abelian p-subgroups of G(F_{p^r}), as the
+    `groups.json` row: "class_count" is an integer or the marker ">=3" (G2),
+    and the subgroup order is q^"order_exponent".  ValueError at a bad p."""
     _check_good(type_label, rank, p)
-    system = build_root_system(type_label, rank)
-    catalog = enumerate_max_commuting(system)
+    catalog = enumerate_max_commuting(build_root_system(type_label, rank))
     reps = _ideal_class_data(catalog)
     count: int | str = len(reps)
     if type_label == "A" and rank == 2 and p >= 3:
@@ -104,16 +51,34 @@ def class_report(type_label: str, rank: int, p: int, r: int = 1) -> ClassReport:
     elif type_label == "G":
         count = ">=3"
         reps = []
-    return ClassReport(type_label, rank, p, r, count, catalog.m, reps)
+    return {
+        "type": type_label,
+        "rank": rank,
+        "p": p,
+        "r": r,
+        "class_count": count,
+        "order_exponent": catalog.m,
+        "order": f"q^{catalog.m}",
+        "representatives": reps,
+    }
 
 
-def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> SpectrumReport:
-    """Components and dimension of Spec H*(G(F_{p^r}), k)."""
-    rep = class_report(type_label, rank, p, r)
-    m = rep.order_exponent
-    return SpectrumReport(
-        type_label, rank, p, r, rep.class_count, r * m - 1, r * m
-    )
+def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> dict:
+    """Components and dimension of Spec H*(G(F_{p^r}), k), as the
+    `spectrum.json` row: one component per class of `class_report`, Krull
+    dimension p^(r*m - 1) and maximal elementary abelian rank r*m."""
+    row = class_report(type_label, rank, p, r)
+    rm = r * row["order_exponent"]
+    return {
+        "type": type_label,
+        "rank": rank,
+        "p": p,
+        "r": r,
+        "component_count": row["class_count"],
+        "dimension": f"p^{rm - 1}",
+        "dimension_exponent": rm - 1,
+        "rank_exponent": rm,
+    }
 
 
 # candidate rows of brute force: F25 takes 17,559; F29, F49 and F125 are refused

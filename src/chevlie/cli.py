@@ -14,6 +14,7 @@ import re
 import sys
 
 from . import golden as goldmod
+from .chevgroups import class_report
 from .commuting import catalog_to_json, enumerate_max_commuting
 from .elementary import (
     BudgetExceeded,
@@ -187,16 +188,18 @@ def _verify_orbits(t, n, p, budget, out) -> int:
             const = False
     verdicts.append(("normalizer dimension constant on classes", const))
     out.write(f"[{'PASS' if const else 'FAIL'}] normalizer dimension constant on sampled class members\n")
-    # the counts the tables carry: A2 has its third, non-Chevalley class only
-    # for p >= 3, and G2 at a good prime has only the lower bound ">=3" (four
-    # classes over F5)
-    expected = {("A", 2): 3 if p >= 3 else 2, ("G", 2): ">=3" if p >= 5 else None}.get((t, n))
     out.write(
         f"classes: {len(classes)} with normalizer dims "
         f"{sorted(c.normalizer_dim for c in classes)}\n"
     )
-    if expected is not None:
-        ok = len(classes) >= 3 if expected == ">=3" else len(classes) == expected
+    # the count the groups table carries, an integer or a lower bound ">=k";
+    # the table covers good primes only
+    if p not in setting.system.prime_profile().bad_primes:
+        expected = class_report(t, n, p)["class_count"]
+        if isinstance(expected, str):
+            ok = len(classes) >= int(expected.removeprefix(">="))
+        else:
+            ok = len(classes) == expected
         verdicts.append((f"class count matches {expected}", ok))
         out.write(f"[{'PASS' if ok else 'FAIL'}] class count {len(classes)} vs expected {expected}\n")
     return EXIT_PASS if all(v for _, v in verdicts) else EXIT_MISMATCH

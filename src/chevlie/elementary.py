@@ -52,12 +52,13 @@ from .rootsys import Root, RootSystem, WeylWord, build_root_system
 class BudgetExceeded(RuntimeError):
     """Raised when an enumeration would process more candidates than allowed."""
 
-    def __init__(self, message: str, needed: int | None = None):
-        super().__init__(message)
-        self.needed = needed
-
 
 DEFAULT_BUDGET = 100_000_000
+# the largest Weyl group whose elements fusion enumerates
+WEYL_FUSION_LIMIT = 5000
+# solutions of one leading-term system, and points of one orbit decomposition
+_MAX_SOLUTIONS = 1_000_000
+_MAX_ORBIT_POINTS = 5_000_000
 
 # partial fillings of a cell whose next row is solved for in one stacked system
 _FILL_BATCH = 256
@@ -309,10 +310,7 @@ def brute_force_Eu(
         raise ValueError(f"dimension {r} is out of range: it must be at least 1")
     n_patterns = math.comb(n, r)
     if n_patterns > budget:
-        raise BudgetExceeded(
-            f"{n_patterns} pivot patterns exceed the budget of {budget}",
-            needed=_gaussian_binomial(n, r, gf.q),
-        )
+        raise BudgetExceeded(f"{n_patterns} pivot patterns exceed the budget of {budget}")
     processed = 0
     found: list[ElementarySubalgebra] = []
 
@@ -338,9 +336,7 @@ def brute_force_Eu(
                     # count the q^k candidate rows of each system before building them
                     processed += len(items) * gf.q ** len(free)
                     if processed > budget:
-                        raise BudgetExceeded(
-                            f"candidate-row budget of {budget} exceeded", needed=None
-                        )
+                        raise BudgetExceeded(f"candidate-row budget of {budget} exceeded")
                     pts = gf.span_points(kernel[items][:, free], part[items])
                     cand = gf.zeros(pts.shape[:2] + (n,))
                     cand[:, :, pivots[k]] = 1
@@ -356,14 +352,6 @@ def brute_force_Eu(
         found.extend(ElementarySubalgebra(setting, rows) for rows in fills)
     found.sort(key=lambda E: E.pack())
     return found
-
-
-def _gaussian_binomial(n: int, r: int, q: int) -> int:
-    num = den = 1
-    for i in range(r):
-        num *= q ** (n - i) - 1
-        den *= q ** (i + 1) - 1
-    return num // den
 
 
 # -- leading-term systems --------------------------------------------------------
@@ -441,14 +429,12 @@ class SolveReport:
         return f"{self.count} solutions (no coordinate-subspace description)"
 
 
-def leading_term_solve(
-    lts: LeadingTermSystem, max_solutions: int = 1_000_000
-) -> SolveReport:
-    """All solutions over the prime field by backtracking with propagation."""
+def leading_term_solve(lts: LeadingTermSystem) -> SolveReport:
+    """All solutions over F_q by backtracking with propagation, in the
+    field's addition and multiplication tables."""
     gf = lts.setting.field
-    if gf.degree != 1:
-        raise ValueError("the backtracking solver works over prime fields")
-    p = gf.p
+    q = gf.q
+    ADD, MUL, NEG, INV = (t.tolist() for t in (gf.ADD, gf.MUL, gf.NEG, gf.INV))
     nvars = len(lts.unknowns)
     solutions: list[tuple[int, ...]] = []
 
@@ -459,13 +445,13 @@ def leading_term_solve(
             val = c
             for v in mono:
                 if v in assign:
-                    val = val * assign[v] % p
+                    val = MUL[val][assign[v]]
                 else:
                     vs.append(v)
             if val == 0:
                 continue
             key = tuple(sorted(vs))
-            out[key] = (out.get(key, 0) + val) % p
+            out[key] = ADD[out.get(key, 0)][val]
             if out[key] == 0:
                 del out[key]
         return out
@@ -474,10 +460,9 @@ def leading_term_solve(
         """Unit-propagate equations linear in a single unknown; None on conflict."""
         assign = dict(assign)
         while True:
-            forced = {}
+            forced = False
             new_eqs = []
             for eq in eqs:
-                eq = substitute(eq, forced) if forced else eq
                 eq = substitute(eq, assign)
                 if not eq:
                     continue
@@ -490,13 +475,10 @@ def leading_term_solve(
                     quad = eq.get((v, v), 0)
                     const = eq.get((), 0)
                     if quad == 0 and lin:
-                        val = (-const * pow(lin, -1, p)) % p
-                        if v in assign and assign[v] != val:
-                            return None, None
-                        if v not in assign:
-                            assign[v] = val
-                            forced[v] = val
-                            continue
+                        # v is unassigned: substitute removed every assigned unknown
+                        assign[v] = MUL[NEG[const]][INV[lin]]
+                        forced = True
+                        continue
                 new_eqs.append(eq)
             if not forced:
                 return new_eqs, assign
@@ -510,9 +492,9 @@ def leading_term_solve(
         if not live:
             fill = [v for v in range(nvars) if v not in assign]
             base = [assign.get(v, 0) for v in range(nvars)]
-            if len(solutions) + p ** len(fill) > max_solutions:
+            if len(solutions) + q ** len(fill) > _MAX_SOLUTIONS:
                 raise BudgetExceeded("solution budget exceeded in leading_term_solve")
-            for vals in product(range(p), repeat=len(fill)):
+            for vals in product(range(q), repeat=len(fill)):
                 sol = list(base)
                 for v, val in zip(fill, vals):
                     sol[v] = val
@@ -520,7 +502,7 @@ def leading_term_solve(
             return
         eq = min(live, key=lambda e: len({v for mono in e for v in mono}))
         v = min({v for mono in eq for v in mono})
-        for val in range(p):
+        for val in range(q):
             a2 = dict(assign)
             a2[v] = val
             branch(eqs, a2)
@@ -531,14 +513,10 @@ def leading_term_solve(
     unique_zero = solutions == [zero]
     free_vars = None
     if not unique_zero and solutions:
-        always_zero = [
-            v for v in range(nvars) if all(s[v] == 0 for s in solutions)
-        ]
-        others = [v for v in range(nvars) if v not in always_zero]
-        if len(solutions) == p ** len(others):
-            combos = {tuple(s[v] for v in others) for s in solutions}
-            if len(combos) == p ** len(others):
-                free_vars = others
+        others = [v for v in range(nvars) if any(s[v] for s in solutions)]
+        # the solutions are distinct, so q^k of them fill the k coordinates
+        if len(solutions) == q ** len(others):
+            free_vars = others
     return SolveReport(lts, solutions, unique_zero, free_vars)
 
 
@@ -608,19 +586,20 @@ def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
     return _generating_set(setting, [b for a in setting.system.simple_roots for b in (a, -a)])
 
 
-def check_weyl_order(system: RootSystem, limit: int = 5000):
-    """BudgetExceeded if |W| > limit, decided from the degrees before any search."""
-    if (order := math.prod(system.degrees())) > limit:
+def check_weyl_order(system: RootSystem):
+    """BudgetExceeded if |W| > `WEYL_FUSION_LIMIT`, decided from the degrees
+    before any search."""
+    if (order := math.prod(system.degrees())) > WEYL_FUSION_LIMIT:
         raise BudgetExceeded(
             f"the Weyl group of {system.type_label}{system.rank} has {order} elements, "
-            f"more than the {limit} that fusion enumerates"
+            f"more than the {WEYL_FUSION_LIMIT} that fusion enumerates"
         )
 
 
-def weyl_words_all(system: RootSystem, limit: int = 5000) -> list[WeylWord]:
+def weyl_words_all(system: RootSystem) -> list[WeylWord]:
     """Shortest words for every Weyl group element (small groups only)."""
-    check_weyl_order(system, limit)
-    return list(system.weyl_words(limit=limit).values())
+    check_weyl_order(system)
+    return list(system.weyl_words(limit=WEYL_FUSION_LIMIT).values())
 
 
 @lru_cache(maxsize=None)
@@ -646,50 +625,23 @@ class Orbit:
     normal_form_tag: str
 
 
-@dataclass
-class OrbitReport:
-    setting: Setting
-    r: int
-    points: int
-    orbits: list[Orbit]
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.setting.system.type_label,
-            "rank": self.setting.system.rank,
-            "p": self.setting.field.p,
-            "field_degree": self.setting.field.degree,
-            "r": self.r,
-            "point_count": self.points,
-            "orbits": [
-                {
-                    "representative_rows": o.representative_rows.tolist(),
-                    "size": o.size,
-                    "normalizer_dim": o.normalizer_dim,
-                    "normal_form_tag": o.normal_form_tag,
-                }
-                for o in self.orbits
-            ],
-        }
-
-
 def orbit_decompose(
     setting: Setting,
     points: list[ElementarySubalgebra],
     generators: list[GroupGenerator],
-    max_points: int = 5_000_000,
-) -> OrbitReport:
-    """BFS orbit partition under the generators, with ambient closure.
+) -> list[Orbit]:
+    """The orbits under the generators that meet the points, by BFS with
+    ambient closure, sorted by representative key.
 
-    Conjugates may leave u, so the BFS runs over all encountered g-subspaces;
-    the report counts every point examined.  Representatives are the
-    canonical matrices of minimal key, and the normalizer dimension is
-    recorded per orbit.  Only the keys of the current orbit are kept, not
-    its matrices.
+    Conjugates may leave u, so the BFS runs over all encountered g-subspaces,
+    and an orbit's size counts them all; BudgetExceeded once the orbits hold
+    more than `_MAX_ORBIT_POINTS`.  Representatives are the canonical
+    matrices of minimal key, and the normalizer dimension is recorded per
+    orbit.  Only the keys of the current orbit are kept, not its matrices.
     """
     gf = setting.field
     if not points:
-        return OrbitReport(setting, 0, 0, [])
+        return []
     r = points[0].dim
     mats = [g.matrix.T.copy() for g in generators]
     # points of u are already canonical in g: the u-columns lead the column order
@@ -715,7 +667,7 @@ def orbit_decompose(
                     fresh.append(x)
                     if k < rep_key:
                         rep_key, rep = k, x
-                    if len(members) + total > max_points:
+                    if len(members) + total > _MAX_ORBIT_POINTS:
                         raise BudgetExceeded("orbit closure exceeds the point budget")
             frontier = np.stack(fresh) if fresh else np.zeros((0, r, setting.basis.dim), dtype=np.int16)
         total += len(members)
@@ -732,7 +684,7 @@ def orbit_decompose(
             )
         )
     orbits.sort(key=lambda item: item[0])
-    return OrbitReport(setting, r, total, [o for _, o in orbits])
+    return [o for _, o in orbits]
 
 
 # -- Bruhat fusion: exact G(F_q)-conjugacy on points inside u ---------------------------

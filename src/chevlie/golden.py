@@ -81,15 +81,11 @@ def build_stabilizers() -> list[dict]:
 
 
 def build_groups() -> list[dict]:
-    return [
-        class_report(t, n, GOOD_P[t]).to_json() for t, n in TABLE45_RANKS
-    ]
+    return [class_report(t, n, GOOD_P[t]) for t, n in TABLE45_RANKS]
 
 
 def build_spectrum() -> list[dict]:
-    return [
-        spectrum_report(t, n, GOOD_P[t], 1).to_json() for t, n in TABLE45_RANKS
-    ]
+    return [spectrum_report(t, n, GOOD_P[t]) for t, n in TABLE45_RANKS]
 
 
 BUILDERS = {

@@ -35,6 +35,31 @@ def test_tables_text_and_csv():
     assert g2["component_count"] == ">=3"
 
 
+G2_MAXSETS = {
+    "count": 5, "m": 3, "predicate": ["plain"], "rank": 2, "type": "G",
+    "sets": [
+        {"ideal": ideal, "orbit": orbit, "roots": roots, "stabilizer_generators": gens}
+        for ideal, orbit, roots, gens in [
+            (False, 0, [[0, 1], [1, 1], [3, 2]], []),
+            (False, 1, [[0, 1], [2, 1], [3, 2]], []),
+            (False, 1, [[1, 0], [3, 1], [3, 2]], []),
+            (False, 1, [[1, 1], [3, 1], [3, 2]], []),
+            (True, 0, [[2, 1], [3, 1], [3, 2]], [2]),
+        ]
+    ],
+}
+
+
+def test_tables_maxsets_one_type():
+    # text: one padded column per key, sorted; json: the whole catalog
+    code, out = run(["tables", "--which", "maxsets", "--type", "G2"])
+    assert code == 0
+    assert out == "count  m  rank  type\n5      3  2     G   \n"
+    code, out = run(["tables", "--which", "maxsets", "--type", "G2", "--format", "json"])
+    assert code == 0
+    assert out == json.dumps([G2_MAXSETS], indent=1, sort_keys=True) + "\n"
+
+
 def test_tables_mismatch_exit_code(tmp_path):
     bad = tmp_path / "primes.json"
     bad.write_text(json.dumps([{"type": "A", "rank": 1, "bad": [97]}]))
@@ -98,6 +123,18 @@ def test_verify_normalizers_g2():
     assert out == "[PASS] N_g dims of (lie(C3), lie(C5), L) = (7, 9, 6), expected (7, 9, 6)\n"
 
 
+def test_verify_normalizers_a2_d4():
+    code, out = run(["verify", "--stage", "normalizers", "--type", "A2", "--p", "5"])
+    assert code == 0
+    assert out == (
+        "dim N_g(L3) = 4; orbit dimension dim(G) - d = 4 "
+        "(the printed orbit dimension 5 disagrees; see LEDGER.md)\n"
+    )
+    code, out = run(["verify", "--stage", "normalizers", "--type", "D4", "--p", "3"])
+    assert code == 0
+    assert out == "".join(f"ideal #{k}: dim N_g(lie(R)) = 22\n" for k in range(3))
+
+
 def test_verify_orbits_exit_codes():
     code, out = run(["verify", "--stage", "orbits", "--type", "A2", "--p", "5"])
     assert code == 0
@@ -110,10 +147,17 @@ def test_verify_orbits_exit_codes():
     code, out = run(["verify", "--stage", "orbits", "--type", "G2", "--p", "5"])
     assert code == 0
     assert "class count 4 vs expected >=3" in out
-    # at the bad prime 3, G2 has maximal dimension 4 and one class (criterion 8)
+    # at the bad prime 3, G2 has maximal dimension 4 and one class (criterion 8);
+    # the groups table covers good primes only, so no count is compared
     code, out = run(["verify", "--stage", "orbits", "--type", "G2", "--p", "3"])
     assert code == 0
     assert "classes: 1 " in out
+    assert "class count" not in out
+    # every other type at a good prime is compared with the groups table too
+    for t, count in [("D4", 3), ("B4", 2)]:
+        code, out = run(["verify", "--stage", "orbits", "--type", t, "--p", "3"])
+        assert code == 0
+        assert f"[PASS] class count {count} vs expected {count}\n" in out
 
 
 def test_verify_orbits_a2_q_1_mod_3():

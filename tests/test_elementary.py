@@ -43,6 +43,7 @@ from chevlie.elementary import (
     weyl_words_all,
     _apply_word_u,
     _cell,
+    _p_nilpotent_mask,
     _pivot_sets,
 )
 
@@ -299,7 +300,8 @@ def test_brute_force_budget():
     setting = get_setting("A", 2, 3)
     with pytest.raises(BudgetExceeded) as exc:
         brute_force_Eu(setting, 2, budget=2)
-    assert exc.value.needed == 13  # gaussian binomial [3 choose 2]_3
+    # C(3, 2) = 3 pivot patterns against a budget of 2, refused up front
+    assert "3 pivot patterns exceed the budget of 2" in str(exc.value)
 
 
 # the smallest budget each run passes, measured before brute force solved
@@ -469,6 +471,29 @@ def test_a2_l3_normalizer_with_dense_oracle(p, expected_dim):
     assert dim == expected_dim
 
 
+def test_leading_term_solve_over_f25():
+    # a second route to the 16,901 points of G2 over F25 (LEDGER.md, G2 over
+    # F_q): the solutions of the leading-term systems of the five maximal
+    # p-commuting sets satisfy the brackets, and the p-nilpotent ones are
+    # exactly the points of brute force
+    setting = get_setting("G", 2, 5, degree=2)
+    gf, n = setting.field, setting.n_pos
+    stacks = []
+    for R in enumerate_max_commuting(setting.system, p=5).sets:
+        lts = build_leading_term_system(setting, R)
+        sols = np.array(leading_term_solve(lts).solutions, dtype=np.int16)
+        rows = gf.zeros((len(sols), len(lts.pivots), n))
+        rows[:, np.arange(len(lts.pivots)), lts.pivots] = 1
+        for v, (k, col) in enumerate(lts.unknowns):
+            rows[:, k, col] = sols[:, v]
+        stacks.append(rows)
+    rows = np.concatenate(stacks)
+    nilpotent = _p_nilpotent_mask(setting, rows.reshape(-1, n)).reshape(len(rows), -1).all(axis=1)
+    packs = sorted(keys(setting, canonical(setting, rows[nilpotent])))
+    assert len(packs) == 16_901
+    assert packs == [E.pack() for E in brute_force_Eu(setting, 3)]
+
+
 # -- orbits ---------------------------------------------------------------------
 
 
@@ -477,14 +502,12 @@ def test_a2_orbits_fusion_and_ambient_agree():
     points = brute_force_Eu(setting, 2)
     classes = g_conjugacy_classes(setting, points)
     assert len(classes) == 3
-    report = orbit_decompose(setting, points, chevalley_group_generators(setting))
-    assert len(report.orbits) == 3
-    assert report.points == sum(o.size for o in report.orbits)
-    assert sorted(o.size for o in report.orbits) == [31, 31, 744]
-    assert sorted(o.normalizer_dim for o in report.orbits) == [4, 6, 6]
+    orbits = orbit_decompose(setting, points, chevalley_group_generators(setting))
+    assert len(orbits) == 3
+    assert sorted(o.size for o in orbits) == [31, 31, 744]
+    assert sorted(o.normalizer_dim for o in orbits) == [4, 6, 6]
     assert sorted(c.normalizer_dim for c in classes) == [4, 6, 6]
-    data = report.to_json()
-    assert data["point_count"] == 806 and len(data["orbits"]) == 3
+    assert sum(o.size for o in orbits) == 806
 
 
 @pytest.mark.parametrize("p,count", [(7, 5), (11, 3)])
@@ -520,8 +543,8 @@ def test_single_point_identity_orbit():
     from chevlie.chevalley import cocharacter_element
 
     ident = cocharacter_element(setting.basis, setting.field, 1, 1)
-    report = orbit_decompose(setting, [E], [ident])
-    assert len(report.orbits) == 1 and report.orbits[0].size == 1
+    orbits = orbit_decompose(setting, [E], [ident])
+    assert len(orbits) == 1 and orbits[0].size == 1
 
 
 def test_normalizer_constant_on_classes():
@@ -552,7 +575,7 @@ def test_fusion_classical_f3(t, n, count):
     setting = get_setting(t, n, 3)
     points = brute_force_Eu(setting, enumerate_max_commuting(setting.system).m)
     classes = g_conjugacy_classes(setting, points)
-    assert len(classes) == class_report(t, n, 3).class_count == count
+    assert len(classes) == class_report(t, n, 3)["class_count"] == count
 
 
 def _reference_classes(setting, points):
@@ -610,10 +633,10 @@ def test_a4_f2_orbits_fusion_and_ambient_agree():
     setting = get_setting("A", 4, 2)
     points = brute_force_Eu(setting, 6)
     classes = g_conjugacy_classes(setting, points)
-    report = orbit_decompose(setting, points, chevalley_group_generators(setting))
-    assert len(classes) == len(report.orbits) == 2
-    assert [o.size for o in report.orbits] == [155, 155]
-    assert sorted(o.normalizer_dim for o in report.orbits) == [18, 18]
+    orbits = orbit_decompose(setting, points, chevalley_group_generators(setting))
+    assert len(classes) == len(orbits) == 2
+    assert [o.size for o in orbits] == [155, 155]
+    assert sorted(o.normalizer_dim for o in orbits) == [18, 18]
     assert sorted(c.normalizer_dim for c in classes) == [18, 18]
 
 
