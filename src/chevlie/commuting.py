@@ -311,11 +311,9 @@ def b_family(system: RootSystem) -> BFamily:
     n = system.rank
     em = EuclidModel(system)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    eps = {i: em.to_root(em.eps(i)) for i in range(1, n + 1)}
-    plus = {(i, j): em.to_root(tuple(x + y for x, y in zip(em.eps(i), em.eps(j))))
-            for i, j in pairs}
-    minus = {(i, j): em.to_root(tuple(x - y for x, y in zip(em.eps(i), em.eps(j))))
-             for i, j in pairs}
+    eps = {i: em.root(i) for i in range(1, n + 1)}
+    plus = {(i, j): em.root(i, j) for i, j in pairs}
+    minus = {(i, j): em.root(i, -j) for i, j in pairs}
     r1 = [plus[(i, j)] for i, j in pairs if j < n]
     r2 = [plus[(i, n)] for i in range(1, n)]
     r3 = [minus[(i, n)] for i in range(1, n)]
@@ -331,33 +329,14 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
     sets: list[list[Root]] = []
     if type_label == "A":
         em = EuclidModel(system)
-        def j_set(J):
-            out = []
-            for i in J:
-                for j in range(1, n + 2):
-                    if j not in J:
-                        vec = tuple(
-                            x - y for x, y in zip(em.eps(i), em.eps(j))
-                        )
-                        root = em.to_root(vec)
-                        assert root.is_positive
-                        out.append(root)
-            return out
-        if n % 2 == 0:
-            m = n // 2
-            sets = [j_set(set(range(1, m + 1))), j_set(set(range(1, m + 2)))]
-        else:
-            m = (n - 1) // 2
-            sets = [j_set(set(range(1, m + 2)))]
+        # eps_i - eps_j for i <= k < j, with k = ceil(n/2) or floor(n/2) + 1
+        sets = [
+            [em.root(i, -j) for i in range(1, k + 1) for j in range(k + 1, n + 2)]
+            for k in sorted({(n + 1) // 2, n // 2 + 1})
+        ]
     elif type_label == "C":
-        if n < 3 and n != 2:
-            raise ValueError("type C oracle needs rank >= 2")
         em = EuclidModel(system)
-        sets = [[
-            em.to_root(tuple(x + y for x, y in zip(em.eps(i), em.eps(j))))
-            for i in range(1, n + 1)
-            for j in range(i, n + 1)
-        ]]
+        sets = [[em.root(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]]
     elif type_label == "B":
         if n < 5:
             raise ValueError("type B oracle applies for rank >= 5")
@@ -367,12 +346,10 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
         if n < 7:
             raise ValueError("type D oracle applies for rank >= 7")
         em = EuclidModel(system)
-        plus = lambda i, j: em.to_root(tuple(x + y for x, y in zip(em.eps(i), em.eps(j))))
-        minus = lambda i, j: em.to_root(tuple(x - y for x, y in zip(em.eps(i), em.eps(j))))
-        R = [plus(i, j) for i in range(1, n) for j in range(i + 1, n)]
+        R = [em.root(i, j) for i in range(1, n) for j in range(i + 1, n)]
         sets = [
-            R + [plus(i, n) for i in range(1, n)],
-            R + [minus(i, n) for i in range(1, n)],
+            R + [em.root(i, n) for i in range(1, n)],
+            R + [em.root(i, -n) for i in range(1, n)],
         ]
     elif type_label == "F":
         sets = _f4_sets(system)
@@ -406,36 +383,17 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
 def _f4_sets(system: RootSystem) -> list[list[Root]]:
     """The 12 + 9 + 7 case construction of the 28 maximum sets in F4."""
     em = EuclidModel(system)
-    half = Fraction(1, 2)
-    def eps(i):
-        return em.eps(i)
-    def vadd(*vs):
-        out = tuple(Fraction(0) for _ in range(4))
-        for v in vs:
-            out = tuple(x + y for x, y in zip(out, v))
-        return out
-    def vneg(v):
-        return tuple(-x for x in v)
-    def vhalf(signs):  # eps_{ijk}: sign on eps_1 always +
-        i, j, k = signs
-        return tuple(
-            half * c
-            for c in vadd(eps(1), *( [eps(2)] if i > 0 else [vneg(eps(2))] ),
-                          *( [eps(3)] if j > 0 else [vneg(eps(3))] ),
-                          *( [eps(4)] if k > 0 else [vneg(eps(4))] ))
-        )
-    def R(v):
-        return em.to_root(v)
+    r = em.root
     # the B4 subsystem uses eps_i (short) and eps_i +- eps_j (long)
-    plus = lambda i, j: R(vadd(eps(i), eps(j)))
-    minus = lambda i, j: R(vadd(eps(i), vneg(eps(j))))
-    phir1 = [R(eps(1))] + [plus(1, i) for i in (2, 3, 4)] + [minus(1, i) for i in (2, 3, 4)]
-    S = {t: [R(eps(t))] + [plus(i, j) for i in (1, 2, 3) for j in range(i + 1, 5)]
+    phir1 = [r(1)] + [r(1, i) for i in (2, 3, 4)] + [r(1, -i) for i in (2, 3, 4)]
+    S = {t: [r(t)] + [r(i, j) for i in (1, 2, 3) for j in range(i + 1, 5)]
          for t in (1, 2, 3, 4)}
-    Sstar = {t: [R(eps(t))] + [plus(i, j) for i in (1, 2) for j in range(i + 1, 4)]
-             + [minus(i, 4) for i in (1, 2, 3)] for t in (1, 2, 3)}
+    Sstar = {t: [r(t)] + [r(i, j) for i in (1, 2) for j in range(i + 1, 4)]
+             + [r(i, -4) for i in (1, 2, 3)] for t in (1, 2, 3)}
     out: list[list[Root]] = []
     signs3 = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
+    # eps_{abc} = (eps_1 + a eps_2 + b eps_3 + c eps_4) / 2
+    half = {s: em.to_root([Fraction(x, 2) for x in (1, *s)]) for s in signs3}
     # case 1: 12 unordered pairs differing by one sign change
     seen = set()
     for s in signs3:
@@ -446,7 +404,7 @@ def _f4_sets(system: RootSystem) -> list[list[Root]]:
             if key in seen:
                 continue
             seen.add(key)
-            out.append(phir1 + [R(vhalf(s)), R(vhalf(tuple(s2)))])
+            out.append(phir1 + [half[s], half[tuple(s2)]])
     # case 2: S_t plus eps_{+++} and one negative not on the eps_t slot
     for t in (1, 2, 3, 4):
         for u in (2, 3, 4):
@@ -454,16 +412,16 @@ def _f4_sets(system: RootSystem) -> list[list[Root]]:
                 continue
             s = [1, 1, 1]
             s[u - 2] = -1
-            out.append(S[t] + [R(vhalf((1, 1, 1))), R(vhalf(tuple(s)))])
+            out.append(S[t] + [half[(1, 1, 1)], half[tuple(s)]])
     # case 3: S*_t plus eps_{++-} paired with eps_{+++} or a second negative
     for t in (1, 2, 3):
-        out.append(Sstar[t] + [R(vhalf((1, 1, -1))), R(vhalf((1, 1, 1)))])
+        out.append(Sstar[t] + [half[(1, 1, -1)], half[(1, 1, 1)]])
         for u in (2, 3):
             if u == t:
                 continue
             s = [1, 1, -1]
             s[u - 2] = -1
-            out.append(Sstar[t] + [R(vhalf((1, 1, -1))), R(vhalf(tuple(s)))])
+            out.append(Sstar[t] + [half[(1, 1, -1)], half[tuple(s)]])
     return out
 
 

@@ -45,7 +45,7 @@ from .chevalley import (
     root_group_element,
     weyl_word_element,
 )
-from .commuting import CommutingSet, b_family, commuting_set, enumerate_max_commuting
+from .commuting import CommutingSet, b_family, commuting_set, enumerate_max_commuting, is_ideal
 from .rootsys import Root, RootSystem, WeylWord, build_root_system
 
 
@@ -334,9 +334,14 @@ def brute_force_Eu(
                     items = live[group == g]
                     free = np.flatnonzero(~pivot_set)
                     # count the q^k candidate rows of each system before building them
-                    processed += len(items) * gf.q ** len(free)
+                    rows = len(items) * gf.q ** len(free)
+                    processed += rows
                     if processed > budget:
                         raise BudgetExceeded(f"candidate-row budget of {budget} exceeded")
+                    if rows > DEFAULT_BUDGET:  # whatever the budget, bound one broadcast
+                        raise BudgetExceeded(
+                            f"{rows} candidate rows exceed the {DEFAULT_BUDGET} built at once"
+                        )
                     pts = gf.span_points(kernel[items][:, free], part[items])
                     cand = gf.zeros(pts.shape[:2] + (n,))
                     cand[:, :, pivots[k]] = 1
@@ -472,9 +477,8 @@ def leading_term_solve(lts: LeadingTermSystem) -> SolveReport:
                 if len(vs) == 1:
                     (v,) = vs
                     lin = eq.get((v,), 0)
-                    quad = eq.get((v, v), 0)
                     const = eq.get((), 0)
-                    if quad == 0 and lin:
+                    if lin:
                         # v is unassigned: substitute removed every assigned unknown
                         assign[v] = MUL[NEG[const]][INV[lin]]
                         forced = True
@@ -795,18 +799,16 @@ def _fusion_words(setting: Setting) -> dict[bytes, tuple[list, ElementarySubalge
     """For every point of maximal dimension, by packing: a word onto the normal
     form of its class, and that form.  The words are the paths from the form
     in the class's fusion tree; an edge walked against its direction gives
-    the inverse generator, from one row reduction of [M | I].  A G_2 class
-    has lie(R_1) at p = 3, else its member of `g2_normal_forms`; every other
-    class has its minimal point."""
+    the inverse generator, from one row reduction of [M | I].  A class has
+    its member of `g2_normal_forms` if it holds one (G_2 with m = 3), else
+    its minimal point."""
     system, gf = setting.system, setting.field
     check_weyl_order(system)
     points = brute_force_Eu(setting, enumerate_max_commuting(system, p=gf.p).m)
     packs = [E.pack() for E in points]
-    forms = []
+    forms = set()
     if system.type_label == "G":
-        R1 = [Root((1, 1)), Root((2, 1)), Root((3, 1)), Root((3, 2))]
-        forms = [lie(setting, R1)] if gf.p == 3 else g2_normal_forms(setting).values()
-    forms = {F.pack() for F in forms}
+        forms = {F.pack() for F in g2_normal_forms(setting).values()}
     gens, inverses, out = _moves(setting)[0], {}, {}
     for c in g_conjugacy_classes(setting, points):
         steps = {i: [] for i in c.point_indices}  # (neighbour, its first letter)
@@ -838,6 +840,7 @@ def conjugation_reduce(
     E must have the maximal dimension m of its type and characteristic.  The
     two B_n families (n >= 4) reduce to lie(S_1) by the recipe
     `_reduce_b_family`; fusion over their points would be far too large.
+    B_4's one other point, lie(phi_rad(1)), is its own normal form.
     Every other type reads a path in the fusion forest (`_fusion_words`, not
     a shortest word).  A G_2 point lands on lie(R_1) at p = 3, otherwise on
     lie(C_3), lie(C_5), L or, over F_5, N4 = span(x_{(0,1)} + x_{(3,1)},
@@ -862,7 +865,8 @@ def conjugation_reduce(
 
 
 def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
-    """B(a_1..a_n) and twisted C(a_1..a_{n-1}) members down to lie(S_1)."""
+    """B(a_1..a_n) and twisted C(a_1..a_{n-1}) members down to lie(S_1);
+    B_4's lie(phi_rad(1)) is returned with the empty word."""
     gf = setting.field
     sys = setting.system
     n = sys.rank
@@ -898,6 +902,11 @@ def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
         lead = set(r.coeffs for r in cur.leading_roots())
     s_t = [t for t in range(1, n + 1) if lead == {r.coeffs for r in family.S[t]}]
     if not s_t:
+        # B_4's phi_rad(1) is an ideal off both families; the closed orbit of
+        # lie(phi_rad(1)) meets u in that one point (its Schubert count is 1)
+        I = lt(cur)
+        if not word and is_ideal(I) and cur.pack() == lie(setting, I).pack():
+            return word, cur
         raise ValueError("leading terms are not S_t or S*_t: recipe does not apply")
     # the eps-row now carries sum a_s x_{eps_s}; move its top slot to eps_n
     t = s_t[0]

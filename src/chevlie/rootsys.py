@@ -1,10 +1,13 @@
 """Irreducible root systems with Bourbaki labeling.
 
-Roots are stored as integer coefficient vectors over the simple roots; the
-Euclidean (epsilon-coordinate) models of the classical types are provided as
-conversion helpers only.  Positive roots are generated by string closure
-from the Cartan matrix and enumerated by height, ties broken lexicographically,
-which fixes the canonical index used for masks and matrices everywhere else.
+Roots are stored as integer coefficient vectors over the simple roots.
+Positive roots are generated by string closure from the Cartan matrix and
+enumerated by height, ties broken lexicographically, which fixes the
+canonical index used for masks and matrices everywhere else.  The Euclidean
+(epsilon-coordinate) models of the classical types and F4 are conversion
+helpers only: `EuclidModel` is one table from the doubled epsilon
+coordinates of each signed root to the root, and the closed-form
+constructions read their roots from it.
 
 The signed roots are the positive roots in that order, then their negatives;
 `RootSystem.signed_index` gives a root's position there, also the index of
@@ -476,7 +479,13 @@ def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
 
 
 class EuclidModel:
-    """Epsilon-coordinate model of a classical (or F4) root system."""
+    """Epsilon-coordinate model of a classical (or F4) root system.
+
+    The simple roots are Bourbaki's (Plates I-IV and VIII).  The doubled
+    epsilon coordinates of every signed root, integers also for F4's halves,
+    are computed once as `system._signed @ doubled`, the rows of `doubled`
+    being twice the simple roots; converting a vector is one lookup.
+    """
 
     def __init__(self, system: RootSystem):
         t, n = system.type_label, system.rank
@@ -484,116 +493,62 @@ class EuclidModel:
         self.dim = {"A": n + 1, "B": n, "C": n, "D": n, "F": 4}.get(t)
         if self.dim is None:
             raise ValueError(f"no epsilon model for type {t}")
-        e = lambda i: tuple(
-            Fraction(1) if k == i - 1 else Fraction(0) for k in range(self.dim)
-        )
-        self._e = e
-        if t == "A":
-            simple = [_vsub(e(i), e(i + 1)) for i in range(1, n + 1)]
-        elif t == "B":
-            simple = [_vsub(e(i), e(i + 1)) for i in range(1, n)] + [e(n)]
-        elif t == "C":
-            simple = [_vsub(e(i), e(i + 1)) for i in range(1, n)] + [_vscale(e(n), 2)]
-        elif t == "D":
-            simple = [_vsub(e(i), e(i + 1)) for i in range(1, n)] + [
-                _vadd(e(n - 1), e(n))
-            ]
-        else:  # F4
-            simple = [
-                _vsub(e(2), e(3)),
-                _vsub(e(3), e(4)),
-                e(4),
-                _vscale(_vsub(_vsub(_vsub(e(1), e(2)), e(3)), e(4)), Fraction(1, 2)),
-            ]
-        self.simple = simple
+        if t == "F":
+            simple = [(2, -3), (3, -4), (4,)]
+        else:
+            last = {"A": (n, -n - 1), "B": (n,), "C": (n, n), "D": (n - 1, n)}[t]
+            simple = [(i, -i - 1) for i in range(1, n)] + [last]
+        doubled = [[2 * x for x in self._sum(*s)] for s in simple]
+        if t == "F":
+            doubled.append([1, -1, -1, -1])  # alpha_4 = (eps_1 - eps_2 - eps_3 - eps_4) / 2
+        coords = system._signed.astype(np.int64) @ np.array(doubled)
+        self._roots = {
+            tuple(v): Root(tuple(c)) for v, c in zip(coords.tolist(), system._signed.tolist())
+        }
 
-    def eps(self, i: int):
-        return self._e(i)
+    def _sum(self, *signed: int) -> list[int]:
+        """The epsilon coordinates of the sum of sign(k) eps_|k| over k."""
+        vec = [0] * self.dim
+        for k in signed:
+            vec[abs(k) - 1] += 1 if k > 0 else -1
+        return vec
+
+    def eps(self, i: int) -> tuple[int, ...]:
+        return tuple(self._sum(i))
+
+    def root(self, *signed: int) -> Root:
+        """The root sum of sign(k) eps_|k| over k: root(1, -3) is
+        eps_1 - eps_3 and root(2, 2) is 2 eps_2."""
+        return self.to_root(self._sum(*signed))
 
     def to_root(self, vec) -> Root:
-        """Solve for the coefficient vector over the simple roots; exact."""
-        cols = self.simple
-        m, n = self.dim, len(cols)
-        A = [[cols[j][i] for j in range(n)] + [Fraction(vec[i])] for i in range(m)]
-        # Gaussian elimination over Q
-        row = 0
-        piv = []
-        for c in range(n):
-            k = next((r for r in range(row, m) if A[r][c]), None)
-            if k is None:
-                continue
-            A[row], A[k] = A[k], A[row]
-            A[row] = [x / A[row][c] for x in A[row]]
-            for r in range(m):
-                if r != row and A[r][c]:
-                    f = A[r][c]
-                    A[r] = [x - f * y for x, y in zip(A[r], A[row])]
-            piv.append(c)
-            row += 1
-        for r in range(row, m):
-            if A[r][n]:
-                raise ValueError("vector is not in the root lattice span")
-        coeffs = [Fraction(0)] * n
-        for r, c in enumerate(piv):
-            coeffs[c] = A[r][n]
-        if any(x.denominator != 1 for x in coeffs):
-            raise ValueError("vector has non-integral simple-root coefficients")
-        root = Root(tuple(int(x) for x in coeffs))
-        if not self.system.is_root(root):
-            raise ValueError(f"{vec} is not a root of {self.system}")
+        """The root with epsilon coordinates `vec` (integers or Fractions)."""
+        root = self._roots.get(tuple(2 * Fraction(x) for x in vec))
+        if root is None:
+            raise ValueError(f"{tuple(vec)} is not a root of {self.system}")
         return root
 
     def positive_roots(self) -> set[Root]:
         """All positive roots generated directly in epsilon coordinates."""
         t, n = self.system.type_label, self.system.rank
-        e = self._e
-        vecs = []
+        r = self.root
         if t == "A":
-            vecs = [_vsub(e(i), e(j)) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
-        elif t in "BCD":
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    for si, sj in product((1, -1), repeat=2):
-                        vecs.append(_vadd(_vscale(e(i), si), _vscale(e(j), sj)))
-            if t == "B":
-                vecs += [_vscale(e(i), s) for i in range(1, n + 1) for s in (1, -1)]
+            roots = [r(i, -j) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+        else:
+            m = self.dim
+            roots = [
+                r(si * i, sj * j)
+                for i in range(1, m + 1)
+                for j in range(i + 1, m + 1)
+                for si, sj in product((1, -1), repeat=2)
+            ]
+            if t in "BF":
+                roots += [r(s * i) for i in range(1, m + 1) for s in (1, -1)]
             if t == "C":
-                vecs += [_vscale(e(i), 2 * s) for i in range(1, n + 1) for s in (1, -1)]
-        else:  # F4
-            for i in range(1, 5):
-                vecs += [_vscale(e(i), s) for s in (1, -1)]
-            for i in range(1, 5):
-                for j in range(i + 1, 5):
-                    for si, sj in product((1, -1), repeat=2):
-                        vecs.append(_vadd(_vscale(e(i), si), _vscale(e(j), sj)))
-            for signs in product((1, -1), repeat=4):
-                vecs.append(
-                    _vscale(
-                        _vadd(
-                            _vadd(_vscale(e(1), signs[0]), _vscale(e(2), signs[1])),
-                            _vadd(_vscale(e(3), signs[2]), _vscale(e(4), signs[3])),
-                        ),
-                        Fraction(1, 2),
-                    )
-                )
-        out = set()
-        for v in vecs:
-            try:
-                root = self.to_root(v)
-            except ValueError:
-                continue
-            if root.is_positive:
-                out.add(root)
-        return out
-
-
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _vscale(a, k):
-    return tuple(x * k for x in a)
+                roots += [r(s * i, s * i) for i in range(1, m + 1) for s in (1, -1)]
+            if t == "F":
+                roots += [
+                    self.to_root([Fraction(s, 2) for s in signs])
+                    for signs in product((1, -1), repeat=4)
+                ]
+        return {x for x in roots if x.is_positive}

@@ -237,6 +237,20 @@ def test_enumerate_budget_exit():
     assert "candidate-row budget" in out
 
 
+def test_large_budget_refuses_one_huge_system():
+    # one F4/F5 system has 5^15 candidate rows: whatever --budget says, no
+    # single broadcast builds more rows than the default budget allows
+    start = time.perf_counter()
+    code, out = run(["enumerate", "--type", "F4", "--p", "5", "--dim", "9",
+                     "--budget", "1000000000000"])
+    assert code == 3 and time.perf_counter() - start < 2
+    assert out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "budget",
+        "detail": "30517578125 candidate rows exceed the 100000000 built at once",
+    }
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -296,7 +296,7 @@ def test_exhaustive_stabilizers_small_groups():
 APPENDIX_CASES = (
     [("A", n) for n in range(1, 7)]
     + [("C", n) for n in range(3, 6)]
-    + [("B", 5), ("B", 6), ("F", 4), ("G", 2)]
+    + [("B", 5), ("B", 6), ("D", 7), ("D", 8), ("F", 4), ("G", 2)]
 )
 
 

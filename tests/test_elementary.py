@@ -380,6 +380,21 @@ def test_zero_solution_always_present():
             assert tuple([0] * len(lts.unknowns)) in rep.solutions
 
 
+@pytest.mark.parametrize("t,n,p,degree", [
+    ("B", 4, 3, 1), ("D", 4, 3, 1), ("G", 2, 5, 1), ("G", 2, 5, 2),
+], ids=["B4-F3", "D4-F3", "G2-F5", "G2-F25"])
+def test_monomials_never_repeat_an_unknown(t, n, p, degree):
+    # each monomial takes one unknown from each of two different rows, so
+    # `leading_term_solve` never meets a square
+    setting = get_setting(t, n, p, degree)
+    for R in enumerate_max_commuting(setting.system, p=p).sets:
+        lts = build_leading_term_system(setting, R)
+        for eq in lts.equations:
+            for mono in eq:
+                rows = [lts.unknowns[v][0] for v in mono]
+                assert len(set(rows)) == len(rows)
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_unique_zero_b4_d4(p):
     for t in ("B", "D"):
@@ -681,6 +696,25 @@ def test_conjugation_reduce_replay_b5():
             E = _apply_word_u(setting, E, [g])
         word, out = conjugation_reduce(setting, E)
         assert out.pack() == target.pack()
+
+
+def test_conjugation_reduce_b4_f3():
+    # 79 points lie in the class of lie(S_1); lie(phi_rad(1)) is an ideal off
+    # both B families whose class holds only itself
+    setting = get_setting("B", 4, 3)
+    points = brute_force_Eu(setting, 7)
+    assert len(points) == 80
+    target = lie(setting, b_family(setting.system).S[1]).pack()
+    rad = lie(setting, setting.system.phi_rad(1))
+    outs = []
+    for E in points:
+        word, out = conjugation_reduce(setting, E)
+        assert replay_verify(setting, E, word, out)
+        if E.pack() == rad.pack():
+            assert word == [] and out.pack() == rad.pack()
+        else:
+            outs.append(out.pack())
+    assert outs == [target] * 79
 
 
 def test_conjugation_reduce_identity_on_normal_form():

@@ -1,6 +1,7 @@
 """Root system construction, arithmetic, and classical data."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,24 @@ def test_positive_root_counts(key):
 def test_epsilon_model_matches_closure(t, n):
     sys_ = build_root_system(t, n)
     assert EuclidModel(sys_).positive_roots() == set(sys_.positive_roots)
+
+
+def test_epsilon_model_lookup():
+    em = EuclidModel(build_root_system("B", 4))
+    assert em.root(1, -3) == em.to_root((1, 0, -1, 0)) == Root((1, 1, 0, 0))
+    assert em.root(4) == em.to_root(em.eps(4)) == Root((0, 0, 0, 1))
+    assert EuclidModel(build_root_system("C", 3)).root(2, 2) == Root((0, 2, 1))
+    f4 = EuclidModel(build_root_system("F", 4))
+    assert f4.to_root((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))) == Root(
+        (0, 0, 0, 1)
+    )
+    # off the lattice, and a lattice vector that is not a root
+    for vec in [(Fraction(1, 2), 0, 0, 0), (2, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="is not a root"):
+            em.to_root(vec)
+    for t, n in [("E", 6), ("G", 2)]:
+        with pytest.raises(ValueError, match="no epsilon model"):
+            EuclidModel(build_root_system(t, n))
 
 
 def test_closure_property():

@@ -1,10 +1,14 @@
-"""The names the benchmark's tracer wraps still exist in chevlie."""
+"""The benchmark still runs against chevlie: the names its tracer wraps
+resolve, and its seeded inputs build and check."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _traced_names() -> list[tuple[str, str]]:
@@ -29,3 +33,19 @@ def test_traced_names_resolve():
             assert hasattr(obj, attr), f"chevlie.{layer}.{path} does not resolve"
             obj = getattr(obj, attr)
         assert callable(obj), f"chevlie.{layer}.{path} is not callable"
+
+
+def test_conjugation_inputs_build_and_check(monkeypatch):
+    # the B5/F5 replay inputs call EuclidModel and GroupGenerator.apply_rows,
+    # which an API change would otherwise break only in a benchmark run
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    pinned = workloads.load_pinned()
+    ops = workloads.operations("conjugation", 1, pinned)
+    assert workloads.check_inputs("conjugation", ops, pinned) is None
+    b5 = [op for op in ops if op.name == "replay-B5-F5"]
+    assert len(b5) == 20
+    for op in b5:
+        assert workloads.check(op, op.run(), pinned, "conjugation") is None
