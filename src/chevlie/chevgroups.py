@@ -13,6 +13,8 @@ p^(r*m - 1).  Each report is the row of its golden table (`groups.json`,
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .commuting import MaxSetCatalog, enumerate_max_commuting
 from .rootsys import build_root_system
 
@@ -85,14 +87,16 @@ def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> dict:
 WITNESS_BUDGET = 20_000
 
 
-def _g2_witness_classes(p: int, r: int):
-    """Bruhat fusion classes of the 3-dimensional points of u for G2 over F_q."""
+@lru_cache(maxsize=None)
+def _g2_witness_classes(p: int, r: int) -> tuple:
+    """Bruhat fusion classes of the 3-dimensional points of u for G2 over F_q,
+    computed once per field: the count and the dimensions read the same run."""
     if p < 5:
         raise ValueError(f"p = {p} is bad for G2: the maximal dimension is 4, not 3")
     from .elementary import brute_force_Eu, g_conjugacy_classes, get_setting
 
     setting = get_setting("G", 2, p, degree=r)
-    return g_conjugacy_classes(setting, brute_force_Eu(setting, 3, budget=WITNESS_BUDGET))
+    return tuple(g_conjugacy_classes(setting, brute_force_Eu(setting, 3, budget=WITNESS_BUDGET)))
 
 
 def g2_class_count_witness(p: int, r: int) -> int:

@@ -21,6 +21,9 @@ u are conjugate iff some fixed Weyl representative maps a point of one
 B-orbit into the B-orbit of the other, so a B-orbit partition of the point
 set plus one Weyl sweep is a complete and exact fusion analysis; its unions
 span each class by a tree, from which `conjugation_reduce` reads its words.
+Fusion skips the points a move fixes, found without a row reduction: a
+reduced point E contains a vector v exactly when v = v[P] E for its pivot
+columns P, and a fixed point only joins itself.
 The generic orbit BFS over ambient subspaces is also provided and
 cross-checked against the Bruhat engine at desk scale.
 """
@@ -28,7 +31,6 @@ cross-checked against the Bruhat engine at desk scale.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
@@ -64,6 +66,8 @@ _MAX_ORBIT_POINTS = 5_000_000
 _FILL_BATCH = 256
 # entries of the int16 ad stack of one `_p_nilpotent_mask` chunk
 _AD_CHUNK = 1 << 18
+# entries of the (points, r, dim) image stack of one Bruhat fusion chunk
+_FUSION_CHUNK = 1 << 18
 
 
 # -- settings -----------------------------------------------------------------
@@ -182,8 +186,15 @@ def canonical(setting: Setting, rows: np.ndarray) -> np.ndarray:
 def keys(setting: Setting, stack: np.ndarray) -> list[bytes]:
     """One byte key per canonical matrix of an (N, r, d) stack: its entries
     read row by row in the column order `setting.colperm`."""
-    ordered = stack[:, :, setting.colperm[: stack.shape[-1]]].astype(np.uint8)
-    return [m.tobytes() for m in ordered]
+    return _key_array(setting, stack).tolist()
+
+
+def _key_array(setting: Setting, stack: np.ndarray) -> np.ndarray:
+    """The keys of `keys` as one (N,) array of fixed-width `np.void` items,
+    which numpy sorts and searches by memcmp, the order of the bytes keys."""
+    N, r, d = stack.shape
+    ordered = stack[:, :, setting.colperm[:d]].astype(np.uint8).reshape(N, r * d)
+    return ordered.view(np.dtype((np.void, r * d))).ravel()
 
 
 def normal_form_tag(setting: Setting, rows: np.ndarray) -> str:
@@ -312,7 +323,7 @@ def brute_force_Eu(
     if n_patterns > budget:
         raise BudgetExceeded(f"{n_patterns} pivot patterns exceed the budget of {budget}")
     processed = 0
-    found: list[ElementarySubalgebra] = []
+    found: list[np.ndarray] = []  # the points of each cell, (F, r, n)
 
     for pos in _pivot_sets(setting, r):
         pivots, below = _cell(setting, pos)
@@ -354,9 +365,12 @@ def brute_force_Eu(
                 keep = _p_nilpotent_mask(setting, cand)
                 grown.append(np.concatenate([cand[keep, None], fills[parent[keep]]], axis=1))
             fills = np.concatenate(grown) if grown else gf.zeros((0, r - k, n))
-        found.extend(ElementarySubalgebra(setting, rows) for rows in fills)
-    found.sort(key=lambda E: E.pack())
-    return found
+        found.append(fills)
+    if not found:
+        return []
+    points = np.concatenate(found)
+    points = points[np.argsort(_key_array(setting, points), kind="stable")]
+    return [ElementarySubalgebra(setting, rows) for rows in points]
 
 
 # -- leading-term systems --------------------------------------------------------
@@ -718,19 +732,32 @@ def g_conjugacy_classes(
     group the components of a generator graph are the orbits.  The point list
     must be closed under B (true for the full enumeration output).
     Every union that merges two classes is kept as an edge of their tree.
+
+    Each move takes a chunk of points at a time.  A point E_i that the move
+    fixes is skipped: E_i is reduced, its rows are unit vectors at its pivot
+    columns P_i, so an image row v lies in E_i exactly when v = v[P_i] E_i,
+    and a fixed point only gives the edge (i, i), which merges nothing.  The
+    other images inside u are reduced by `canonical` and found by
+    `np.searchsorted` in the sorted key array of the points.  Of the pairs
+    of one move, numpy drops those whose classes were already one when the
+    move began and all but the first that join the same two classes; the
+    union-find walks the rest in point order, so the unions, and hence the
+    trees, are those of the plain loop over every (point, move) pair.
     """
     if not points:
         return []
     gf = setting.field
     n = setting.n_pos
     rows_all = np.stack([E.rows for E in points])
-    point_keys = keys(setting, rows_all)
-    index: dict[bytes, int] = {k: i for i, k in enumerate(point_keys)}
-    npts = len(points)
-
-    # union-find
-    parent = list(range(npts))
-    edges = array("i")  # (i, k, j) per merging union, flat
+    npts, r = rows_all.shape[:2]
+    point_keys = _key_array(setting, rows_all)
+    order = np.argsort(point_keys, kind="stable")
+    sorted_keys = point_keys[order]
+    # storage column of the pivot of each row: its first nonzero in `perm_desc`
+    pivots = setting.perm_desc[np.argmax(rows_all[:, :, setting.perm_desc] != 0, axis=2)]
+    step = max(1, _FUSION_CHUNK // (r * setting.basis.dim))
+    root = np.arange(npts)  # the least point of each point's class so far
+    edges = []  # (i, k, j) per merging union
 
     def find(a):
         while parent[a] != a:
@@ -743,35 +770,52 @@ def g_conjugacy_classes(
     for k_move, (g, M) in enumerate(zip(*_moves(setting))):
         if not M[:, n:].any():  # g keeps u: skip the columns outside it
             M = M[:, :n]
-        imgs = gf.matmul(rows_all, M[None, :, :])
-        idxs = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
-        if not len(idxs):
-            continue
-        imgs = imgs[idxs, :, :n]  # frees the full stack before the reduction
-        # union each point i with the point j spanned by its image g E_i
-        for i, k in zip(idxs, keys(setting, canonical(setting, imgs))):
-            j = index.get(k)
-            if j is None:
+        src, dst = [], []
+        for lo in range(0, npts, step):
+            E = rows_all[lo : lo + step]
+            imgs = gf.matmul(E.reshape(-1, n), M).reshape(len(E), r, -1)
+            inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
+            imgs, E = imgs[inside, :, :n], E[inside]
+            coeffs = np.take_along_axis(imgs, pivots[lo + inside, None, :], axis=2)
+            moved = (gf.matmul(coeffs, E) != imgs).any(axis=(1, 2))
+            if not moved.any():
+                continue
+            img_keys = _key_array(setting, canonical(setting, imgs[moved]))
+            at = np.minimum(sorted_keys.searchsorted(img_keys), npts - 1)
+            if (sorted_keys[at] != img_keys).any():
                 raise ValueError(
                     "Weyl image inside u is missing from the point list" if g.kind == "weyl_word"
                     else "point list is not closed under the Borel action"
                 )
-            ra, rb = find(int(i)), find(j)
+            src.append(lo + inside[moved])
+            dst.append(order[at])
+        if not src:
+            continue
+        i, j = np.concatenate(src), np.concatenate(dst)
+        # of the pairs joining the same two classes only the first can merge them
+        ends = np.sort(np.stack([root[i], root[j]], axis=1), axis=1)
+        _, first = np.unique(ends[:, 0] * npts + ends[:, 1], return_index=True)
+        first = np.sort(first[ends[first, 0] != ends[first, 1]])
+        parent = root.tolist()
+        for a, b in zip(i[first].tolist(), j[first].tolist()):
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-                edges.extend((int(i), k_move, j))
+                edges.append((a, k_move, b))
+        root = np.array(parent)
+        while ((up := root[root]) != root).any():  # pointer jumping
+            root = up
 
-    groups: dict[int, list[int]] = {}
-    for i in range(npts):
-        groups.setdefault(find(i), []).append(i)
-    tree = np.frombuffer(edges, dtype=np.intc).reshape(-1, 3)
-    owner = np.array([find(int(i)) for i in tree[:, 0]], dtype=np.int64)
+    tree = np.array(edges, dtype=np.intc).reshape(-1, 3)
+    # a class is represented by its point of least key, and the classes
+    # follow their representatives' keys
+    _, first = np.unique(root[order], return_index=True)
     classes = []
-    for root, members in groups.items():
-        rep_i = min(members, key=lambda i: point_keys[i])
+    for rep_i in order[np.sort(first)].tolist():
         nd = len(normalizer_basis(setting, points[rep_i].as_g_rows()))
-        classes.append(FusionClass(points[rep_i], sorted(members), nd, tree[owner == root]))
-    classes.sort(key=lambda c: c.representative.pack())
+        members = np.flatnonzero(root == root[rep_i]).tolist()
+        own = root[tree[:, 0]] == root[rep_i]
+        classes.append(FusionClass(points[rep_i], members, nd, tree[own]))
     return classes
 
 
@@ -805,7 +849,7 @@ def _fusion_words(setting: Setting) -> dict[bytes, tuple[list, ElementarySubalge
     system, gf = setting.system, setting.field
     check_weyl_order(system)
     points = brute_force_Eu(setting, enumerate_max_commuting(system, p=gf.p).m)
-    packs = [E.pack() for E in points]
+    packs = keys(setting, np.stack([E.rows for E in points]))
     forms = set()
     if system.type_label == "G":
         forms = {F.pack() for F in g2_normal_forms(setting).values()}

@@ -42,6 +42,8 @@ from chevlie.elementary import (
     subalgebra_from_rows,
     weyl_words_all,
     _apply_word_u,
+    _key_array,
+    _moves,
     _cell,
     _p_nilpotent_mask,
     _pivot_sets,
@@ -642,6 +644,141 @@ def test_fusion_over_borel_generators_matches_all_elements(t, n, p, deg, r, npts
     assert [(c.representative.pack(), c.point_indices, c.normalizer_dim) for c in classes] == (
         _reference_classes(setting, points)
     )
+
+
+def _tree_components(edges, npts):
+    """Point sets joined by the (i, k, j) rows of a fusion tree."""
+    parent = list(range(npts))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, _, j in edges:
+        parent[find(i)] = find(j)
+    groups = {}
+    for i in range(npts):
+        groups.setdefault(find(i), set()).add(i)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize(
+    "t,n,p,sizes", [("G", 2, 5, [6, 55, 60, 60]), ("G", 2, 3, [7]), ("A", 2, 5, [1, 1, 4])]
+)
+def test_fusion_trees_span_their_classes(t, n, p, sizes):
+    setting = get_setting(t, n, p)
+    points = brute_force_Eu(setting, enumerate_max_commuting(setting.system, p=p).m)
+    classes = g_conjugacy_classes(setting, points)
+    assert sorted(c.size for c in classes) == sizes
+    gens = _moves(setting)[0]
+    for c in classes:
+        assert c.edges.shape == (c.size - 1, 3)
+        components = _tree_components(c.edges.tolist(), len(points))
+        assert set(c.point_indices) in components
+        for i, k, j in c.edges.tolist():
+            assert _apply_word_u(setting, points[i], [gens[k]]).pack() == points[j].pack()
+
+
+@pytest.mark.parametrize(
+    "t,n,p,deg,r", [("G", 2, 5, 1, 3), ("A", 2, 7, 1, 2), ("B", 2, 3, 2, 2), ("A", 3, 2, 2, 3)]
+)
+def test_fusion_trees_are_those_of_the_plain_loop(t, n, p, deg, r):
+    """The union-find over every (move, point) pair in order, with a dict of
+    byte keys, gives the same merging unions as the chunked numpy pass."""
+    setting = get_setting(t, n, p, degree=deg)
+    gf, npos = setting.field, setting.n_pos
+    points = brute_force_Eu(setting, r)
+    rows = np.stack([E.rows for E in points])
+    index = {k: i for i, k in enumerate(keys(setting, rows))}
+    parent = list(range(len(points)))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    plain = []
+    for k_move, g in enumerate(_moves(setting)[0]):
+        imgs = gf.matmul(rows, g.matrix.T[None, :npos, :])
+        inside = np.flatnonzero(~imgs[:, :, npos:].any(axis=(1, 2)))
+        for i, key in zip(inside.tolist(), keys(setting, canonical(setting, imgs[inside, :, :npos]))):
+            a, b = find(i), find(index[key])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+                plain.append([i, k_move, index[key]])
+    edges = np.concatenate([c.edges for c in g_conjugacy_classes(setting, points)]).tolist()
+    assert sorted(edges) == sorted(plain)
+
+
+def test_fusion_words_replay_for_every_g2_f5_point():
+    setting = get_setting("G", 2, 5)
+    points = brute_force_Eu(setting, 3)
+    for c in g_conjugacy_classes(setting, points):
+        members = {points[i].pack() for i in c.point_indices}
+        for i in c.point_indices:
+            word, out = conjugation_reduce(setting, points[i])
+            assert replay_verify(setting, points[i], word, out) and out.pack() in members
+
+
+def test_fusion_refuses_a_list_not_closed_under_borel():
+    setting = get_setting("G", 2, 5)
+    points = brute_force_Eu(setting, 3)
+    nb = len(borel_generators(setting))
+    classes = g_conjugacy_classes(setting, points)
+    # the target of a Borel edge is the image of another point under B
+    j = next(j for c in classes for _, k, j in c.edges.tolist() if k < nb)
+    with pytest.raises(ValueError, match="not closed under the Borel action"):
+        g_conjugacy_classes(setting, points[:j] + points[j + 1 :])
+
+
+def test_fusion_refuses_a_list_not_closed_under_weyl():
+    # the Borel edges of the trees span the B-orbits (Borel moves come
+    # first), so the largest B-orbit that ends a Weyl edge is closed under B,
+    # and some Weyl representative maps it into u onto another B-orbit
+    setting = get_setting("G", 2, 5)
+    points = brute_force_Eu(setting, 3)
+    nb = len(borel_generators(setting))
+    edges = np.concatenate([c.edges for c in g_conjugacy_classes(setting, points)]).tolist()
+    weyl_ends = {x for i, k, j in edges if k >= nb for x in (i, j)}
+    orbits = _tree_components([e for e in edges if e[1] < nb], len(points))
+    orbit = max((o for o in orbits if o & weyl_ends), key=len)
+    # the ambient BFS under B agrees that the orbit is this one set
+    (o,) = orbit_decompose(setting, [points[min(orbit)]], borel_generators(setting))
+    assert 1 < o.size == len(orbit)
+    sub = [points[x] for x in sorted(orbit)]
+    with pytest.raises(ValueError, match="Weyl image inside u is missing"):
+        g_conjugacy_classes(setting, sub)
+
+
+def test_fusion_ignores_input_order():
+    setting = get_setting("G", 2, 5)
+    points = brute_force_Eu(setting, 3)
+    perm = list(range(len(points)))
+    random.Random(7).shuffle(perm)
+    classes = g_conjugacy_classes(setting, points)
+    shuffled = g_conjugacy_classes(setting, [points[x] for x in perm])
+    assert len(shuffled) == len(classes)
+    for c, s in zip(classes, shuffled):
+        assert sorted(perm[i] for i in s.point_indices) == c.point_indices
+        assert s.representative.pack() == c.representative.pack()
+        assert s.normalizer_dim == c.normalizer_dim and len(s.edges) == len(c.edges)
+
+
+def test_key_array_sorts_like_the_byte_keys():
+    setting = get_setting("G", 2, 5, degree=2)
+    points = brute_force_Eu(setting, 3)
+    packs = [E.pack() for E in points]
+    assert packs == sorted(packs)
+    rng = np.random.default_rng(1)
+    for stack in [
+        np.stack([E.rows for E in points])[rng.permutation(len(points))],
+        rng.integers(0, 256, size=(500, 2, setting.basis.dim)).astype(np.int16),
+    ]:
+        ka = _key_array(setting, stack)
+        assert ka.tolist() == keys(setting, stack)
+        assert ka[np.argsort(ka, kind="stable")].tolist() == sorted(keys(setting, stack))
+    assert keys(setting, setting.field.zeros((0, 3, setting.n_pos))) == []
 
 
 def test_a4_f2_orbits_fusion_and_ambient_agree():
