@@ -214,6 +214,25 @@ class ChevalleyBasis:
             self._field_cache[field.p] = stack
         return self._field_cache[field.p]
 
+    @lru_cache(maxsize=None)
+    def lie_generators(self, p: int) -> np.ndarray:
+        """x_{+-alpha_i} if they generate g mod p, else every basis element: a
+        derivation of g mod p that kills these is zero.
+
+        A walk over the bracket table: [x_I, x_J] = C x_K with x_I among
+        x_{+-alpha_i}, x_J reached and C nonzero mod p reaches x_K.  Such a
+        bracket is a multiple of one basis element, so the elements reached
+        span the subalgebra that x_{+-alpha_i} generate."""
+        gens = [self.system.signed_index(b) for a in self.system.simple_roots for b in (a, -a)]
+        I, J, K, C = self.brackets.T
+        live = np.isin(I, gens) & (C % p != 0)
+        J, K = J[live], K[live]
+        reached = np.zeros(self.dim, dtype=bool)
+        reached[gens] = True
+        while not reached[K[reached[J]]].all():
+            reached[K[reached[J]]] = True
+        return np.array(gens) if reached.all() else np.arange(self.dim)
+
     def ad_of(self, field: GF, vecs: np.ndarray, scope: str = "g") -> np.ndarray:
         """ad(x) over the field for x in scope coordinates ("g" or "u").
 

@@ -21,6 +21,7 @@ u are conjugate iff some fixed Weyl representative maps a point of one
 B-orbit into the B-orbit of the other, so a B-orbit partition of the point
 set plus one Weyl sweep is a complete and exact fusion analysis; its unions
 span each class by a tree, from which `conjugation_reduce` reads its words.
+A move acts through the nonzero entries of its matrix, by table gathers.
 Fusion skips the points a move fixes, found without a row reduction: a
 reduced point E contains a vector v exactly when v = v[P] E for its pivot
 columns P, and a fixed point only joins itself.
@@ -67,7 +68,7 @@ _FILL_BATCH = 256
 # entries of the int16 ad stack of one `_p_nilpotent_mask` chunk
 _AD_CHUNK = 1 << 18
 # entries of the (points, r, dim) image stack of one Bruhat fusion chunk
-_FUSION_CHUNK = 1 << 18
+_FUSION_CHUNK = 1 << 16
 
 
 # -- settings -----------------------------------------------------------------
@@ -191,10 +192,12 @@ def keys(setting: Setting, stack: np.ndarray) -> list[bytes]:
 
 def _key_array(setting: Setting, stack: np.ndarray) -> np.ndarray:
     """The keys of `keys` as one (N,) array of fixed-width `np.void` items,
-    which numpy sorts and searches by memcmp, the order of the bytes keys."""
+    which numpy sorts and searches by memcmp, the order of the bytes keys.
+    An entry is one byte, or two big-endian ones when q > 256."""
     N, r, d = stack.shape
-    ordered = stack[:, :, setting.colperm[:d]].astype(np.uint8).reshape(N, r * d)
-    return ordered.view(np.dtype((np.void, r * d))).ravel()
+    entry = np.dtype(np.uint8 if setting.field.q <= 256 else ">u2")
+    ordered = stack[:, :, setting.colperm[:d]].astype(entry).reshape(N, r * d)
+    return ordered.view(np.dtype((np.void, r * d * entry.itemsize))).ravel()
 
 
 def normal_form_tag(setting: Setting, rows: np.ndarray) -> str:
@@ -246,18 +249,29 @@ def is_elementary(setting: Setting, rows_u: np.ndarray) -> bool:
 
 
 def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
-    """Boolean mask over candidate u-rows: ad(x)^p == 0 in g.  The rows go
-    in chunks whose (rows, dim, dim) ad stacks hold about `_AD_CHUNK` entries."""
+    """Boolean mask over candidate u-rows: ad(x)^p == 0 in g.
+
+    ad(x)^p is a derivation in characteristic p (Leibniz's rule for D^p has
+    binomials C(p, k) = 0 mod p for 0 < k < p; Jacobson), so it kills the
+    subalgebra generated by the basis elements it kills.  It is applied
+    only to the columns `ChevalleyBasis.lie_generators`: x_{+-alpha_i}, or
+    all of g where these do not generate g mod p.  With V those columns of
+    ad(x), ad(x)^p V is p - 1 products ad(x) V.  The rows go in chunks whose
+    (rows, dim, dim) ad stacks hold about `_AD_CHUNK` entries."""
     gf = setting.field
     d = setting.basis.dim
+    cols = setting.basis.lie_generators(gf.p)
     step = max(1, _AD_CHUNK // d**2)
     out = np.zeros(len(rows_u), dtype=bool)
     for lo in range(0, len(rows_u), step):
         chunk = rows_u[lo : lo + step]
         rows_g = gf.zeros((len(chunk), d))
         rows_g[:, : setting.n_pos] = chunk
-        P = gf.matpow(setting.basis.ad_of(gf, rows_g, "g"), gf.p)
-        out[lo : lo + step] = ~P.any(axis=(1, 2))
+        ad = setting.basis.ad_of(gf, rows_g, "g")
+        V = ad[:, :, cols]
+        for _ in range(gf.p - 1):
+            V = gf.matmul(ad, V)
+        out[lo : lo + step] = ~V.any(axis=(1, 2))
     return out
 
 
@@ -621,15 +635,16 @@ def weyl_words_all(system: RootSystem) -> list[WeylWord]:
 
 
 @lru_cache(maxsize=None)
-def _moves(setting: Setting) -> tuple[list[GroupGenerator], np.ndarray]:
+def _moves(setting: Setting) -> tuple[list[GroupGenerator], list[list[tuple]]]:
     """The moves of Bruhat fusion, built once per setting: the generators of
-    B(F_q), then the nontrivial Weyl representatives, with the u-rows of
-    their transposed matrices stacked (the points lie in u)."""
+    B(F_q), then the nontrivial Weyl representatives, with the nonzero
+    entries M[a, b] = c of the u-rows M = g.matrix.T[:n_pos] (the points lie
+    in u) in layers (a, b, c): layer l holds the l-th entry of each column b."""
     words = [w for w in weyl_words_all(setting.system) if w.letters]
     gens = borel_generators(setting) + [
         weyl_word_element(setting.basis, setting.field, w) for w in words
     ]
-    return gens, np.stack([g.matrix.T[: setting.n_pos] for g in gens])
+    return gens, [GF.layers(g.matrix.T[: setting.n_pos]) for g in gens]
 
 
 # -- orbit decomposition (ambient BFS) ------------------------------------------------
@@ -733,21 +748,25 @@ def g_conjugacy_classes(
     must be closed under B (true for the full enumeration output).
     Every union that merges two classes is kept as an edge of their tree.
 
-    Each move takes a chunk of points at a time.  A point E_i that the move
-    fixes is skipped: E_i is reduced, its rows are unit vectors at its pivot
-    columns P_i, so an image row v lies in E_i exactly when v = v[P_i] E_i,
-    and a fixed point only gives the edge (i, i), which merges nothing.  The
-    other images inside u are reduced by `canonical` and found by
-    `np.searchsorted` in the sorted key array of the points.  Of the pairs
-    of one move, numpy drops those whose classes were already one when the
-    move began and all but the first that join the same two classes; the
-    union-find walks the rest in point order, so the unions, and hence the
-    trees, are those of the plain loop over every (point, move) pair.
+    Each move takes a chunk of points at a time and acts through the nonzero
+    entries of its u-rows (`GF.sparse_matmul`, table gathers; a Weyl or
+    torus move has one per row).  A point E_i that the move fixes is
+    skipped: E_i is reduced, its rows are unit vectors at its pivot columns
+    P_i, so an image row v lies in E_i exactly when v = v[P_i] E_i (r table
+    terms, `GF.take_matmul`), and a fixed point only gives the edge (i, i),
+    which merges nothing.  The other images inside u are reduced by
+    `canonical` and found by `np.searchsorted` in the sorted key array of
+    the points.  Of the pairs of one move, numpy drops those whose classes
+    were already one when the move began and all but the first that join
+    the same two classes; the union-find walks the rest in point order, so
+    the unions, and hence the trees (rows of one int array, at most
+    len(points) - 1), are those of the plain loop over every (point, move)
+    pair.
     """
     if not points:
         return []
     gf = setting.field
-    n = setting.n_pos
+    n, d = setting.n_pos, setting.basis.dim
     rows_all = np.stack([E.rows for E in points])
     npts, r = rows_all.shape[:2]
     point_keys = _key_array(setting, rows_all)
@@ -755,9 +774,10 @@ def g_conjugacy_classes(
     sorted_keys = point_keys[order]
     # storage column of the pivot of each row: its first nonzero in `perm_desc`
     pivots = setting.perm_desc[np.argmax(rows_all[:, :, setting.perm_desc] != 0, axis=2)]
-    step = max(1, _FUSION_CHUNK // (r * setting.basis.dim))
+    step = max(1, _FUSION_CHUNK // (r * d))
     root = np.arange(npts)  # the least point of each point's class so far
-    edges = []  # (i, k, j) per merging union
+    tree = np.zeros((npts - 1, 3), dtype=np.intc)  # (i, k, j) per merging union
+    n_edges = 0
 
     def find(a):
         while parent[a] != a:
@@ -767,17 +787,15 @@ def g_conjugacy_classes(
 
     # the generators of B(F_q) keep u; a Weyl representative counts on the
     # points it keeps inside u
-    for k_move, (g, M) in enumerate(zip(*_moves(setting))):
-        if not M[:, n:].any():  # g keeps u: skip the columns outside it
-            M = M[:, :n]
+    for k_move, (g, layers) in enumerate(zip(*_moves(setting))):
         src, dst = [], []
         for lo in range(0, npts, step):
             E = rows_all[lo : lo + step]
-            imgs = gf.matmul(E.reshape(-1, n), M).reshape(len(E), r, -1)
+            imgs = gf.sparse_matmul(E, layers, d)
             inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
             imgs, E = imgs[inside, :, :n], E[inside]
             coeffs = np.take_along_axis(imgs, pivots[lo + inside, None, :], axis=2)
-            moved = (gf.matmul(coeffs, E) != imgs).any(axis=(1, 2))
+            moved = (gf.take_matmul(coeffs, E) != imgs).any(axis=(1, 2))
             if not moved.any():
                 continue
             img_keys = _key_array(setting, canonical(setting, imgs[moved]))
@@ -801,12 +819,13 @@ def g_conjugacy_classes(
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
-                edges.append((a, k_move, b))
+                tree[n_edges] = a, k_move, b
+                n_edges += 1
         root = np.array(parent)
         while ((up := root[root]) != root).any():  # pointer jumping
             root = up
 
-    tree = np.array(edges, dtype=np.intc).reshape(-1, 3)
+    tree = tree[:n_edges]
     # a class is represented by its point of least key, and the classes
     # follow their representatives' keys
     _, first = np.unique(root[order], return_index=True)

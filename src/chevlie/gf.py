@@ -11,8 +11,10 @@ vectorizable with numpy fancy indexing.  A matrix product is r BLAS products
 over the base-p digit planes of the encodings (`GF.matmul`), in float32 while
 r k (p-1)^2 < 2^24 for contraction length k: every partial sum is then an
 integer below 2^24, which float32 holds exactly in any summation order.
-Stacks of linear systems share one batched elimination (`GF.solve_affine`,
-`GF.batch_rref`).
+A sparse factor (`GF.sparse_matmul`) or a short contraction
+(`GF.take_matmul`) is instead one table gather per term, from MUL and ADD
+flattened (`FLAT_MUL`, `FLAT_ADD`).  Stacks of linear systems share one
+batched elimination (`GF.solve_affine`, `GF.batch_rref`).
 """
 
 from __future__ import annotations
@@ -95,6 +97,9 @@ class GF:
         self.NEG = neg
         self.INV = inv
         self.SUB = self.ADD[:, self.NEG]
+        # MUL and ADD read at a * q + b, in a type that holds every index
+        wide = np.int16 if q * q < 2**15 else np.int32
+        self.FLAT_MUL, self.FLAT_ADD = (t.astype(wide).ravel() for t in (self.MUL, self.ADD))
 
     @staticmethod
     def get(p: int, degree: int = 1) -> "GF":
@@ -171,6 +176,7 @@ class GF:
         r*k terms of at most (p-1)^2, so while r*k*(p-1)^2 < 2^24 every
         partial sum is an integer that float32 represents exactly, whatever
         order BLAS adds in; past that bound the product is taken in float64.
+        The planes are gathered from a float table of the digits.
         The float result is cast to an integer type before the reduction
         mod p.  The leading output axis (the rows of A for a plain product,
         else the first stack axis) is split so that the float temporaries of
@@ -186,11 +192,13 @@ class GF:
         out = self.zeros(np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1]))
         lead = len(out)
         split_B = nd > 2 and len(B) == lead > 1
+        if r > 1:  # digit i of every element
+            digits = (np.arange(self.q) // p ** np.arange(r)[:, None] % p).astype(ft)
 
         def planes_A(X):  # A_hat
             if r == 1:
                 return X.astype(ft)
-            return np.concatenate([X // p**i % p for i in range(r)], axis=-1).astype(ft)
+            return np.concatenate([digits[i].take(X) for i in range(r)], axis=-1)
 
         def planes_B(X):  # the r digit planes of B_hat
             if r == 1:
@@ -199,7 +207,7 @@ class GF:
             for _ in range(1, r):
                 tX.append(self.MUL[p, tX[-1]])
             X_hat = np.concatenate(tX, axis=-2)
-            return [(X_hat // p**j % p).astype(ft) for j in range(r)]
+            return [digits[j].take(X_hat) for j in range(r)]
 
         A_all = None if len(A) == lead > 1 else planes_A(A)
         B_all = None if split_B else planes_B(B)
@@ -216,6 +224,38 @@ class GF:
                 digit *= p**j
                 acc += digit
             out[lo : lo + step] = acc
+        return out
+
+    @staticmethod
+    def layers(M: np.ndarray) -> list[tuple]:
+        """The nonzero entries M[a, b] = c of a matrix for `sparse_matmul`, in
+        layers (a, b, c): layer l holds the l-th entry of each column b."""
+        b, a = np.nonzero(M.T)
+        c = M[a, b]
+        k = np.arange(len(b)) - np.searchsorted(b, b)  # place within column b
+        return [(a[k == l], b[k == l], c[k == l]) for l in range(k.max(initial=-1) + 1)]
+
+    def sparse_matmul(self, X: np.ndarray, layers, width: int) -> np.ndarray:
+        """X @ M for M of `width` columns given by its `layers`: a gather
+        from `FLAT_MUL` per nonzero entry, and one from `FLAT_ADD` per entry
+        past the first of its column.  The result has the type of the tables."""
+        Xq = X.astype(self.FLAT_MUL.dtype) * self.q
+        out = np.zeros(X.shape[:-1] + (width,), dtype=Xq.dtype)
+        for l, (a, b, c) in enumerate(layers):
+            term = self.FLAT_MUL.take(Xq[..., a] + c)
+            out[..., b] = self.FLAT_ADD.take(out[..., b] * self.q + term) if l else term
+        return out
+
+    def take_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """A @ B for stacks (..., m, k) and (..., k, n) with a short k: k
+        terms gathered from the flat tables, no float planes.  The result
+        has the type of the tables."""
+        Bq = B.astype(self.FLAT_MUL.dtype) * self.q
+        out = self.FLAT_MUL.take(Bq[..., None, 0, :] + A[..., 0, None])
+        for k in range(1, A.shape[-1]):
+            out *= self.q
+            out += self.FLAT_MUL.take(Bq[..., None, k, :] + A[..., k, None])
+            out = self.FLAT_ADD.take(out)
         return out
 
     def matpow(self, A: np.ndarray, n: int) -> np.ndarray:

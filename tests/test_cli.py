@@ -227,6 +227,17 @@ def test_enumerate_stream():
                                "r": 3, "rank": 2, "type": "A"}
 
 
+def test_enumerate_over_f343_keys_two_bytes_per_entry():
+    # q = 343 > 256: an entry is keyed by two bytes, so no two of the 344
+    # points share a key; 2 + gcd(3, q - 1) classes (LEDGER.md, A2 over F_q
+    # with q = 1 mod 3)
+    code, out = run(["enumerate", "--type", "A2", "--p", "7", "--r-ext", "3", "--dim", "2"])
+    assert code == 0
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines[-1]["point_count"] == 344 and lines[-1]["orbit_count"] == 5
+    assert sorted(l["size"] for l in lines[:-1]) == [1, 1, 114, 114, 114]
+
+
 def test_enumerate_budget_exit():
     code, out = run(["enumerate", "--type", "E7", "--p", "2", "--dim", "27", "--budget", "1000"])
     assert code == 3

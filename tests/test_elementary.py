@@ -781,6 +781,74 @@ def test_key_array_sorts_like_the_byte_keys():
     assert keys(setting, setting.field.zeros((0, 3, setting.n_pos))) == []
 
 
+@pytest.mark.parametrize(
+    "t,n,p,deg,r",
+    [("G", 2, 5, 1, 3), ("G", 2, 5, 2, 3), ("A", 3, 2, 2, 3), ("B", 2, 3, 2, 2), ("A", 2, 7, 3, 2)],
+)
+def test_move_images_by_entries_match_matmul(t, n, p, deg, r):
+    # every move of `_moves` maps the points as GF.matmul does, Weyl images
+    # that leave u included; over F_{7^3} the gathers index in int32
+    setting = get_setting(t, n, p, degree=deg)
+    gf, npos, d = setting.field, setting.n_pos, setting.basis.dim
+    rows = np.stack([E.rows for E in brute_force_Eu(setting, r)])
+    gens, layers = _moves(setting)
+    left = 0
+    for g, L in zip(gens, layers):
+        imgs = gf.sparse_matmul(rows, L, d)
+        assert (imgs == gf.matmul(rows, g.matrix.T[None, :npos, :])).all()
+        left += g.kind == "weyl_word" and bool(imgs[:, :, npos:].any())
+        if g.kind != "root_group":  # Weyl and torus moves: one entry per u-row
+            assert len(L) == 1 and sorted(L[0][0].tolist()) == list(range(npos))
+    assert left
+    if (t, deg) == ("G", 2):
+        assert sum(len(a) for L in layers for a, _, _ in L) == 178
+
+
+MASK_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
+# x_{+-alpha_i} do not generate g mod p exactly here
+MASK_FALLBACK = {("B", 2, 2), ("B", 3, 2), ("B", 4, 2), ("C", 3, 2), ("F", 4, 2), ("G", 2, 2), ("G", 2, 3)}
+
+
+def _generated_dim(setting):
+    """Dimension of the subalgebra generated by x_{+-alpha_i} mod p: their
+    span closed under their brackets by row reduction, independent of the
+    walk of `ChevalleyBasis.lie_generators`."""
+    gf, system = setting.field, setting.system
+    ads = setting.basis.field_data(gf)
+    gens = [system.signed_index(b) for a in system.simple_roots for b in (a, -a)]
+    span, new = gf.zeros((0, setting.basis.dim)), gf.eye(setting.basis.dim)[gens]
+    while True:
+        R, piv = gf.rref(np.concatenate([span, new]))
+        if len(piv) == len(span):
+            return len(span)
+        span = R[: len(piv)]
+        new = np.concatenate([gf.matmul(span, ads[g].T) for g in gens])
+
+
+@pytest.mark.parametrize("t,n", MASK_TYPES)
+def test_p_nilpotent_mask_by_generators(t, n):
+    # ad(x)^p on x_{+-alpha_i} decides p-nilpotency exactly where these
+    # generate g mod p, and the mask falls back to all of g exactly elsewhere
+    rng = np.random.default_rng(n)
+    seen = set()
+    for p, deg in [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2)]:
+        setting = get_setting(t, n, p, degree=deg)
+        gf, npos, d = setting.field, setting.n_pos, setting.basis.dim
+        rows = rng.integers(0, gf.q, (40, npos)).astype(np.int16)
+        rows *= rng.random(rows.shape) < 0.3
+        rows = np.concatenate([rows, gf.eye(npos)])  # the root vectors of u
+        rows_g = np.concatenate([rows, gf.zeros((len(rows), d - npos))], axis=1)
+        full = ~gf.matpow(setting.basis.ad_of(gf, rows_g, "g"), p).any(axis=(1, 2))
+        mask = _p_nilpotent_mask(setting, rows)
+        assert (mask == full).all(), (p, deg)
+        seen.update(mask.tolist())
+        fallback = len(setting.basis.lie_generators(p)) == d
+        assert fallback == ((t, n, p) in MASK_FALLBACK)
+        if deg == 1:
+            assert fallback == (_generated_dim(setting) < d)
+    assert seen == {True, False}
+
+
 def test_a4_f2_orbits_fusion_and_ambient_agree():
     setting = get_setting("A", 4, 2)
     points = brute_force_Eu(setting, 6)

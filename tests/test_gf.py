@@ -268,3 +268,25 @@ def test_matpow_matches_repeated_matmul(field, monkeypatch):
         calls.clear()
         gf.matpow(A, n)
         assert len(calls) == products
+
+
+@pytest.mark.parametrize("field", MATMUL_FIELDS, ids=[f"F{p}^{r}" for p, r in MATMUL_FIELDS])
+def test_gather_products_match_the_table_definition(field):
+    # sparse_matmul on the layers of sparse and dense matrices, and
+    # take_matmul on paired stacks, against the product by definition; the
+    # flat tables are int32 exactly when q^2 - 1 passes int16 (F_{7^3})
+    gf = GF.get(*field)
+    assert gf.FLAT_MUL.dtype == (np.int32 if gf.q > 181 else np.int16)
+    rng = np.random.default_rng(gf.q)
+    X = rng.integers(0, gf.q, (7, 3, 6)).astype(np.int16)
+    for density in [0.0, 0.2, 0.6, 1.0]:
+        M = rng.integers(0, gf.q, (6, 9)).astype(np.int16) * (rng.random((6, 9)) < density)
+        layers = GF.layers(M)
+        assert sum(len(a) for a, _, _ in layers) == np.count_nonzero(M)
+        assert all(len(set(b.tolist())) == len(b) for _, b, _ in layers)
+        assert (gf.sparse_matmul(X, layers, 9) == _matmul_by_tables(gf, X, M)).all()
+    A = rng.integers(0, gf.q, (5, 4, 3)).astype(np.int16)
+    B = rng.integers(0, gf.q, (5, 3, 6)).astype(np.int16)
+    assert (gf.take_matmul(A, B) == _matmul_by_tables(gf, A, B)).all()
+    full = np.full((2, 2, 2), gf.q - 1, dtype=np.int16)
+    assert (gf.take_matmul(full, full) == _matmul_by_tables(gf, full, full)).all()
