@@ -257,11 +257,13 @@ def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
     only to the columns `ChevalleyBasis.lie_generators`: x_{+-alpha_i}, or
     all of g where these do not generate g mod p.  With V those columns of
     ad(x), ad(x)^p V is p - 1 products ad(x) V.  The rows go in chunks whose
-    (rows, dim, dim) ad stacks hold about `_AD_CHUNK` entries."""
+    (rows, dim, dim) ad stacks hold about `_AD_CHUNK` entries.  Each
+    distinct row is tested once (`GF.distinct_rows`)."""
     gf = setting.field
     d = setting.basis.dim
     cols = setting.basis.lie_generators(gf.p)
     step = max(1, _AD_CHUNK // d**2)
+    rows_u, inverse = gf.distinct_rows(rows_u)
     out = np.zeros(len(rows_u), dtype=bool)
     for lo in range(0, len(rows_u), step):
         chunk = rows_u[lo : lo + step]
@@ -272,7 +274,7 @@ def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
         for _ in range(gf.p - 1):
             V = gf.matmul(ad, V)
         out[lo : lo + step] = ~V.any(axis=(1, 2))
-    return out
+    return out[inverse]
 
 
 # -- exhaustive enumeration -------------------------------------------------------
@@ -327,7 +329,9 @@ def brute_force_Eu(
     are built in one `GF.span_points` broadcast, and all rows of the batch
     are filtered by p-nilpotency at once.  The budget counts candidate rows,
     q^k for each consistent system with k free entries, before they are
-    built; the count C(n, r) of all pivot patterns is bounded up front.
+    built; a row repeated in the batch counts each time, although
+    p-nilpotency tests it once.  The count C(n, r) of all pivot patterns is
+    bounded up front.
     """
     gf = setting.field
     n = setting.n_pos
@@ -352,8 +356,7 @@ def brute_force_Eu(
                     ads[:, :, below[k]], gf.neg(ads[:, :, pivots[k]])
                 )
                 live = np.flatnonzero(ok)
-                sets, group = np.unique(piv[live], axis=0, return_inverse=True)
-                group = group.reshape(-1)
+                sets, group = gf.distinct_rows(piv[live])
                 cands, parents = [], []
                 for g, pivot_set in enumerate(sets):
                     items = live[group == g]

@@ -15,6 +15,8 @@ A sparse factor (`GF.sparse_matmul`) or a short contraction
 (`GF.take_matmul`) is instead one table gather per term, from MUL and ADD
 flattened (`FLAT_MUL`, `FLAT_ADD`).  Stacks of linear systems share one
 batched elimination (`GF.solve_affine`, `GF.batch_rref`).
+`GF.distinct_rows` reduces a stack of rows to its distinct ones, so that
+per-row work is done once per distinct row.
 """
 
 from __future__ import annotations
@@ -334,6 +336,19 @@ class GF:
         kernel[:, diag, diag] = ~pivots
         return ok, x, pivots, kernel
 
+    @staticmethod
+    def distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct rows of a 2-D array, and for each row of X the index
+        of its row among them, so that distinct[inverse] == X.  Each row is
+        viewed as one fixed-width `np.void` item, which one `np.unique`
+        sorts by memcmp; rows of width zero are all the one empty row."""
+        X = np.ascontiguousarray(X)
+        if X.shape[1] == 0:
+            return X[: min(len(X), 1)], np.zeros(len(X), dtype=np.intp)
+        items = X.view(np.dtype((np.void, X.shape[1] * X.itemsize))).ravel()
+        _, first, inverse = np.unique(items, return_index=True, return_inverse=True)
+        return X[first], inverse
+
     def span_points(self, basis: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """All q^k points offset + span(basis rows), for independent rows: a
         (k, n) basis and an (n,) offset give (q^k, n); stacks (..., k, n) and
@@ -353,31 +368,35 @@ class GF:
     def _batch_echelon(self, A: np.ndarray, ncols: int) -> tuple[np.ndarray, np.ndarray]:
         """Reduce each matrix of an int16 stack (N, m, n) in place to reduced
         row echelon form over its first ncols columns.  Returns the rank of
-        each item (N,) and its pivot columns as a mask (N, ncols)."""
+        each item (N,) and its pivot columns as a mask (N, ncols).
+
+        For each column c only the items with a pivot there are touched: the
+        pivot row is swapped into place only in the items where it is not
+        there already, and only the rows with a nonzero entry in column c are
+        rewritten, on columns c: alone, since the pivot row is zero left of c."""
         N, m, n = A.shape
         cur = np.zeros(N, dtype=np.int64)  # next pivot row per item
         pivots = np.zeros((N, ncols), dtype=bool)
         rows = np.arange(m)
         for c in range(ncols):
-            col = A[:, :, c]
-            eligible = (rows[None, :] >= cur[:, None]) & (col != 0)
-            has = eligible.any(axis=1)
-            idx = np.nonzero(has)[0]
+            eligible = (rows[None, :] >= cur[:, None]) & (A[:, :, c] != 0)
+            idx = np.flatnonzero(eligible.any(axis=1))
             if idx.size == 0:
                 continue
             k = np.argmax(eligible[idx], axis=1)
-            # swap row k -> cur within each selected item
-            perm = np.broadcast_to(rows, (idx.size, m)).copy()
-            perm[np.arange(idx.size), cur[idx]] = k
-            perm[np.arange(idx.size), k] = cur[idx]
-            A[idx] = A[idx[:, None], perm, :]
-            piv = A[idx, cur[idx], :]
-            piv = self.MUL[self.INV[piv[:, c], None], piv]
-            A[idx, cur[idx], :] = piv
+            r = cur[idx]
+            swap = k != r  # items whose pivot row is below row cur
+            if swap.any():
+                i, a, b = idx[swap], r[swap], k[swap]
+                A[i, a], A[i, b] = A[i, b], A[i, a]
+            piv = A[idx, r, c:]
+            piv = self.MUL[self.INV[piv[:, 0], None], piv]
+            A[idx, r, c:] = piv
             fac = A[idx, :, c]
-            upd = self.SUB[A[idx], self.MUL[fac[:, :, None], piv[:, None, :]]]
-            upd[np.arange(idx.size), cur[idx], :] = piv
-            A[idx] = upd
+            fac[np.arange(idx.size), r] = 0
+            ii, rr = np.nonzero(fac)  # the other rows with a nonzero entry in column c
+            it = idx[ii]
+            A[it, rr, c:] = self.SUB[A[it, rr, c:], self.MUL[fac[ii, rr, None], piv[ii]]]
             pivots[idx, c] = True
             cur[idx] += 1
         return cur, pivots

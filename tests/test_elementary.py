@@ -825,6 +825,13 @@ def _generated_dim(setting):
         new = np.concatenate([gf.matmul(span, ads[g].T) for g in gens])
 
 
+def _p_nilpotent_by_matpow(setting, rows):
+    """ad(x)^p == 0 on all of g for each u-row x, by `GF.matpow`."""
+    gf, d = setting.field, setting.basis.dim
+    rows_g = np.concatenate([rows, gf.zeros((len(rows), d - setting.n_pos))], axis=1)
+    return ~gf.matpow(setting.basis.ad_of(gf, rows_g, "g"), gf.p).any(axis=(1, 2))
+
+
 @pytest.mark.parametrize("t,n", MASK_TYPES)
 def test_p_nilpotent_mask_by_generators(t, n):
     # ad(x)^p on x_{+-alpha_i} decides p-nilpotency exactly where these
@@ -837,8 +844,7 @@ def test_p_nilpotent_mask_by_generators(t, n):
         rows = rng.integers(0, gf.q, (40, npos)).astype(np.int16)
         rows *= rng.random(rows.shape) < 0.3
         rows = np.concatenate([rows, gf.eye(npos)])  # the root vectors of u
-        rows_g = np.concatenate([rows, gf.zeros((len(rows), d - npos))], axis=1)
-        full = ~gf.matpow(setting.basis.ad_of(gf, rows_g, "g"), p).any(axis=(1, 2))
+        full = _p_nilpotent_by_matpow(setting, rows)
         mask = _p_nilpotent_mask(setting, rows)
         assert (mask == full).all(), (p, deg)
         seen.update(mask.tolist())
@@ -847,6 +853,26 @@ def test_p_nilpotent_mask_by_generators(t, n):
         if deg == 1:
             assert fallback == (_generated_dim(setting) < d)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("t,n,p,deg", [("G", 2, 5, 1), ("B", 3, 3, 1), ("A", 3, 2, 2)])
+def test_p_nilpotent_mask_on_repeated_rows(t, n, p, deg):
+    # each distinct row is tested once; the mask is still read row by row
+    rng = np.random.default_rng(p + n)
+    setting = get_setting(t, n, p, degree=deg)
+    gf, npos = setting.field, setting.n_pos
+    rows = rng.integers(0, gf.q, (30, npos)).astype(np.int16)
+    rows *= rng.random(rows.shape) < 0.3
+    rows = np.concatenate([rows, gf.eye(npos)])
+    stack = rows[rng.integers(0, len(rows), 400)]  # shuffled, most rows repeated
+    assert len(GF.distinct_rows(stack)[0]) < len(stack) // 4
+    mask = _p_nilpotent_mask(setting, stack)
+    assert mask.shape == (len(stack),)
+    assert (mask == _p_nilpotent_by_matpow(setting, stack)).all()
+    assert mask.any() and not mask.all()
+    assert _p_nilpotent_mask(setting, stack[:0]).shape == (0,)
+    for row in stack[:3]:
+        assert (_p_nilpotent_mask(setting, row[None]) == _p_nilpotent_by_matpow(setting, row[None])).all()
 
 
 def test_a4_f2_orbits_fusion_and_ambient_agree():

@@ -179,6 +179,69 @@ def test_batch_rref_matches_rref(gf):
         gf.batch_rref(np.stack([stack[1], deficient]))
 
 
+def _echelon_stack(gf):
+    """(N, n + 2, n) items, padded by zero rows: every `_matrices` item (tall,
+    rank-deficient, zero, with a column without a pivot), random items, and
+    items whose pivot for column 1 lies below the next pivot row."""
+    rng = np.random.default_rng(gf.q + 4)
+    items = _matrices(gf)
+    n = items[0].shape[1]
+    m = n + 2
+    for _ in range(3):
+        M = gf.zeros((m, n))
+        M[0, 0] = M[2, 1] = M[1, 2] = 1  # row 1 is zero in column 1: swap rows 1 and 2
+        M[0, 1:] = rng.integers(0, gf.q, n - 1)
+        M[2, 2:] = rng.integers(0, gf.q, n - 2)
+        M[1, 3:] = rng.integers(0, gf.q, n - 3)
+        items.append(M)
+    items += list(rng.integers(0, gf.q, (8, m, n)).astype(np.int16))
+    stack = gf.zeros((len(items), m, n))
+    for i, M in enumerate(items):
+        stack[i, : len(M)] = M
+    return stack
+
+
+def test_batch_echelon_matches_rref(gf):
+    stack = _echelon_stack(gf)
+    n = stack.shape[2]
+    for ncols in (n - 1, n):  # n - 1: the augmented systems of `solve_affine`
+        R = stack.copy()
+        rank, pivots = gf._batch_echelon(R, ncols)
+        assert rank.shape == (len(stack),) and pivots.shape == (len(stack), ncols)
+        for M, RM, k, mask in zip(stack, R, rank, pivots):
+            single, piv = gf.rref(M, ncols)
+            assert (RM == single).all()
+            assert k == len(piv) and list(np.flatnonzero(mask)) == piv
+        assert len(set(rank.tolist())) > 2
+    assert ((np.cumsum(pivots, axis=1) < rank[:, None]) & ~pivots).any()  # a skipped column
+
+
+def _check_distinct_rows(X):
+    distinct, inverse = GF.distinct_rows(X)
+    assert distinct.dtype == X.dtype and distinct.shape[1:] == X.shape[1:]
+    assert inverse.shape == (len(X),) and (distinct[inverse] == X).all()
+    assert len({row.tobytes() for row in distinct}) == len(distinct)
+    return distinct
+
+
+def test_distinct_rows(gf):
+    rng = np.random.default_rng(gf.q + 5)
+    rows = rng.integers(0, gf.q, (10, 4)).astype(np.int16)
+    X = rows[rng.integers(0, len(rows), 100)]
+    distinct = _check_distinct_rows(X)
+    assert len(distinct) == len({row.tobytes() for row in X})
+    assert len(_check_distinct_rows(X[:0])) == 0
+
+
+def test_distinct_rows_of_bool_and_zero_width_rows():
+    rng = np.random.default_rng(6)
+    X = rng.random((50, 3)) < 0.5
+    assert len(_check_distinct_rows(X)) == len({row.tobytes() for row in X})
+    assert len(_check_distinct_rows(X[:0])) == 0
+    assert len(_check_distinct_rows(np.zeros((5, 0), dtype=bool))) == 1  # one empty row
+    assert len(_check_distinct_rows(np.zeros((0, 0), dtype=np.int16))) == 0
+
+
 def _matmul_by_tables(gf, A, B):
     """The product by its definition, sum_l A[i, l] B[l, j] through ADD and
     MUL (`_apply`), over every matrix pair of the broadcast stacks."""

@@ -1,14 +1,19 @@
 """The benchmark still runs against chevlie: the names its tracer wraps
-resolve, and its seeded inputs build and check."""
+resolve, its seeded inputs build and check, and no module is large enough
+to move its peak memory."""
 
 import ast
 import importlib
 import importlib.util
 import sys
+import tokenize
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
+# CPython's parser doubles its token array when a module reaches this many tokens
+PARSER_TOKEN_STEP = 8192
 
 
 def _traced_names() -> list[tuple[str, str]]:
@@ -49,3 +54,15 @@ def test_conjugation_inputs_build_and_check(monkeypatch):
     assert len(b5) == 20
     for op in b5:
         assert workloads.check(op, op.run(), pinned, "conjugation") is None
+
+
+def test_modules_stay_below_the_parser_token_step():
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+    for path in sorted((ROOT / "src" / "chevlie").glob("*.py")):
+        with path.open("rb") as f:
+            n = sum(tok.type not in skipped for tok in tokenize.tokenize(f.readline))
+        assert n < PARSER_TOKEN_STEP, (
+            f"{path.name} has {n} tokens: at {PARSER_TOKEN_STEP} CPython's parser doubles its "
+            "token array, which raised peak_rss_mb by about 0.6 MiB (CHANGES.md, FOUND on the "
+            "parser's token array); move code out of the module"
+        )
