@@ -2,7 +2,8 @@
 
 Enumeration is exact maximum-clique search on the commutation graph, done as
 maximum independent sets of its sparse complement in two passes: the exact
-size, with vertices of degree <= 1 peeled, then every set of that size,
+size, peeling vertices of degree <= 1 among those a branch touched, then every
+set of that size, splitting a degree-1 vertex into "it or its neighbour" and
 entering only branches whose exact size matches (see `maximum_cliques`).
 Catalogs carry ideal flags, Weyl stabilizer generators, and the orbit
 partition under the partial Weyl action; everything is ordered by membership
@@ -73,15 +74,20 @@ class MaxSetCatalog:
 # coloring or fractional bound on the clique side useless (>= n/2 while the
 # answer is ~n/3).  Maximum cliques are therefore the maximum independent sets
 # of the complement, found in two passes over vertex masks P:
-# - size, alpha(P): peel each vertex v of degree <= 1, counting it and dropping
-#   N[v] (exact: trading v's neighbour, if any, for v keeps a maximum set
-#   maximum); then sum over components, or branch on a vertex of maximum
-#   degree.  The memo holds one int per peeled P.
-# - sets(P): multiply over components (an isolated v is one, with the one set
-#   {v}); else branch on a degree-1 vertex if any, else one of maximum degree,
-#   into "v in" and "v out", entering a branch only when its exact alpha
-#   equals alpha(P).  The two branches split the maximum sets, so the list is
-#   complete and has no repeats.
+# - size, alpha(P, todo): peel each v in todo of degree <= 1, counting it and
+#   dropping N[v] (exact: trading v's neighbour, if any, for v keeps a maximum
+#   set maximum); then sum over components, or branch on a vertex of maximum
+#   degree.  "v out" seeds todo with N(v) alone, the only degrees it lowers in
+#   a P the peel has left; other calls seed all of P.  Any seed is exact: a
+#   vertex left unpeeled is branched on, and the memo (one int) is keyed on
+#   the P that the peel leaves.
+# - sets(P, a = alpha(P)): multiply over components (an isolated v is one,
+#   with the one set {v}); else take the first v of degree 1, else the first
+#   of maximum degree.  A degree-1 v with neighbour u splits into "v in" and
+#   "u in" (a maximum set holds one of them, never both; if neither, it could
+#   take v), any other v into "v in" and "v out".  A branch is entered only
+#   when its exact alpha fits a (as "v in" of a degree-1 v always does), so
+#   the list is complete and has no repeats.
 
 
 def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
@@ -90,34 +96,32 @@ def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
     nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     memo: dict[int, int] = {0: 0}
 
-    def vertices(P: int):
-        while P:
-            low = P & -P
-            yield low.bit_length() - 1
-            P ^= low
-
     def components(P: int) -> list[int]:
         out = []
         while P:
             comp = frontier = P & -P
             while frontier:
-                grown = comp
-                for v in vertices(frontier):
-                    grown |= nonadj[v] & P
-                frontier, comp = grown & ~comp, grown
+                v = frontier.bit_length() - 1
+                grown = nonadj[v] & P & ~comp
+                frontier, comp = frontier ^ 1 << v | grown, comp | grown
             out.append(comp)
             P &= ~comp
         return out
 
     def branch_vertex(P: int) -> int:
-        """A vertex of degree 1 if there is one, else one of maximum degree."""
-        def key(v):
+        best, best_d, rest = -1, -1, P
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             d = (nonadj[v] & P).bit_count()
-            return d == 1, d
-        return max(vertices(P), key=key)
+            if d == 1:
+                return v
+            if d > best_d:
+                best, best_d = v, d
+        return best
 
-    def alpha(P: int) -> int:
-        size, todo = 0, P
+    def alpha(P: int, todo: int) -> int:
+        size = 0
         while todo:  # dropping u = N(v) lowers only the degrees in N(u)
             low = todo & -todo
             todo ^= low
@@ -130,28 +134,36 @@ def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
         if P not in memo:
             comps = components(P)
             if len(comps) > 1:
-                memo[P] = sum(map(alpha, comps))
+                memo[P] = sum(alpha(c, c) for c in comps)
             else:
                 v = branch_vertex(P)
-                memo[P] = max(1 + alpha(P & ~nonadj[v] & ~(1 << v)), alpha(P & ~(1 << v)))
+                nv = nonadj[v] & P
+                inside = P & ~nv & ~(1 << v)
+                memo[P] = max(1 + alpha(inside, inside), alpha(P & ~(1 << v), nv))
         return size + memo[P]
 
-    def sets(P: int) -> list[int]:
+    def sets(P: int, a: int) -> list[int]:
         comps = components(P)
         if len(comps) != 1:
             out = [0]
             for c in comps:
-                out = [s | t for s in out for t in sets(c)]
+                out = [s | t for s in out for t in sets(c, alpha(c, c))]
             return out
-        a, v, out = alpha(P), branch_vertex(P), []
-        inside, outside = P & ~nonadj[v] & ~(1 << v), P & ~(1 << v)
-        if 1 + alpha(inside) == a:
-            out += [s | 1 << v for s in sets(inside)]
-        if alpha(outside) == a:
-            out += sets(outside)
+        v = branch_vertex(P)
+        nv = nonadj[v] & P
+        inside = P & ~nv & ~(1 << v)
+        if nv & (nv - 1) == 0 and nv:  # degree 1: "v in", then "u in" below
+            out = [s | 1 << v for s in sets(inside, a - 1)]
+            v = nv.bit_length() - 1
+            inside = P & ~nonadj[v] & ~(1 << v)
+        else:  # "v out", then "v in" below
+            out = sets(P & ~(1 << v), a) if alpha(P & ~(1 << v), nv) == a else []
+        if 1 + alpha(inside, inside) == a:
+            out += [s | 1 << v for s in sets(inside, a - 1)]
         return out
 
-    return alpha(full), sorted(sets(full))
+    a = alpha(full, full)
+    return a, sorted(sets(full, a))
 
 
 # -- catalog construction --------------------------------------------------------

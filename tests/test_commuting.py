@@ -1,5 +1,6 @@
 """Maximal commuting sets, ideals, stabilizers, and the closed forms."""
 
+import hashlib
 import math
 import random
 
@@ -103,6 +104,47 @@ def test_maximum_cliques_match_brute_force():
         assert maximum_cliques(adj, n) == _brute_force_cliques(adj, n)
 
 
+def _pendant_cores(rng: random.Random):
+    """(n, complement edges) of odd cycles and random triangle-free cores, with
+    up to four pendant paths hung on them: in a bare cycle a degree-1 vertex
+    appears only once a branch has removed a core vertex."""
+    for _ in range(60):
+        k = rng.choice([3, 5, 5, 7, 7, 9])
+        if rng.random() < 0.5:
+            edges = {(i, (i + 1) % k) for i in range(k)}
+            if k > 5 and rng.random() < 0.5:
+                edges.add((0, k // 2))  # a chord leaves two shorter cycles
+        else:
+            nbrs = [set() for _ in range(k)]
+            for u in range(k):
+                for v in range(u + 1, k):
+                    if rng.random() < 0.45 and not nbrs[u] & nbrs[v]:  # no triangle
+                        nbrs[u].add(v)
+                        nbrs[v].add(u)
+            edges = {(u, v) for u in range(k) for v in nbrs[u] if u < v}
+        n = k
+        for _ in range(rng.randint(0, 4)):
+            length = rng.randint(1, 3)
+            if n + length > 16:
+                break
+            at = rng.randrange(n)
+            for w in range(n, n + length):
+                edges.add((at, w))
+                at = w
+            n += length
+        order = list(range(n))
+        rng.shuffle(order)  # so the branch order does not follow the construction
+        yield n, {(order[u], order[v]) for u, v in edges}
+
+
+def test_maximum_cliques_degree_one_split():
+    # "v in" or "u in" for a degree-1 v: a missing "u in" branch loses the sets
+    # holding u, and one taken without its alpha check adds smaller sets
+    for n, edges in _pendant_cores(random.Random(20150305)):
+        adj = _from_complement(n, edges)
+        assert maximum_cliques(adj, n) == _brute_force_cliques(adj, n), (n, sorted(edges))
+
+
 def _malcev_m(t: str, n: int) -> int:
     if t == "A":
         return (n + 1) ** 2 // 4
@@ -153,6 +195,30 @@ def test_p_commuting_catalogs(t, n, p):
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert sys_.commute(a, b, p)
+
+
+# (m, count, first 16 hex digits of the SHA-256 of ",".join(map(str, cliques)))
+# of `maximum_cliques`: the golden maxsets table pins (m, count) only, so this
+# pins the sets themselves
+CLIQUE_DIGESTS = {
+    ("E", 8, None): (36, 134, "25e41e3333fd99e3"),
+    ("E", 7, None): (27, 1, "2f2f7a0a76b07cd5"),
+    ("E", 6, None): (16, 2, "6e8c54464e4ed0a8"),
+    ("F", 4, None): (9, 28, "adfe23c3ffb59183"),
+    ("F", 4, 3): (9, 28, "adfe23c3ffb59183"),
+    ("F", 4, 2): (11, 56, "4d7974d3dbd0a8dc"),
+    ("B", 6, None): (16, 11, "de86b4abc3869fbd"),
+    ("B", 6, 2): (21, 1, "80de1ebba9d1d7de"),
+    ("D", 6, None): (15, 2, "349cb1838ebbe765"),
+}
+
+
+@pytest.mark.parametrize("t,n,p", list(CLIQUE_DIGESTS))
+def test_maximum_clique_lists_pinned(t, n, p):
+    sys_ = build_root_system(t, n)
+    m, cliques = maximum_cliques(commutation_adjacency(sys_, p), sys_.num_positive)
+    digest = hashlib.sha256(",".join(map(str, cliques)).encode()).hexdigest()[:16]
+    assert (m, len(cliques), digest) == CLIQUE_DIGESTS[(t, n, p)]
 
 
 def test_catalog_sets_are_maximal_and_commuting():

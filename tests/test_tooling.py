@@ -40,13 +40,18 @@ def test_traced_names_resolve():
         assert callable(obj), f"chevlie.{layer}.{path} is not callable"
 
 
-def test_conjugation_inputs_build_and_check(monkeypatch):
-    # the B5/F5 replay inputs call EuclidModel and GroupGenerator.apply_rows,
-    # which an API change would otherwise break only in a benchmark run
+def _load_workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclass looks itself up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_conjugation_inputs_build_and_check(monkeypatch):
+    # the B5/F5 replay inputs call EuclidModel and GroupGenerator.apply_rows,
+    # which an API change would otherwise break only in a benchmark run
+    workloads = _load_workloads(monkeypatch)
     pinned = workloads.load_pinned()
     ops = workloads.operations("conjugation", 1, pinned)
     assert workloads.check_inputs("conjugation", ops, pinned) is None
@@ -54,6 +59,17 @@ def test_conjugation_inputs_build_and_check(monkeypatch):
     assert len(b5) == 20
     for op in b5:
         assert workloads.check(op, op.run(), pinned, "conjugation") is None
+
+
+def test_tables_operations_check(monkeypatch):
+    # each `tables --which ... --golden` run prints an empty diff, and each
+    # golden file still has the SHA-256 the benchmark pins
+    workloads = _load_workloads(monkeypatch)
+    pinned = workloads.load_pinned()
+    ops = workloads.operations("tables", 1, pinned)
+    assert len(ops) == 5
+    for op in ops:
+        assert workloads.check(op, op.run(), pinned, "tables") is None, op.name
 
 
 def test_modules_stay_below_the_parser_token_step():
