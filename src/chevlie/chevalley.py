@@ -366,6 +366,7 @@ class GroupGenerator:
         )
 
 
+@lru_cache(maxsize=None)
 def root_group_element(
     basis: ChevalleyBasis, field: GF, alpha: Root, t: int
 ) -> GroupGenerator:
@@ -377,6 +378,7 @@ def root_group_element(
         if k:
             tk = field.mul(tk, t)
         M = field.add(M, field.mul(int(tk), (term % field.p).astype(np.int16)))
+    M.flags.writeable = False  # cached: one matrix for every caller
     return GroupGenerator("root_group", (alpha.coeffs, t), field, M)
 
 

@@ -20,7 +20,11 @@ points inside u is decided with the Bruhat decomposition: two subalgebras of
 u are conjugate iff some fixed Weyl representative maps a point of one
 B-orbit into the B-orbit of the other, so a B-orbit partition of the point
 set plus one Weyl sweep is a complete and exact fusion analysis; its unions
-span each class by a tree, from which `conjugation_reduce` reads its words.
+span each class by a tree.  `conjugation_reduce` has two routes to a normal
+form: a point of a closed orbit G lie(I), I an abelian ideal, is b w lie(I),
+and `_closed_orbit_word` clears it by root elements and walks its pivot set
+to I; any other point reads a path in its fusion tree.  Every word is
+replayed onto its form before it is returned.
 A move acts through the nonzero entries of its matrix, by table gathers.
 Fusion skips the points a move fixes, found without a row reduction: a
 reduced point E contains a vector v exactly when v = v[P] E for its pivot
@@ -46,9 +50,10 @@ from .chevalley import (
     build_constants,
     cocharacter_element,
     root_group_element,
+    weyl_rep_element,
     weyl_word_element,
 )
-from .commuting import CommutingSet, b_family, commuting_set, enumerate_max_commuting, is_ideal
+from .commuting import CommutingSet, _reflect_mask, commuting_set, enumerate_max_commuting
 from .rootsys import Root, RootSystem, WeylWord, build_root_system
 
 
@@ -903,14 +908,19 @@ def conjugation_reduce(
 ) -> tuple[list[GroupGenerator], ElementarySubalgebra]:
     """Reduce E to its normal form by an explicit word, verified by replay.
 
-    E must have the maximal dimension m of its type and characteristic.  The
-    two B_n families (n >= 4) reduce to lie(S_1) by the recipe
-    `_reduce_b_family`; fusion over their points would be far too large.
-    B_4's one other point, lie(phi_rad(1)), is its own normal form.
-    Every other type reads a path in the fusion forest (`_fusion_words`, not
-    a shortest word).  A G_2 point lands on lie(R_1) at p = 3, otherwise on
-    lie(C_3), lie(C_5), L or, over F_5, N4 = span(x_{(0,1)} + x_{(3,1)},
-    x_{(1,1)} + 2x_{(2,1)}, x_{(3,2)}), the minimal point of the fourth class.
+    E must have the maximal dimension m of its type and characteristic.  A
+    point of a closed orbit G lie(I), I an abelian ideal, reduces to lie(I)
+    by `_closed_orbit_word`; B_n's two families land on lie(S_1), and B_4's
+    lie(phi_rad(1)) is its own normal form.  Any other point reads a path in
+    the fusion forest (`_fusion_words`, not a shortest word); a G_2 point
+    lands on lie(C_5) or lie(R_1) by the first route, otherwise on lie(C_3),
+    L or, over F_5, N4 = span(x_{(0,1)} + x_{(3,1)}, x_{(1,1)} +
+    2x_{(2,1)}, x_{(3,2)}), the minimal point of the fourth class.  Every
+    word is replayed onto its form, so exactness does not rest on the
+    clearing rule reaching every closed-orbit point.  A point neither route
+    reduces raises only after its setting's fusion forest is consulted:
+    that refuses a Weyl group past the fusion limit, and otherwise builds
+    the forest (for B_5/F_5 a build that has not been timed).
     """
     sys, p = setting.system, setting.field.p
     m = enumerate_max_commuting(sys, p=p).m
@@ -919,91 +929,66 @@ def conjugation_reduce(
             f"dimension {E.dim} is not the maximal dimension {m} "
             f"for type {sys.type_label}{sys.rank} at p = {p}"
         )
-    if sys.type_label == "B" and sys.rank >= 4:
-        word, out = _reduce_b_family(setting, E)
-    elif (found := _fusion_words(setting).get(E.pack())) is not None:
-        word, out = list(found[0]), found[1]
-    else:
+    found = _closed_orbit_word(setting, E) or _fusion_words(setting).get(E.pack())
+    if found is None:
         raise ValueError("E is not an elementary subalgebra of u")
+    word, out = list(found[0]), found[1]
     if not replay_verify(setting, E, word, out):
         raise AssertionError("conjugation word failed replay verification")
     return word, out
 
 
-def _reduce_b_family(setting: Setting, E: ElementarySubalgebra):
-    """B(a_1..a_n) and twisted C(a_1..a_{n-1}) members down to lie(S_1);
-    B_4's lie(phi_rad(1)) is returned with the empty word."""
-    gf = setting.field
-    sys = setting.system
-    n = sys.rank
-    family = b_family(sys)
-    eps, eps_plus, eps_minus = family.eps, family.plus, family.minus
-    word: list[GroupGenerator] = []
-    cur = E
+def _closed_orbit_word(setting: Setting, E: ElementarySubalgebra):
+    """A word from E onto lie(I) for an abelian ideal I, and lie(I); None
+    when the two steps below do not apply.
 
-    def apply(gen):
-        nonlocal cur
-        word.append(gen)
-        cur = _apply_word_u(setting, cur, [gen])
-
-    lead = set(r.coeffs for r in cur.leading_roots())
-    s_star = {t for t in range(1, n) if lead == {r.coeffs for r in family.Sstar[t]}}
-    if s_star:
-        # kill the eps_t + eps_n slot of the eps_t row, then swing R3 to R2
-        t = s_star.pop()
-        row = _row_with_pivot(cur, eps[t])
-        col = sys.index(eps_plus[(t, n)])
-        if row[col]:
-            alpha_n = sys.simple_roots[n - 1]
-            for c in gf.units():
-                g = root_group_element(setting.basis, gf, alpha_n, c)
-                trial = _apply_word_u(setting, cur, [g])
-                trow = _row_with_pivot(trial, eps[t])
-                if not trow[col]:
-                    apply(g)
-                    break
-            else:
-                raise ValueError("could not normalize the S*-twist")
-        apply(weyl_word_element(setting.basis, gf, WeylWord((n,))))
-        lead = set(r.coeffs for r in cur.leading_roots())
-    s_t = [t for t in range(1, n + 1) if lead == {r.coeffs for r in family.S[t]}]
-    if not s_t:
-        # B_4's phi_rad(1) is an ideal off both families; the closed orbit of
-        # lie(phi_rad(1)) meets u in that one point (its Schubert count is 1)
-        I = lt(cur)
-        if not word and is_ideal(I) and cur.pack() == lie(setting, I).pack():
-            return word, cur
-        raise ValueError("leading terms are not S_t or S*_t: recipe does not apply")
-    # the eps-row now carries sum a_s x_{eps_s}; move its top slot to eps_n
-    t = s_t[0]
-    row = _row_with_pivot(cur, eps[t])
-    top = max(s for s in range(1, n + 1) if row[sys.index(eps[s])])
-    for i in range(top, n):
-        apply(weyl_word_element(setting.basis, gf, WeylWord((i,))))
-    # kill the lower eps coefficients with exp(ad(c x_{eps_i - eps_n}))
-    for i in range(1, n):
-        row = _row_with_pivot(cur, eps[n])
-        a_i = int(row[sys.index(eps[i])])
-        if not a_i:
-            continue
-        a_n = int(row[sys.index(eps[n])])
-        Nc = setting.basis.N(eps_minus[(i, n)], eps[n]) % gf.p
-        c = gf.mul(gf.neg(gf.mul(a_i, gf.inv(a_n))), gf.inv(Nc))
-        apply(root_group_element(setting.basis, gf, eps_minus[(i, n)], int(c)))
-    # move eps_n to eps_1
-    for i in range(n - 1, 0, -1):
-        apply(weyl_word_element(setting.basis, gf, WeylWord((i,))))
-    target = lie(setting, family.S[1])
-    if cur.pack() != target.pack():
-        raise ValueError("B-family reduction did not land on lie(S_1)")
-    return word, cur
-
-
-def _row_with_pivot(E: ElementarySubalgebra, root: Root) -> np.ndarray:
-    for row, lead in zip(E.rows, E.leading_roots()):
-        if lead == root:
-            return row
-    raise ValueError(f"no row with leading root {root}")
+    By the Bruhat decomposition a point of the closed orbit G lie(I) is
+    b w lie(I).  Clearing: while a row led by root a has a nonzero entry c
+    at a non-pivot root b, take one of least height(b) - height(a) and apply
+    x_gamma(-c/N) for gamma = b - a, N = N_{gamma,a} mod p, which clears it
+    (None unless gamma is a positive root and N != 0; at most n_pos steps).
+    As b lies below a, x_gamma lowers every root it moves in the additive
+    order, so the pivot set X stays and E ends as lie(X).  Weyl walk: s_i
+    with alpha_i not in X keeps X positive and maps lie(X) to lie(s_i X), so
+    a breadth-first walk by such s_i reaches the ideal in X's component of
+    the p-catalog (`partial_weyl_orbits`), if it holds one; it is found
+    first, so a point off every closed orbit costs no clearing.
+    """
+    system, gf, n = setting.system, setting.field, setting.n_pos
+    catalog = enumerate_max_commuting(system, p=gf.p)
+    ideal = {s.mask: flag for s, flag in zip(catalog.sets, catalog.ideals)}
+    lead = setting.perm_desc[np.argmax(E.rows[:, setting.perm_desc] != 0, axis=1)]
+    start = sum(1 << int(i) for i in lead)
+    if start not in ideal:
+        return None
+    paths, todo = {start: []}, [start]
+    for X in todo:
+        if ideal[X]:
+            break
+        for i in range(1, system.rank + 1):
+            if (Y := _reflect_mask(system, i, X)) is not None and Y not in paths:
+                paths[Y] = paths[X] + [i]
+                todo.append(Y)
+    else:
+        return None
+    height = np.array([system.root(i).height for i in range(n)])
+    word = []
+    for _ in range(n + 1):
+        off = E.rows.copy()
+        off[:, lead] = 0
+        rows, cols = np.nonzero(off)
+        if not len(rows):
+            word += [weyl_rep_element(setting.basis, gf, i) for i in paths[X]]
+            return word, lie(setting, CommutingSet(system, X))
+        k = np.argmin(height[cols] - height[lead[rows]])
+        a, b = int(lead[rows[k]]), int(cols[k])
+        gamma = int(system.sum_index[b, n + a])
+        if not 0 <= gamma < n or not (N := int(setting.n_mod_p[gamma, a])):
+            return None
+        t = gf.mul(gf.neg(int(off[rows[k], b])), gf.inv(N))
+        word.append(root_group_element(setting.basis, gf, system.root(gamma), int(t)))
+        E = _apply_word_u(setting, E, word[-1:])
+    return None
 
 
 @lru_cache(maxsize=None)

@@ -257,6 +257,16 @@ def test_is_ideal():
     assert sum(cat5.ideals) == 1
 
 
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_components_hold_at_most_one_ideal(t, n):
+    # so the ideal a closed orbit's points walk to is one normal form per orbit
+    sys_ = build_root_system(t, n)
+    for p in (None, 2, 3, 5, 7):
+        cat = enumerate_max_commuting(sys_, p=p)
+        for comp in cat.orbit_components:
+            assert sum(cat.ideals[k] for k in comp) <= 1
+
+
 def test_g2_p3_sets():
     g2 = build_root_system("G", 2)
     cat = enumerate_max_commuting(g2, p=3)

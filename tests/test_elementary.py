@@ -26,6 +26,7 @@ from chevlie.elementary import (
     build_leading_term_system,
     canonical,
     chevalley_group_generators,
+    check_weyl_order,
     conjugation_reduce,
     g2_normal_forms,
     g_conjugacy_classes,
@@ -42,6 +43,8 @@ from chevlie.elementary import (
     subalgebra_from_rows,
     weyl_words_all,
     _apply_word_u,
+    _closed_orbit_word,
+    _fusion_words,
     _key_array,
     _moves,
     _cell,
@@ -929,23 +932,79 @@ def test_conjugation_reduce_replay_b5():
         assert out.pack() == target.pack()
 
 
-def test_conjugation_reduce_b4_f3():
-    # 79 points lie in the class of lie(S_1); lie(phi_rad(1)) is an ideal off
-    # both B families whose class holds only itself
-    setting = get_setting("B", 4, 3)
-    points = brute_force_Eu(setting, 7)
-    assert len(points) == 80
-    target = lie(setting, b_family(setting.system).S[1]).pack()
-    rad = lie(setting, setting.system.phi_rad(1))
-    outs = []
+def _leading_term_points(setting, sample=None):
+    """The points of maximal dimension as `verify --stage unipotent` lists
+    them: each cell's leading-term solutions that are elementary; with
+    `sample`, at most that many seeded solutions per cell."""
+    rng = random.Random(1)
+    points = []
+    for R in enumerate_max_commuting(setting.system, p=setting.field.p).sets:
+        lts = build_leading_term_system(setting, R)
+        solutions = leading_term_solve(lts).solutions
+        if sample is not None and len(solutions) > sample:
+            solutions = rng.sample(solutions, sample)
+        points += [solution_subalgebra(lts, sol) for sol in solutions]
+    return [E for E in points if is_elementary(setting, E.rows)]
+
+
+def test_conjugation_reduce_b4_f3(monkeypatch):
+    # B_n points reduce without the fusion forest: all but one land on
+    # lie(S_1); B_4's lie(phi_rad(1)) is an ideal off both B families whose
+    # class holds only itself
+    def refuse(setting):
+        raise AssertionError("the fusion forest was consulted")
+
+    monkeypatch.setattr("chevlie.elementary._fusion_words", refuse)
+    for n, p, npts in [(4, 3, 80), (4, 5, 312), (5, 3, 241)]:
+        setting = get_setting("B", n, p)
+        points = _leading_term_points(setting)
+        assert len(points) == npts
+        target = lie(setting, b_family(setting.system).S[1]).pack()
+        rad = lie(setting, setting.system.phi_rad(1)).pack() if n == 4 else None
+        outs = []
+        for E in points:
+            word, out = conjugation_reduce(setting, E)
+            assert replay_verify(setting, E, word, out)
+            if E.pack() == rad:
+                assert word == [] and out.pack() == rad
+            else:
+                outs.append(out.pack())
+        assert outs == [target] * (npts - (n == 4))
+
+
+@pytest.mark.parametrize(
+    "t,n,p,npts", [("D", 6, 5, 2), ("E", 6, 7, 2), ("E", 7, 7, 1), ("B", 6, 5, 301)]
+)
+def test_conjugation_reduce_past_the_fusion_limit(t, n, p, npts):
+    """Points of types whose Weyl groups fusion refuses (B_6 sampled, 40
+    solutions per cell) each reduce to lie(I) for an ideal I by a word that
+    replays."""
+    setting = get_setting(t, n, p)
+    with pytest.raises(BudgetExceeded):
+        check_weyl_order(setting.system)
+    catalog = enumerate_max_commuting(setting.system, p=p)
+    ideals = {lie(setting, S).pack() for S, flag in zip(catalog.sets, catalog.ideals) if flag}
+    points = _leading_term_points(setting, sample=40)
+    assert len(points) == npts
     for E in points:
         word, out = conjugation_reduce(setting, E)
+        assert replay_verify(setting, E, word, out) and out.pack() in ideals
+
+
+@pytest.mark.parametrize(
+    "t,n,p,nclosed", [("G", 2, 5, 6), ("G", 2, 7, 8), ("A", 2, 7, 2), ("D", 4, 2, 3)]
+)
+def test_closed_orbit_route_agrees_with_fusion(t, n, p, nclosed):
+    """Every point the closed-orbit route reduces (G_2: the q + 1 points of
+    the closed orbit) reaches the form its fusion-forest word reaches."""
+    setting = get_setting(t, n, p)
+    points = brute_force_Eu(setting, enumerate_max_commuting(setting.system, p=p).m)
+    words = _fusion_words(setting)
+    closed = [(E, found) for E in points if (found := _closed_orbit_word(setting, E))]
+    assert len(closed) == nclosed
+    for E, (word, out) in closed:
         assert replay_verify(setting, E, word, out)
-        if E.pack() == rad.pack():
-            assert word == [] and out.pack() == rad.pack()
-        else:
-            outs.append(out.pack())
-    assert outs == [target] * 79
+        assert out.pack() == words[E.pack()][1].pack()
 
 
 def test_conjugation_reduce_identity_on_normal_form():
@@ -967,8 +1026,8 @@ def test_conjugation_reduce_g2_p3():
 
 
 def test_conjugation_reduce_classical_types_read_the_fusion_forest():
-    """Outside G2 and the B_n recipe, every point reduces to the minimal point
-    of its fusion class, by a word that replays."""
+    """On these A_n settings every point, on either route, reduces to the
+    minimal point of its fusion class, by a word that replays."""
     for t, n, p, npts, nclasses in [
         ("A", 3, 2, 1, 1), ("A", 2, 5, 6, 3), ("A", 2, 7, 8, 5), ("A", 2, 13, 14, 5)
     ]:

@@ -49,16 +49,16 @@ def _load_workloads(monkeypatch):
 
 
 def test_conjugation_inputs_build_and_check(monkeypatch):
-    # the B5/F5 replay inputs call EuclidModel and GroupGenerator.apply_rows,
-    # which an API change would otherwise break only in a benchmark run
+    # every seed-1 replay reaches its pinned normal form; the B5/F5 inputs
+    # call EuclidModel and GroupGenerator.apply_rows, which an API change
+    # would otherwise break only in a benchmark run
     workloads = _load_workloads(monkeypatch)
     pinned = workloads.load_pinned()
     ops = workloads.operations("conjugation", 1, pinned)
     assert workloads.check_inputs("conjugation", ops, pinned) is None
-    b5 = [op for op in ops if op.name == "replay-B5-F5"]
-    assert len(b5) == 20
-    for op in b5:
-        assert workloads.check(op, op.run(), pinned, "conjugation") is None
+    assert len(ops) == 208
+    for op in ops:
+        assert workloads.check(op, op.run(), pinned, "conjugation") is None, op.name
 
 
 def test_tables_operations_check(monkeypatch):
