@@ -5,9 +5,9 @@ maximum independent sets of its sparse complement in two passes: the exact
 size, peeling vertices of degree <= 1 among those a branch touched, then every
 set of that size, splitting a degree-1 vertex into "it or its neighbour" and
 entering only branches whose exact size matches (see `maximum_cliques`).
-Catalogs carry ideal flags, Weyl stabilizer generators, and the orbit
-partition under the partial Weyl action; everything is ordered by membership
-mask for reproducibility.
+Catalogs carry ideal flags, Weyl stabilizer generators, the orbit partition
+under the partial Weyl action and each set's shortest path to its ideal;
+everything is ordered by membership mask for reproducibility.
 """
 
 from __future__ import annotations
@@ -61,6 +61,8 @@ class MaxSetCatalog:
     ideals: list[bool]
     orbit_ids: list[int] = field(default_factory=list)
     orbit_components: list[list[int]] = field(default_factory=list)
+    # mask -> (s_i letters, ideal mask), for the sets of components with an ideal
+    to_ideal: dict[int, tuple[tuple[int, ...], int]] = field(default_factory=dict)
 
     @property
     def count(self) -> int:
@@ -73,21 +75,24 @@ class MaxSetCatalog:
 # is sparse, and for the simply laced types triangle-free, which makes every
 # coloring or fractional bound on the clique side useless (>= n/2 while the
 # answer is ~n/3).  Maximum cliques are therefore the maximum independent sets
-# of the complement, found in two passes over vertex masks P:
+# of the complement, found in two passes over vertex masks P.  Both read P
+# through one flood fill, split(P): the component C of P's lowest vertex, and
+# C's branch vertex v, its first vertex of degree 1, else its first of
+# maximum degree.
 # - size, alpha(P, todo): peel each v in todo of degree <= 1, counting it and
 #   dropping N[v] (exact: trading v's neighbour, if any, for v keeps a maximum
-#   set maximum); then sum over components, or branch on a vertex of maximum
-#   degree.  "v out" seeds todo with N(v) alone, the only degrees it lowers in
+#   set maximum); then, if C != P, add alpha(C) and alpha(P \ C), else branch
+#   on v.  "v out" seeds todo with N(v) alone, the only degrees it lowers in
 #   a P the peel has left; other calls seed all of P.  Any seed is exact: a
 #   vertex left unpeeled is branched on, and the memo (one int) is keyed on
 #   the P that the peel leaves.
-# - sets(P, a = alpha(P)): multiply over components (an isolated v is one,
-#   with the one set {v}); else take the first v of degree 1, else the first
-#   of maximum degree.  A degree-1 v with neighbour u splits into "v in" and
-#   "u in" (a maximum set holds one of them, never both; if neither, it could
-#   take v), any other v into "v in" and "v out".  A branch is entered only
-#   when its exact alpha fits a (as "v in" of a degree-1 v always does), so
-#   the list is complete and has no repeats.
+# - sets(P, a = alpha(P)): if C != P, join each set of C with each set of
+#   P \ C (an isolated v is a C with the one set {v}); else branch on v.  A
+#   degree-1 v with neighbour u splits into "v in" and "u in" (a maximum set
+#   holds one of them, never both; if neither, it could take v), any other v
+#   into "v in" and "v out".  A branch is entered only when its exact alpha
+#   fits a (as "v in" of a degree-1 v always does), so the list is complete
+#   and has no repeats.
 
 
 def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
@@ -96,29 +101,19 @@ def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
     nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     memo: dict[int, int] = {0: 0}
 
-    def components(P: int) -> list[int]:
-        out = []
-        while P:
-            comp = frontier = P & -P
-            while frontier:
-                v = frontier.bit_length() - 1
-                grown = nonadj[v] & P & ~comp
-                frontier, comp = frontier ^ 1 << v | grown, comp | grown
-            out.append(comp)
-            P &= ~comp
-        return out
-
-    def branch_vertex(P: int) -> int:
-        best, best_d, rest = -1, -1, P
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            d = (nonadj[v] & P).bit_count()
-            if d == 1:
-                return v
-            if d > best_d:
-                best, best_d = v, d
-        return best
+    def split(P: int) -> tuple[int, int]:
+        """The component of P's lowest vertex, and its branch vertex."""
+        comp = frontier = P & -P
+        best = -1  # rank: degree 1 above any other degree, then the lower index
+        while frontier:
+            v = frontier.bit_length() - 1
+            nb = nonadj[v] & P
+            grown = nb & ~comp
+            frontier, comp = frontier ^ 1 << v | grown, comp | grown
+            d = nb.bit_count()
+            if (rank := (n if d == 1 else d) * n + n - v) > best:
+                best, branch = rank, v
+        return comp, branch
 
     def alpha(P: int, todo: int) -> int:
         size = 0
@@ -132,24 +127,22 @@ def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
                 if nb:
                     todo |= nonadj[nb.bit_length() - 1] & P
         if P not in memo:
-            comps = components(P)
-            if len(comps) > 1:
-                memo[P] = sum(alpha(c, c) for c in comps)
+            C, v = split(P)
+            if C != P:
+                memo[P] = alpha(C, C) + alpha(P ^ C, P ^ C)
             else:
-                v = branch_vertex(P)
                 nv = nonadj[v] & P
                 inside = P & ~nv & ~(1 << v)
                 memo[P] = max(1 + alpha(inside, inside), alpha(P & ~(1 << v), nv))
         return size + memo[P]
 
     def sets(P: int, a: int) -> list[int]:
-        comps = components(P)
-        if len(comps) != 1:
-            out = [0]
-            for c in comps:
-                out = [s | t for s in out for t in sets(c, alpha(c, c))]
-            return out
-        v = branch_vertex(P)
+        if not P:
+            return [0]
+        C, v = split(P)
+        if C != P:
+            c = alpha(C, C)
+            return [s | t for s in sets(C, c) for t in sets(P ^ C, a - c)]
         nv = nonadj[v] & P
         inside = P & ~nv & ~(1 << v)
         if nv & (nv - 1) == 0 and nv:  # degree 1: "v in", then "u in" below
@@ -225,39 +218,43 @@ def _reflect_mask(system: RootSystem, i: int, mask: int) -> int | None:
 
 
 def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
-    """Connected components under moves R -> s_i(R) that stay positive.
+    """Connected components under moves R -> s_i(R) that stay positive, and
+    each set's shortest path to the ideal of its component.
 
-    A move is legal exactly when alpha_i is not in R.  Components are sorted
-    by minimal member mask and stored on the catalog.
+    A move is legal exactly when alpha_i is not in R (else `_reflect_mask`
+    gives None).  W keeps sums and root strings, so a legal image is again a
+    maximal (p-)commuting set, always in the catalog.  Each component is
+    walked breadth first, from its ideal if it holds one (ideals start
+    first); `to_ideal[mask]` = (letters, ideal mask) where applying s_i for
+    the letters in turn takes the set to the ideal, by a shortest path.
+    Components are sorted by minimal member mask and stored on the catalog.
     """
-    sys = catalog.system
-    index_of = {s.mask: k for k, s in enumerate(catalog.sets)}
-    seen = [False] * len(catalog.sets)
+    sys, sets = catalog.system, catalog.sets
+    index_of = {s.mask: k for k, s in enumerate(sets)}
+    seen = [False] * len(sets)
+    catalog.to_ideal = paths = {}
     components = []
-    for start in range(len(catalog.sets)):
+    for start in sorted(range(len(sets)), key=lambda k: not catalog.ideals[k]):
         if seen[start]:
             continue
-        comp = []
-        stack = [start]
         seen[start] = True
-        while stack:
-            k = stack.pop()
-            comp.append(k)
-            mask = catalog.sets[k].mask
+        if catalog.ideals[start]:
+            paths[sets[start].mask] = ((), sets[start].mask)
+        comp = [start]
+        for k in comp:
+            mask = sets[k].mask
             for i in range(1, sys.rank + 1):
-                if mask >> (i - 1) & 1:
-                    continue  # alpha_i in R: move would leave Phi+
                 img = _reflect_mask(sys, i, mask)
-                if img is None or img not in index_of:
-                    continue
-                j = index_of[img]
-                if not seen[j]:
+                if img is not None and not seen[j := index_of[img]]:
                     seen[j] = True
-                    stack.append(j)
+                    comp.append(j)
+                    if mask in paths:
+                        letters, ideal = paths[mask]
+                        paths[img] = ((i,) + letters, ideal)
         components.append(sorted(comp))
-    components.sort(key=lambda comp: catalog.sets[comp[0]].mask)
+    components.sort(key=lambda comp: sets[comp[0]].mask)
     catalog.orbit_components = components
-    ids = [0] * len(catalog.sets)
+    ids = [0] * len(sets)
     for cid, comp in enumerate(components):
         for k in comp:
             ids[k] = cid

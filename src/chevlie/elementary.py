@@ -22,9 +22,9 @@ B-orbit into the B-orbit of the other, so a B-orbit partition of the point
 set plus one Weyl sweep is a complete and exact fusion analysis; its unions
 span each class by a tree.  `conjugation_reduce` has two routes to a normal
 form: a point of a closed orbit G lie(I), I an abelian ideal, is b w lie(I),
-and `_closed_orbit_word` clears it by root elements and walks its pivot set
-to I; any other point reads a path in its fusion tree.  Every word is
-replayed onto its form before it is returned.
+and `_closed_orbit_word` clears it by root elements and reads its pivot
+set's path to I from the catalog; any other point reads a path in its
+fusion tree.  Every word is replayed onto its form before it is returned.
 A move acts through the nonzero entries of its matrix, by table gathers.
 Fusion skips the points a move fixes, found without a row reduction: a
 reduced point E contains a vector v exactly when v = v[P] E for its pivot
@@ -53,7 +53,7 @@ from .chevalley import (
     weyl_rep_element,
     weyl_word_element,
 )
-from .commuting import CommutingSet, _reflect_mask, commuting_set, enumerate_max_commuting
+from .commuting import CommutingSet, commuting_set, enumerate_max_commuting
 from .rootsys import Root, RootSystem, WeylWord, build_root_system
 
 
@@ -134,6 +134,11 @@ def get_setting(type_label: str, rank: int, p: int, degree: int = 1) -> Setting:
     return Setting(system, order, basis, GF.get(p, degree))
 
 
+def _pivots(setting: Setting, rows: np.ndarray) -> np.ndarray:
+    """Storage index of each row's leading root: its first nonzero in `perm_desc`."""
+    return setting.perm_desc[np.argmax(rows[..., setting.perm_desc] != 0, axis=-1)]
+
+
 # -- elementary subalgebras -----------------------------------------------------
 
 
@@ -152,12 +157,7 @@ class ElementarySubalgebra:
         return keys(self.setting, self.rows[None])[0]
 
     def leading_roots(self) -> list[Root]:
-        perm = self.setting.perm_desc
-        out = []
-        for row in self.rows[:, perm]:
-            piv = int(np.nonzero(row)[0][0])
-            out.append(self.setting.system.root(int(perm[piv])))
-        return out
+        return [self.setting.system.root(i) for i in _pivots(self.setting, self.rows).tolist()]
 
     def as_g_rows(self) -> np.ndarray:
         g = self.setting.field.zeros((self.dim, self.setting.basis.dim))
@@ -780,8 +780,7 @@ def g_conjugacy_classes(
     point_keys = _key_array(setting, rows_all)
     order = np.argsort(point_keys, kind="stable")
     sorted_keys = point_keys[order]
-    # storage column of the pivot of each row: its first nonzero in `perm_desc`
-    pivots = setting.perm_desc[np.argmax(rows_all[:, :, setting.perm_desc] != 0, axis=2)]
+    pivots = _pivots(setting, rows_all)
     step = max(1, _FUSION_CHUNK // (r * d))
     root = np.arange(npts)  # the least point of each point's class so far
     tree = np.zeros((npts - 1, 3), dtype=np.intc)  # (i, k, j) per merging union
@@ -950,27 +949,17 @@ def _closed_orbit_word(setting: Setting, E: ElementarySubalgebra):
     As b lies below a, x_gamma lowers every root it moves in the additive
     order, so the pivot set X stays and E ends as lie(X).  Weyl walk: s_i
     with alpha_i not in X keeps X positive and maps lie(X) to lie(s_i X), so
-    a breadth-first walk by such s_i reaches the ideal in X's component of
-    the p-catalog (`partial_weyl_orbits`), if it holds one; it is found
-    first, so a point off every closed orbit costs no clearing.
+    the shortest such path from X to the ideal of its component, which the
+    p-catalog records (`MaxSetCatalog.to_ideal`) if the component holds one,
+    ends at lie(I); it is read first, so a point off every closed orbit
+    costs no clearing.
     """
     system, gf, n = setting.system, setting.field, setting.n_pos
-    catalog = enumerate_max_commuting(system, p=gf.p)
-    ideal = {s.mask: flag for s, flag in zip(catalog.sets, catalog.ideals)}
-    lead = setting.perm_desc[np.argmax(E.rows[:, setting.perm_desc] != 0, axis=1)]
-    start = sum(1 << int(i) for i in lead)
-    if start not in ideal:
+    lead = _pivots(setting, E.rows)
+    path = enumerate_max_commuting(system, p=gf.p).to_ideal.get(sum(1 << int(i) for i in lead))
+    if path is None:
         return None
-    paths, todo = {start: []}, [start]
-    for X in todo:
-        if ideal[X]:
-            break
-        for i in range(1, system.rank + 1):
-            if (Y := _reflect_mask(system, i, X)) is not None and Y not in paths:
-                paths[Y] = paths[X] + [i]
-                todo.append(Y)
-    else:
-        return None
+    letters, ideal = path
     height = np.array([system.root(i).height for i in range(n)])
     word = []
     for _ in range(n + 1):
@@ -978,8 +967,8 @@ def _closed_orbit_word(setting: Setting, E: ElementarySubalgebra):
         off[:, lead] = 0
         rows, cols = np.nonzero(off)
         if not len(rows):
-            word += [weyl_rep_element(setting.basis, gf, i) for i in paths[X]]
-            return word, lie(setting, CommutingSet(system, X))
+            word += [weyl_rep_element(setting.basis, gf, i) for i in letters]
+            return word, lie(setting, CommutingSet(system, ideal))
         k = np.argmin(height[cols] - height[lead[rows]])
         a, b = int(lead[rows[k]]), int(cols[k])
         gamma = int(system.sum_index[b, n + a])

@@ -18,6 +18,7 @@ from chevlie.commuting import (
     maximum_cliques,
     partial_weyl_orbits,
     weyl_stabilizer_generators,
+    _reflect_mask,
 )
 
 TABLE2 = {
@@ -265,6 +266,41 @@ def test_components_hold_at_most_one_ideal(t, n):
         cat = enumerate_max_commuting(sys_, p=p)
         for comp in cat.orbit_components:
             assert sum(cat.ideals[k] for k in comp) <= 1
+
+
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_to_ideal_paths_are_shortest(t, n):
+    # every set of a component with an ideal replays its letters onto that
+    # ideal, by as many letters as a breadth-first search from the set takes
+    sys_ = build_root_system(t, n)
+    for p in (None, 2, 3, 5, 7):
+        cat = enumerate_max_commuting(sys_, p=p)
+        ideal_of = {s.mask: flag for s, flag in zip(cat.sets, cat.ideals)}
+        moves = {
+            X: [Y for i in range(1, n + 1) if (Y := _reflect_mask(sys_, i, X)) is not None]
+            for X in ideal_of
+        }
+        for comp in cat.orbit_components:
+            has_ideal = any(cat.ideals[k] for k in comp)
+            for k in comp:
+                X = cat.sets[k].mask
+                if not has_ideal:
+                    assert X not in cat.to_ideal
+                    continue
+                letters, ideal = cat.to_ideal[X]
+                Y = X
+                for i in letters:
+                    Y = _reflect_mask(sys_, i, Y)
+                assert Y == ideal and ideal_of[ideal]
+                dist, todo = {X: 0}, [X]
+                for Z in todo:
+                    if ideal_of[Z]:
+                        break
+                    for W in moves[Z]:
+                        if W not in dist:
+                            dist[W] = dist[Z] + 1
+                            todo.append(W)
+                assert len(letters) == dist[Z]
 
 
 def test_g2_p3_sets():

@@ -1007,6 +1007,30 @@ def test_closed_orbit_route_agrees_with_fusion(t, n, p, nclosed):
         assert out.pack() == words[E.pack()][1].pack()
 
 
+# first 16 hex digits of the SHA-256 over the packed normal forms that
+# `conjugation_reduce` gives for the brute-force points at m, in their order
+NORMAL_FORM_DIGESTS = {
+    ("B", 4, 3): "3ba1bdb7b97a88d4",
+    ("B", 5, 3): "fa38e5105853dc57",
+    ("G", 2, 3): "56b673777019070d",
+    ("G", 2, 5): "106e068b49324d2d",
+    ("G", 2, 7): "f0c4f90df8d20a39",
+    ("A", 2, 7): "8a17a5a48ed45078",
+    ("A", 2, 13): "c1ababe606489689",
+    ("D", 4, 2): "00336f0ec81a9385",
+    ("D", 4, 3): "6e374a137347c1d1",
+    ("A", 3, 2): "59b09b9ddddaf5d9",
+}
+
+
+@pytest.mark.parametrize("t,n,p", list(NORMAL_FORM_DIGESTS))
+def test_normal_forms_pinned(t, n, p):
+    setting = get_setting(t, n, p)
+    points = brute_force_Eu(setting, enumerate_max_commuting(setting.system, p=p).m)
+    forms = b"".join(conjugation_reduce(setting, E)[1].pack() for E in points)
+    assert hashlib.sha256(forms).hexdigest()[:16] == NORMAL_FORM_DIGESTS[(t, n, p)]
+
+
 def test_conjugation_reduce_identity_on_normal_form():
     setting = get_setting("G", 2, 5)
     C5 = [Root((2, 1)), Root((3, 1)), Root((3, 2))]

@@ -9,6 +9,8 @@ import sys
 import tokenize
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -61,15 +63,21 @@ def test_conjugation_inputs_build_and_check(monkeypatch):
         assert workloads.check(op, op.run(), pinned, "conjugation") is None, op.name
 
 
-def test_tables_operations_check(monkeypatch):
-    # each `tables --which ... --golden` run prints an empty diff, and each
-    # golden file still has the SHA-256 the benchmark pins
+# operations per pass of each CLI workload
+CLI_WORKLOADS = {"tables": 5, "unipotent": 3, "fusion": 2}
+
+
+@pytest.mark.parametrize("workload", list(CLI_WORKLOADS))
+def test_cli_operations_check(monkeypatch, workload):
+    # each `tables --golden` run prints an empty diff and each golden file
+    # still has the SHA-256 the benchmark pins; each `verify --stage
+    # unipotent` and `enumerate` run prints the pinned counts and class sizes
     workloads = _load_workloads(monkeypatch)
     pinned = workloads.load_pinned()
-    ops = workloads.operations("tables", 1, pinned)
-    assert len(ops) == 5
+    ops = workloads.operations(workload, 1, pinned)
+    assert len(ops) == CLI_WORKLOADS[workload]
     for op in ops:
-        assert workloads.check(op, op.run(), pinned, "tables") is None, op.name
+        assert workloads.check(op, op.run(), pinned, workload) is None, op.name
 
 
 def test_modules_stay_below_the_parser_token_step():
