@@ -408,7 +408,6 @@ def weyl_rep_element(basis: ChevalleyBasis, field: GF, i: int) -> GroupGenerator
 def weyl_word_element(basis: ChevalleyBasis, field: GF, word: WeylWord) -> GroupGenerator:
     """Representative of a Weyl word (first letter applied last)."""
     M = field.eye(basis.dim)
-    g = GroupGenerator("weyl_word", (word.letters,), field, M)
-    for i in reversed(word.letters):
-        g = g.then(weyl_rep_element(basis, field, i))
-    return GroupGenerator("weyl_word", (word.letters,), field, g.matrix)
+    for i in word.letters:
+        M = field.matmul(M, weyl_rep_element(basis, field, i).matrix)
+    return GroupGenerator("weyl_word", (word.letters,), field, M)

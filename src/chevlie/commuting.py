@@ -5,13 +5,14 @@ maximum independent sets of its sparse complement in two passes: the exact
 size, peeling vertices of degree <= 1 among those a branch touched, then every
 set of that size, splitting a degree-1 vertex into "it or its neighbour" and
 entering only branches whose exact size matches (see `maximum_cliques`).
-Catalogs carry ideal flags, Weyl stabilizer generators, the orbit partition
-under the partial Weyl action and each set's shortest path to its ideal;
-everything is ordered by membership mask for reproducibility.
+Catalogs carry ideal flags (B(F_p)-stability in a p-catalog), the orbit
+partition under the partial Weyl action and each set's shortest path to its
+ideal; everything is ordered by membership mask for reproducibility.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -54,12 +55,15 @@ def commuting_set(system: RootSystem, roots) -> CommutingSet:
 
 @dataclass
 class MaxSetCatalog:
+    """The maximum (p-)commuting sets by mask, their ideal flags (`is_ideal`,
+    over F_p in a p-catalog), and the partial Weyl orbits with each set's
+    path to its orbit's ideal (`partial_weyl_orbits`)."""
+
     system: RootSystem
     predicate: tuple  # ("plain",) or ("p", p)
     m: int
     sets: list[CommutingSet]
     ideals: list[bool]
-    orbit_ids: list[int] = field(default_factory=list)
     orbit_components: list[list[int]] = field(default_factory=list)
     # mask -> (s_i letters, ideal mask), for the sets of components with an ideal
     to_ideal: dict[int, tuple[tuple[int, ...], int]] = field(default_factory=dict)
@@ -194,18 +198,31 @@ def enumerate_max_commuting(system: RootSystem, p: int | None = None) -> MaxSetC
         predicate=("plain",) if p is None else ("p", p),
         m=m,
         sets=sets,
-        ideals=[is_ideal(s) for s in sets],
+        ideals=[is_ideal(s, p) for s in sets],
     )
     partial_weyl_orbits(catalog)
     _CATALOG_CACHE[key] = catalog
     return catalog
 
 
-def is_ideal(R: CommutingSet) -> bool:
-    """Closed under adding any positive root that lands in the positive roots."""
-    n = R.system.num_positive
-    sums = R.system.sum_index[:n, [i for i in range(n) if R.mask >> i & 1]]
-    return all(R.mask >> k & 1 for k in sums[sums >= 0].tolist())
+def is_ideal(R: CommutingSet, p: int | None = None) -> bool:
+    """Whether B, over F_p if p is given, keeps lie(R).  The torus keeps every
+    lie(R), and x_gamma(t) x_a is the sum over k >= 0 of +-C(r + k, k) t^k
+    x_{a + k gamma}, r the gamma-string below a (Carter 1972), so p must
+    divide C(r + k, k) whenever a + k gamma is a positive root outside R;
+    without p, R is closed under adding positive roots."""
+    sys, n = R.system, R.system.num_positive
+    cols = [i for i in range(n) if R.mask >> i & 1]
+    inside = np.isin(np.arange(2 * n), cols)
+    r, at = sys.string_down[:n, cols], sys.sum_index[:n, cols]  # at[gamma, a] = a + k gamma
+    for k in (1, 2, 3):  # strings have at most four roots
+        missing = (at >= 0) & ~inside[at]
+        if p is not None:
+            missing &= np.array([math.comb(j + k, k) % p for j in range(4)])[r] > 0
+        if missing.any():
+            return False
+        at = np.where(at >= 0, np.take_along_axis(sys.sum_index[:n], at, 1), -1)
+    return True
 
 
 def _reflect_mask(system: RootSystem, i: int, mask: int) -> int | None:
@@ -217,7 +234,7 @@ def _reflect_mask(system: RootSystem, i: int, mask: int) -> int | None:
     return sum(1 << k for k in imgs)
 
 
-def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
+def partial_weyl_orbits(catalog: MaxSetCatalog) -> None:
     """Connected components under moves R -> s_i(R) that stay positive, and
     each set's shortest path to the ideal of its component.
 
@@ -227,7 +244,8 @@ def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
     walked breadth first, from its ideal if it holds one (ideals start
     first); `to_ideal[mask]` = (letters, ideal mask) where applying s_i for
     the letters in turn takes the set to the ideal, by a shortest path.
-    Components are sorted by minimal member mask and stored on the catalog.
+    Components are sorted by minimal member mask, the position of a set's
+    component being its orbit id, and stored on the catalog.
     """
     sys, sets = catalog.system, catalog.sets
     index_of = {s.mask: k for k, s in enumerate(sets)}
@@ -254,12 +272,6 @@ def partial_weyl_orbits(catalog: MaxSetCatalog) -> list[list[int]]:
         components.append(sorted(comp))
     components.sort(key=lambda comp: sets[comp[0]].mask)
     catalog.orbit_components = components
-    ids = [0] * len(sets)
-    for cid, comp in enumerate(components):
-        for k in comp:
-            ids[k] = cid
-    catalog.orbit_ids = ids
-    return components
 
 
 # -- Weyl stabilizers ---------------------------------------------------------
@@ -291,7 +303,7 @@ def weyl_stabilizer_generators(R: CommutingSet):
         member = np.zeros(2 * sys.num_positive, dtype=bool)
         member[idx] = True
         stab = elements[member[elements[:, idx]].all(axis=1)]
-        para = sys.weyl_words(sorted(gens), WEYL_EXHAUSTIVE_ORDER)
+        para = sys.weyl_words(sorted(gens))
         report["exhaustive"] = True
         report["stabilizer_order"] = len(stab)
         report["parabolic_order"] = len(para)
@@ -438,13 +450,14 @@ def _f4_sets(system: RootSystem) -> list[list[Root]]:
 
 
 def catalog_to_json(catalog: MaxSetCatalog) -> dict:
+    orbit = {k: cid for cid, comp in enumerate(catalog.orbit_components) for k in comp}
     sets = []
     for k, s in enumerate(catalog.sets):
         sets.append(
             {
                 "roots": [list(r.coeffs) for r in s.members()],
                 "ideal": catalog.ideals[k],
-                "orbit": catalog.orbit_ids[k] if catalog.orbit_ids else None,
+                "orbit": orbit[k],
                 "stabilizer_generators": sorted(_simple_stabilizer(s)),
             }
         )

@@ -403,7 +403,6 @@ class LeadingTermSystem:
     """Bracket-vanishing equations for echelon bases with prescribed pivots."""
 
     setting: Setting
-    target: CommutingSet
     pivots: list[int]  # storage indices, decreasing in the order
     unknowns: list[tuple[int, int]]  # (row index, storage column)
     equations: list[dict[tuple, int]]  # monomial (sorted unknown ids) -> coeff
@@ -442,7 +441,7 @@ def build_leading_term_system(setting: Setting, target: CommutingSet) -> Leading
                 eq = {m: c for m, c in eq.items() if c}
                 if eq:
                     equations.append(eq)
-    lts = LeadingTermSystem(setting, target, pivots, unknowns, equations)
+    lts = LeadingTermSystem(setting, pivots, unknowns, equations)
     assert all(not any(len(m) == 0 for m in eq) or eq.get((), 0) == 0 for eq in lts.equations)
     return lts
 
@@ -639,7 +638,7 @@ def check_weyl_order(system: RootSystem):
 def weyl_words_all(system: RootSystem) -> list[WeylWord]:
     """Shortest words for every Weyl group element (small groups only)."""
     check_weyl_order(system)
-    return list(system.weyl_words(limit=WEYL_FUSION_LIMIT).values())
+    return list(system.weyl_words().values())
 
 
 @lru_cache(maxsize=None)
@@ -663,7 +662,6 @@ class Orbit:
     representative_rows: np.ndarray  # (r, dim_g)
     size: int
     normalizer_dim: int
-    normal_form_tag: str
 
 
 def orbit_decompose(
@@ -720,7 +718,6 @@ def orbit_decompose(
                     representative_rows=rep,
                     size=len(members),
                     normalizer_dim=len(normalizer_basis(setting, rep)),
-                    normal_form_tag=normal_form_tag(setting, rep),
                 ),
             )
         )

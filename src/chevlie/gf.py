@@ -122,10 +122,8 @@ class GF:
         return range(1, self.q)
 
     def power(self, a: int, n: int) -> int:
+        """a^n for n >= 0, by repeated squaring."""
         out, base = 1, a
-        n = n % (self.q - 1) if (a and n < 0) else n
-        if n < 0:
-            raise ZeroDivisionError("negative power of zero")
         while n:
             if n & 1:
                 out = int(self.MUL[out, base])

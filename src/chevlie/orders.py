@@ -1,18 +1,19 @@
 """Total orders on positive roots that respect addition.
 
-An order is assembled from layers, each a tuple of linear functionals of the
-coefficients, so its key is additive (`RootOrder.respects_addition`):
+An order is a tuple of integer linear functionals of the coefficients, each a
+row over the simple roots.  A root's key is the tuple of their values,
+compared lexicographically (the first functional that distinguishes
+decides), so the key is additive (`RootOrder.respects_addition`), and
+ascending key order is ascending root order.  Every order here is built from
+two kinds of rows, given 1-based simple indices:
 
-* ``("coeffsum", indices, sign)`` compares sign * (sum of the coefficients at
-  the given 0-based simple indices);
-* ``("revlex", priority, sign)`` compares sign * coefficient along the given
-  priority sequence of 0-based simple indices, first difference wins.
+* `_coeffsum` is one row: sign * (sum of the coefficients at the indices);
+* `_revlex` is one row per index of a priority sequence: sign * that
+  coefficient, first difference wins.
 
-Layers are combined by refinement (first layer that distinguishes decides),
-and ascending key order is ascending root order.  The reverse-lexicographic
-orders used by the leading-term arguments carry sign -1: a *larger*
-coefficient at the first distinguishing priority position makes a root
-*smaller*.
+The reverse-lexicographic orders used by the leading-term arguments carry
+sign -1: a *larger* coefficient at the first distinguishing priority position
+makes a root *smaller*.
 """
 
 from __future__ import annotations
@@ -26,18 +27,10 @@ from .rootsys import Root, RootSystem
 
 @dataclass(frozen=True)
 class RootOrder:
-    layers: tuple
+    functionals: tuple[tuple[int, ...], ...]
 
-    def key(self, root: Root):
-        parts = []
-        for kind, data, sign in self.layers:
-            if kind == "coeffsum":
-                parts.append(sign * sum(root.coeffs[i] for i in data))
-            elif kind == "revlex":
-                parts.extend(sign * root.coeffs[i] for i in data)
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
-        return tuple(parts)
+    def key(self, root: Root) -> tuple[int, ...]:
+        return tuple(sum(f * c for f, c in zip(row, root.coeffs)) for row in self.functionals)
 
     def sorted_roots(self, system: RootSystem) -> list[Root]:
         """Positive roots, ascending (index 0 is the smallest root)."""
@@ -58,8 +51,12 @@ class RootOrder:
         return bool((keys[a] + keys[b] == keys[system.sum_index[a, b]]).all())
 
 
-def _revlex(priority_1based, sign=-1):
-    return ("revlex", tuple(i - 1 for i in priority_1based), sign)
+def _coeffsum(rank: int, indices, sign: int) -> tuple[tuple[int, ...], ...]:
+    return (tuple(sign if j + 1 in indices else 0 for j in range(rank)),)
+
+
+def _revlex(rank: int, priority, sign: int = -1) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sign if j + 1 == i else 0 for j in range(rank)) for i in priority)
 
 
 def default_order(system: RootSystem) -> RootOrder:
@@ -69,9 +66,7 @@ def default_order(system: RootSystem) -> RootOrder:
     lower-numbered one is smaller; used where no section-specific order exists.
     """
     n = system.rank
-    return RootOrder(
-        (("coeffsum", tuple(range(n)), 1), ("revlex", tuple(range(n)), -1))
-    )
+    return RootOrder(_coeffsum(n, range(1, n + 1), 1) + _revlex(n, range(1, n + 1)))
 
 
 def canonical_order(type_label: str, rank: int) -> RootOrder:
@@ -84,30 +79,28 @@ def canonical_order(type_label: str, rank: int) -> RootOrder:
     n = rank
     if type_label == "A":
         if n == 1:
-            return RootOrder((_revlex([1]),))
+            return RootOrder(_revlex(n, [1]))
         if n % 2 == 1:  # A_{2m+1}: unique block through alpha_{m+1}
             i = (n + 1) // 2
             rest = [j for j in range(1, n + 1) if j != i]
-            return RootOrder((_revlex([i] + rest),))
+            return RootOrder(_revlex(n, [i] + rest))
         m = n // 2  # A_{2m}: two blocks through alpha_m, alpha_{m+1}
         rest = [j for j in range(1, n + 1) if j not in (m, m + 1)]
-        return RootOrder(
-            (("coeffsum", (m - 1, m), -1), _revlex([m + 1, m] + rest))
-        )
+        return RootOrder(_coeffsum(n, (m, m + 1), -1) + _revlex(n, [m + 1, m] + rest))
     if type_label == "B" or type_label == "C":
         if type_label == "B" and n in (2, 3):
-            return RootOrder((_revlex(list(range(1, n + 1))),))
+            return RootOrder(_revlex(n, range(1, n + 1)))
         if type_label == "C":
             rest = [j for j in range(1, n)]
-            return RootOrder((_revlex([n] + rest),))
+            return RootOrder(_revlex(n, [n] + rest))
         # B_n, n >= 4: chain alpha_1 > ... > alpha_n, smallest is alpha_n
-        return RootOrder((_revlex(list(range(n, 0, -1))),))
+        return RootOrder(_revlex(n, range(n, 0, -1)))
     if type_label == "D":
         # chain alpha_{n-2} > ... > alpha_1 > alpha_{n-1} > alpha_n
-        return RootOrder((_revlex([n, n - 1] + list(range(1, n - 1))),))
+        return RootOrder(_revlex(n, [n, n - 1, *range(1, n - 1)]))
     if type_label == "E" and n == 7:
-        return RootOrder((_revlex([7, 1, 2, 3, 4, 5, 6]),))
+        return RootOrder(_revlex(n, [7, 1, 2, 3, 4, 5, 6]))
     if type_label == "G":
         # reverse graded lexicographic with alpha_1 > alpha_2
-        return RootOrder((("coeffsum", (0, 1), -1), _revlex([2, 1])))
+        return RootOrder(_coeffsum(n, (1, 2), -1) + _revlex(n, [2, 1]))
     raise ValueError(f"no canonical leading-term order for type {type_label}{rank}")

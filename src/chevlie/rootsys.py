@@ -133,20 +133,16 @@ def _validate_type(type_label: str, rank: int):
 
 
 class RootSystem:
-    """An irreducible root system; use build_root_system() to construct."""
+    """A root system given by its Cartan matrix: build_root_system() makes
+    the irreducible ones, direct_sum() joins two."""
 
-    def __init__(self, type_label: str, rank: int, cartan=None, _sum_parts=None):
-        if _sum_parts is None:
-            _validate_type(type_label, rank)
+    def __init__(self, type_label: str, rank: int, cartan=None):
         self.type_label = type_label
         self.rank = rank
         self.cartan = cartan if cartan is not None else cartan_matrix(type_label, rank)
-        self.sum_parts = _sum_parts  # set for direct sums only
         self.symmetrizer = self._symmetrizer()
         self.positive_roots = self._closure()
-        self.simple_roots = self.positive_roots[: self.rank] if _sum_parts is None else [
-            r for r in self.positive_roots if r.height == 1
-        ]
+        self.simple_roots = self.positive_roots[: self.rank]  # the roots of height one
         self._pos_index = {r.coeffs: i for i, r in enumerate(self.positive_roots)}
         signed = self.positive_roots + [-r for r in self.positive_roots]
         self._signed_index = {r.coeffs: i for i, r in enumerate(signed)}
@@ -158,28 +154,23 @@ class RootSystem:
     # -- construction ------------------------------------------------------
 
     def _symmetrizer(self) -> list[int]:
+        """d with d_i C_ij = d_j C_ji, walked over each component of the Dynkin
+        diagram and divided by its least value: short simple roots get 1."""
         n = self.rank
-        d = [Fraction(0)] * n
-        d[0] = Fraction(1)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if self.cartan[i][j] and i != j and not seen[j]:
-                    d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                    seen[j] = True
-                    stack.append(j)
-        if not all(seen):  # disconnected (direct sums): normalize per component
-            for j in range(n):
-                if not seen[j]:
-                    d[j] = Fraction(1)
-                    seen[j] = True
-        scale = 1
-        for x in d:
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        return [int(x * scale) for x in d]
+        d: list = [None] * n
+        for start in range(n):
+            if d[start] is not None:
+                continue
+            d[start], comp = Fraction(1), [start]
+            for i in comp:
+                for j in range(n):
+                    if self.cartan[i][j] and d[j] is None:
+                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
+                        comp.append(j)
+            least = min(d[k] for k in comp)
+            for k in comp:
+                d[k] = int(d[k] / least)
+        return d
 
     def _closure(self) -> list[Root]:
         n = self.rank
@@ -360,23 +351,18 @@ class RootSystem:
             beta = self.reflect(i, beta)
         return beta
 
-    def weyl_words(self, letters=None, limit: int = 2000):
+    def weyl_words(self, letters=None):
         """Shortest words for the elements of the group the letters generate.
 
         Breadth-first over right multiplication by the letters (all simple
         reflections by default), so the first word found for an element is a
         shortest one.  Returns a dict keyed by the element's row as bytes:
         the int16 positions among the signed roots of the images of the
-        positive roots, in root order.  Returns None if the group has more
-        than `limit` elements; for the whole group that is decided from its
-        order before the search.
+        positive roots, in root order.  The search has no size limit: callers
+        check the group's order first.
         """
         n = self.num_positive
-        if letters is None:
-            if math.prod(self.degrees()) > limit:
-                return None
-            letters = range(1, self.rank + 1)
-        letters = list(letters)
+        letters = list(range(1, self.rank + 1) if letters is None else letters)
         # (w s_i)(root k) = w(s_i(root k)), w extended to the negative roots
         refl = self.reflections[[i - 1 for i in letters], :n]
         frontier = [np.arange(n, dtype=np.int16).tobytes()]
@@ -388,8 +374,6 @@ class RootSystem:
             for k, img in enumerate(images.reshape(-1, n)):  # element first, then letter
                 key = img.tobytes()
                 if key not in words:
-                    if len(words) >= limit:
-                        return None
                     base = words[frontier[k // len(letters)]].letters
                     words[key] = WeylWord(base + (letters[k % len(letters)],))
                     nxt.append(key)
@@ -407,7 +391,7 @@ class RootSystem:
         if math.prod(self.degrees()) > limit:
             return None
         if self._weyl_elements is None:
-            rows = b"".join(self.weyl_words(limit=limit))
+            rows = b"".join(self.weyl_words())
             self._weyl_elements = np.frombuffer(rows, dtype=np.int16).reshape(-1, self.num_positive)
         return self._weyl_elements
 
@@ -447,6 +431,7 @@ def _int_det(M) -> int:
 @lru_cache(maxsize=None)
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Construct the irreducible root system of the given type and rank."""
+    _validate_type(type_label, rank)
     sys = RootSystem(type_label, rank)
     expected = {
         "A": rank * (rank + 1) // 2,
@@ -462,17 +447,12 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
 
 def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
-    """Direct sum wrapper: coefficient vectors are concatenated blockwise."""
-    n = a.rank + b.rank
-    C = [[0] * n for _ in range(n)]
-    for i in range(a.rank):
-        for j in range(a.rank):
-            C[i][j] = a.cartan[i][j]
-    for i in range(b.rank):
-        for j in range(b.rank):
-            C[a.rank + i][a.rank + j] = b.cartan[i][j]
+    """The direct sum of two root systems: the Cartan matrix is block
+    diagonal, so a root's coefficients are those over a's simple roots, then
+    those over b's, and each block keeps its own symmetrizer."""
+    C = [row + [0] * b.rank for row in a.cartan] + [[0] * a.rank + row for row in b.cartan]
     label = f"{a.type_label}{a.rank}+{b.type_label}{b.rank}"
-    return RootSystem(label, n, cartan=C, _sum_parts=(a, b))
+    return RootSystem(label, a.rank + b.rank, cartan=C)
 
 
 # -- Euclidean models (conversion helpers and an independent oracle) ---------

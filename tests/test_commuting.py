@@ -258,6 +258,17 @@ def test_is_ideal():
     assert sum(cat5.ideals) == 1
 
 
+def test_f4_p2_flags_b_stable_sets():
+    # over F_2 two sets that are not ideals of Phi+ are B(F_2)-stable, since
+    # each missing a + k gamma comes with an even C(r + k, k); four of the
+    # six components then hold exactly one flagged set
+    cat = enumerate_max_commuting(build_root_system("F", 4), p=2)
+    assert [k for k, flag in enumerate(cat.ideals) if flag] == [45, 51, 54, 55]
+    assert [is_ideal(cat.sets[k]) for k in (45, 51, 54, 55)] == [False, False, True, True]
+    held = [sum(cat.ideals[k] for k in comp) for comp in cat.orbit_components]
+    assert len(held) == 6 and sorted(held) == [0, 0, 1, 1, 1, 1]
+
+
 @pytest.mark.parametrize("t,n", TABLE1_RANKS)
 def test_components_hold_at_most_one_ideal(t, n):
     # so the ideal a closed orbit's points walk to is one normal form per orbit

@@ -1007,6 +1007,34 @@ def test_closed_orbit_route_agrees_with_fusion(t, n, p, nclosed):
         assert out.pack() == words[E.pack()][1].pack()
 
 
+def _borel_stable(setting, R) -> bool:
+    E = lie(setting, R)
+    return all(_apply_word_u(setting, E, [g]).pack() == E.pack() for g in borel_generators(setting))
+
+
+@pytest.mark.parametrize(
+    "t,n,p", [("G", 2, 2), ("G", 2, 3), ("B", 3, 2), ("C", 3, 2), ("D", 4, 2)]
+)
+def test_p_catalog_flags_are_borel_stability(t, n, p):
+    """At a bad p the p-catalog flags exactly the sets R whose lie(R) every
+    generator of B(F_p) keeps (`is_ideal` with p)."""
+    setting = get_setting(t, n, p)
+    catalog = enumerate_max_commuting(setting.system, p=p)
+    assert catalog.ideals == [_borel_stable(setting, R) for R in catalog.sets]
+
+
+def test_g2_f2_point_is_its_own_closed_orbit():
+    """G_2's one maximal 2-commuting set is B(F_2)-stable although
+    alpha_1 + (alpha_1 + alpha_2) is a root outside it (N = +-2, zero mod 2):
+    it is flagged, and the one point reduces by the empty word."""
+    setting = get_setting("G", 2, 2)
+    catalog = enumerate_max_commuting(setting.system, p=2)
+    assert catalog.ideals == [True]
+    (E,) = brute_force_Eu(setting, catalog.m)
+    word, out = _closed_orbit_word(setting, E)
+    assert word == [] and out.pack() == E.pack() == lie(setting, catalog.sets[0]).pack()
+
+
 # first 16 hex digits of the SHA-256 over the packed normal forms that
 # `conjugation_reduce` gives for the brute-force points at m, in their order
 NORMAL_FORM_DIGESTS = {

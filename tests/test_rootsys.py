@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from chevlie.chevalley import build_constants
 from chevlie.commuting import commutation_adjacency
 from chevlie.golden import TABLE1_RANKS
 from chevlie.rootsys import (
@@ -247,3 +248,34 @@ def test_direct_sum():
     assert s.num_positive == 2
     r1, r2 = s.positive_roots
     assert not s.is_root(r1 + r2)
+
+
+def _units(rank: int) -> list[Root]:
+    return [Root(tuple(int(i == j) for j in range(rank))) for i in range(rank)]
+
+
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_simple_roots_are_the_height_one_roots_in_label_order(t, n):
+    sys_ = build_root_system(t, n)
+    assert sys_.simple_roots == [r for r in sys_.positive_roots if r.height == 1] == _units(n)
+
+
+@pytest.mark.parametrize("first,second", [(("B", 2), ("G", 2)), (("G", 2), ("B", 2))])
+def test_direct_sum_keeps_each_component(first, second):
+    # the symmetrizer is walked per component of the Dynkin diagram, so a
+    # non-simply-laced second summand keeps its root lengths and constants
+    a, b = build_root_system(*first), build_root_system(*second)
+    s = direct_sum(a, b)
+    assert s.symmetrizer == a.symmetrizer + b.symmetrizer
+    assert s.simple_roots == [r for r in s.positive_roots if r.height == 1] == _units(4)
+    cs = build_constants(s)
+    for part, before in ((a, ()), (b, (0, 0))):
+        after = (0,) * (2 - len(before))
+        embed = lambda r: Root(before + r.coeffs + after)
+        cp = build_constants(part)
+        signed = part.positive_roots + [-r for r in part.positive_roots]
+        assert [s.norm2(embed(r)) for r in signed] == [part.norm2(r) for r in signed]
+        for x in signed:
+            for y in signed:
+                if x != -y and part.is_root(x + y):
+                    assert cs.N(embed(x), embed(y)) == cp.N(x, y), (x, y)

@@ -5,7 +5,10 @@ to move its peak memory."""
 import ast
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
+import time
 import tokenize
 from pathlib import Path
 
@@ -78,6 +81,20 @@ def test_cli_operations_check(monkeypatch, workload):
     assert len(ops) == CLI_WORKLOADS[workload]
     for op in ops:
         assert workloads.check(op, op.run(), pinned, workload) is None, op.name
+
+
+@pytest.mark.parametrize("workload", ["unipotent", "conjugation", "fusion", "tables"])
+def test_traced_session_misses_no_call(workload):
+    # a traced benchmark run counts one more failed operation when a traced
+    # function listed for the workload in `entered_on` records no call, so a
+    # refactor that stops calling one shows here, not only in that run
+    cmd = [sys.executable, str(PERFBENCH / "session.py"), "--workload", workload,
+           "--seed", "1", "--spawned-at", str(time.time()), "--trace"]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert [op["name"] for op in result["ops"] if op["failed"]] == []
+    assert result["input_problem"] is None
+    assert result["trace_missed"] == []
 
 
 def test_modules_stay_below_the_parser_token_step():
