@@ -58,8 +58,6 @@ class ChevalleyBasis:
         self.dim = 2 * self.n_pos + system.rank
         self.constants = self._constants()
         self.brackets, self._bracket_rows = self._bracket_table()
-        self._exp_cache: dict[int, list[np.ndarray]] = {}
-        self._field_cache: dict[int, np.ndarray] = {}
 
     # -- structure constants ---------------------------------------------------
 
@@ -204,15 +202,17 @@ class ChevalleyBasis:
 
     def field_data(self, field: GF) -> np.ndarray:
         """ad of every basis element mod p: an int16 (dim, dim, dim) stack whose
-        entry [I, K, J] is the x_K-coefficient of [x_I, x_J].  Built once per p
-        from the bracket table; an extension field reads the same stack, since
-        F_p is encoded as itself."""
-        if field.p not in self._field_cache:
-            stack = np.zeros((self.dim,) * 3, dtype=np.int16)
-            I, J, K, C = self.brackets.T
-            stack[I, K, J] = C % field.p
-            self._field_cache[field.p] = stack
-        return self._field_cache[field.p]
+        entry [I, K, J] is the x_K-coefficient of [x_I, x_J].  There is one
+        stack per characteristic: F_p and every F_{p^r} read the same one,
+        since F_p is encoded as itself."""
+        return self._stack_mod(field.p)
+
+    @lru_cache(maxsize=None)
+    def _stack_mod(self, p: int) -> np.ndarray:
+        stack = np.zeros((self.dim,) * 3, dtype=np.int16)
+        I, J, K, C = self.brackets.T
+        stack[I, K, J] = C % p
+        return stack
 
     @lru_cache(maxsize=None)
     def lie_generators(self, p: int) -> np.ndarray:
@@ -249,12 +249,10 @@ class ChevalleyBasis:
 
     # -- divided-power exponentials ------------------------------------------------
 
+    @lru_cache(maxsize=None)
     def exp_terms(self, root: Root) -> list[np.ndarray]:
         """Integer matrices ad(x_root)^k / k!, k = 0, 1, ... until zero."""
-        idx = self.system.signed_index(root)
-        if idx in self._exp_cache:
-            return self._exp_cache[idx]
-        M = self.ad_matrix(idx)
+        M = self.ad_matrix(self.system.signed_index(root))
         terms = [np.eye(self.dim, dtype=np.int64)]
         Mk = np.eye(self.dim, dtype=np.int64)
         k = 1
@@ -269,7 +267,6 @@ class ChevalleyBasis:
             k += 1
             if k > 2 * self.dim:
                 raise ArithmeticError("ad(x_root) is not nilpotent")
-        self._exp_cache[idx] = terms
         return terms
 
 
@@ -278,60 +275,25 @@ def build_constants(system: RootSystem, order: RootOrder | None = None) -> Cheva
     return ChevalleyBasis(system, order)
 
 
-# -- Lie vectors over a field ------------------------------------------------
-
-
-@dataclass
-class LieVector:
-    basis: ChevalleyBasis
-    field: GF
-    scope: str  # "u" or "g"
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        want = self.basis.n_pos if self.scope == "u" else self.basis.dim
-        assert len(self.coeffs) == want, "coefficient length does not match scope"
-
-    def _check(self, other: "LieVector"):
-        if self.field is not other.field or self.scope != other.scope:
-            raise ValueError("field or basis scope mismatch")
-
-    def bracket(self, other: "LieVector") -> "LieVector":
-        self._check(other)
-        ad = self.basis.ad_of(self.field, self.coeffs, self.scope)
-        out = self.field.matmul(ad, other.coeffs[:, None])[:, 0]
-        return LieVector(self.basis, self.field, self.scope, out)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def as_g(self) -> "LieVector":
-        if self.scope == "g":
-            return self
-        coeffs = np.zeros(self.basis.dim, dtype=self.coeffs.dtype)
-        coeffs[: self.basis.n_pos] = self.coeffs
-        return LieVector(self.basis, self.field, "g", coeffs)
-
-
-def p_power(x: LieVector) -> LieVector:
-    """The unique y with ad(y) = ad(x)^p, solved in the scope of x.
+def p_power(basis: ChevalleyBasis, field: GF, x: np.ndarray) -> np.ndarray:
+    """The unique y with ad(y) = ad(x)^p, solved in the scope of x: u when x
+    has `n_pos` coordinates, g when it has `dim`.
 
     Rejects (ArithmeticError) when the solution fails to exist or to be
     unique, which signals a characteristic outside the supported range.
     """
-    basis, gf = x.basis, x.field
-    xg = x.as_g()
-    P = gf.matpow(basis.ad_of(gf, xg.coeffs, "g"), gf.p)
-    k = len(x.coeffs)
-    M = basis.field_data(gf)[:k].reshape(k, -1).T
-    rhs = P.reshape(-1)
-    sol = gf.solve_affine(M, rhs)
+    k = len(x)
+    xg = field.zeros(basis.dim)
+    xg[:k] = x  # u is the span of the first n_pos basis elements of g
+    P = field.matpow(basis.ad_of(field, xg), field.p)
+    M = basis.field_data(field)[:k].reshape(k, -1).T
+    sol = field.solve_affine(M, P.reshape(-1))
     if sol is None:
         raise ArithmeticError("ad(y) = ad(x)^p has no solution in this scope")
     y, kernel = sol
     if len(kernel):
         raise ArithmeticError("adjoint representation is not faithful on this scope")
-    return LieVector(basis, gf, x.scope, y)
+    return y
 
 
 # -- group generators -----------------------------------------------------------
@@ -339,10 +301,11 @@ def p_power(x: LieVector) -> LieVector:
 
 @dataclass
 class GroupGenerator:
-    """A root-group element, cocharacter value, or Weyl representative.
+    """A root-group element, cocharacter value, Weyl representative or Weyl
+    word, named by `kind` and `label`.
 
-    `matrix` is the action on the g-basis (columns transform); apply to row
-    matrices with gen.apply_rows.
+    `matrix` is the action on the g-basis (columns transform); apply it to
+    the rows of a matrix, one vector per row, with gen.apply_rows.
     """
 
     kind: str
@@ -350,20 +313,8 @@ class GroupGenerator:
     field: GF
     matrix: np.ndarray
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.field.matmul(self.matrix, v[:, None])[:, 0]
-
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
         return self.field.matmul(rows, self.matrix.T.copy())
-
-    def then(self, other: "GroupGenerator") -> "GroupGenerator":
-        """Composite acting as `other` after `self`."""
-        return GroupGenerator(
-            "product",
-            (other.label, self.label),
-            self.field,
-            self.field.matmul(other.matrix, self.matrix),
-        )
 
 
 @lru_cache(maxsize=None)
@@ -398,11 +349,11 @@ def cocharacter_element(
 def weyl_rep_element(basis: ChevalleyBasis, field: GF, i: int) -> GroupGenerator:
     """The representative x_i(1) x_{-i}(-1) x_i(1) of the simple reflection."""
     a = basis.system.simple_roots[i - 1]
-    one = root_group_element(basis, field, a, 1)
-    minus = root_group_element(basis, field, -a, field.NEG[1])
-    g = one.then(minus).then(one)
-    g.matrix.flags.writeable = False  # cached: one matrix for every caller
-    return GroupGenerator("weyl_rep", (i,), field, g.matrix)
+    one = root_group_element(basis, field, a, 1).matrix
+    minus = root_group_element(basis, field, -a, field.NEG[1]).matrix
+    M = field.matmul(one, field.matmul(minus, one))
+    M.flags.writeable = False  # cached: one matrix for every caller
+    return GroupGenerator("weyl_rep", (i,), field, M)
 
 
 def weyl_word_element(basis: ChevalleyBasis, field: GF, word: WeylWord) -> GroupGenerator:

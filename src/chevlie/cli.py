@@ -326,13 +326,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INVALID if e.code not in (0, None) else 0
     out = sys.stdout
+    commands = {"tables": cmd_tables, "verify": cmd_verify, "enumerate": cmd_enumerate}
     try:
-        if args.command == "tables":
-            code = cmd_tables(args, out)
-        elif args.command == "verify":
-            code = cmd_verify(args, out)
-        else:
-            code = cmd_enumerate(args, out)
+        code = commands[args.command](args, out)
     except CliError as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_INVALID

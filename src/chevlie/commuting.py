@@ -43,7 +43,7 @@ class CommutingSet:
         return bool(self.mask >> self.system.index(root) & 1)
 
     def __repr__(self):
-        return f"CommutingSet({self.system.type_label}{self.system.rank}, {sorted(r.coeffs for r in self.members())})"
+        return f"CommutingSet({self.system.name}, {sorted(r.coeffs for r in self.members())})"
 
 
 def commuting_set(system: RootSystem, roots) -> CommutingSet:
@@ -178,14 +178,12 @@ def commutation_adjacency(system: RootSystem, p: int | None = None) -> list[int]
     return [int.from_bytes(row.tobytes(), "little") for row in bits]
 
 
-_CATALOG_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def enumerate_max_commuting(system: RootSystem, p: int | None = None) -> MaxSetCatalog:
-    """All maximum-size sets of pairwise (p-)commuting positive roots."""
-    key = (id(system), p)
-    if key in _CATALOG_CACHE:
-        return _CATALOG_CACHE[key]
+    """All maximum-size sets of pairwise (p-)commuting positive roots.
+
+    Built once per system and p; callers pass p by keyword or leave it out,
+    since the cache keys `f(s)` and `f(s, None)` apart."""
     adj = commutation_adjacency(system, p)
     if p is not None and adj == commutation_adjacency(system):
         plain = enumerate_max_commuting(system)  # the same graph: reuse its cliques
@@ -201,7 +199,6 @@ def enumerate_max_commuting(system: RootSystem, p: int | None = None) -> MaxSetC
         ideals=[is_ideal(s, p) for s in sets],
     )
     partial_weyl_orbits(catalog)
-    _CATALOG_CACHE[key] = catalog
     return catalog
 
 
@@ -277,9 +274,6 @@ def partial_weyl_orbits(catalog: MaxSetCatalog) -> None:
 # -- Weyl stabilizers ---------------------------------------------------------
 
 
-WEYL_EXHAUSTIVE_ORDER = 2000  # largest |W| whose stabilizer report is exhaustive
-
-
 def _simple_stabilizer(R: CommutingSet) -> set[int]:
     """The 1-based indices i with s_i(R) = R."""
     sys = R.system
@@ -289,14 +283,15 @@ def _simple_stabilizer(R: CommutingSet) -> set[int]:
 def weyl_stabilizer_generators(R: CommutingSet):
     """Simple reflections fixing R setwise, plus a verification report.
 
-    For Weyl groups of at most `WEYL_EXHAUSTIVE_ORDER` elements the report
-    certifies Stab_W(R) equals the subgroup generated by the returned
-    indices by exhaustive enumeration; otherwise only containment facts.
+    Where `RootSystem.weyl_elements` lists the group (at most
+    `rootsys.WEYL_EXHAUSTIVE_ORDER` elements) the report certifies, by
+    exhaustive enumeration, that Stab_W(R) equals the subgroup generated by
+    the returned indices; otherwise it holds only the generators.
     """
     sys = R.system
     gens = _simple_stabilizer(R)
     report = {"generators": sorted(gens), "exhaustive": False}
-    elements = sys.weyl_elements(WEYL_EXHAUSTIVE_ORDER)
+    elements = sys.weyl_elements()
     if elements is not None:
         # w is the row of positions of the images of the positive roots
         idx = [k for k in range(sys.num_positive) if R.mask >> k & 1]

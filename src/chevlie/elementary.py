@@ -201,7 +201,7 @@ def _key_array(setting: Setting, stack: np.ndarray) -> np.ndarray:
     An entry is one byte, or two big-endian ones when q > 256."""
     N, r, d = stack.shape
     entry = np.dtype(np.uint8 if setting.field.q <= 256 else ">u2")
-    ordered = stack[:, :, setting.colperm[:d]].astype(entry).reshape(N, r * d)
+    ordered = stack[:, :, setting.colperm[:d]].astype(entry, order="C").reshape(N, r * d)
     return ordered.view(np.dtype((np.void, r * d * entry.itemsize))).ravel()
 
 
@@ -630,7 +630,7 @@ def check_weyl_order(system: RootSystem):
     before any search."""
     if (order := math.prod(system.degrees())) > WEYL_FUSION_LIMIT:
         raise BudgetExceeded(
-            f"the Weyl group of {system.type_label}{system.rank} has {order} elements, "
+            f"the Weyl group of {system.name} has {order} elements, "
             f"more than the {WEYL_FUSION_LIMIT} that fusion enumerates"
         )
 
@@ -923,7 +923,7 @@ def conjugation_reduce(
     if E.dim != m:
         raise ValueError(
             f"dimension {E.dim} is not the maximal dimension {m} "
-            f"for type {sys.type_label}{sys.rank} at p = {p}"
+            f"for type {sys.name} at p = {p}"
         )
     found = _closed_orbit_word(setting, E) or _fusion_words(setting).get(E.pack())
     if found is None:

@@ -29,6 +29,7 @@ from itertools import product
 import numpy as np
 
 VALID_TYPES = "ABCDEFG"
+WEYL_EXHAUSTIVE_ORDER = 2000  # largest |W| that `weyl_elements` enumerates
 
 
 @dataclass(frozen=True, order=True)
@@ -139,6 +140,8 @@ class RootSystem:
     def __init__(self, type_label: str, rank: int, cartan=None):
         self.type_label = type_label
         self.rank = rank
+        # "B4"; a direct sum passes its Cartan matrix and a label like "B2+G2"
+        self.name = type_label if cartan is not None else f"{type_label}{rank}"
         self.cartan = cartan if cartan is not None else cartan_matrix(type_label, rank)
         self.symmetrizer = self._symmetrizer()
         self.positive_roots = self._closure()
@@ -149,7 +152,6 @@ class RootSystem:
         # _neg[k] is the position of -root_k
         self._neg = np.roll(np.arange(len(signed), dtype=np.int16), len(signed) // 2)
         self.highest_root = max(self.positive_roots, key=lambda r: (r.height, r.coeffs))
-        self._weyl_elements = None
 
     # -- construction ------------------------------------------------------
 
@@ -201,7 +203,7 @@ class RootSystem:
     # -- basic queries -------------------------------------------------------
 
     def __repr__(self):
-        return f"RootSystem({self.type_label}{self.rank})"
+        return f"RootSystem({self.name})"
 
     @property
     def num_positive(self) -> int:
@@ -380,20 +382,19 @@ class RootSystem:
             frontier = nxt
         return words
 
-    def weyl_elements(self, limit: int = 2000):
+    @lru_cache(maxsize=None)
+    def weyl_elements(self):
         """All Weyl group elements as one (|W|, N) int16 array, or None.
 
         Row w holds the positions among the signed roots of w(root_k) for the
         positive roots root_k, in BFS order.  Gives up (returns None) if the
-        group has more than `limit` elements.  The group is enumerated once
-        per system and the same array is returned on every later call.
+        group has more than `WEYL_EXHAUSTIVE_ORDER` elements.  The group is
+        enumerated once per system; later calls return the same array.
         """
-        if math.prod(self.degrees()) > limit:
+        if math.prod(self.degrees()) > WEYL_EXHAUSTIVE_ORDER:
             return None
-        if self._weyl_elements is None:
-            rows = b"".join(self.weyl_words())
-            self._weyl_elements = np.frombuffer(rows, dtype=np.int16).reshape(-1, self.num_positive)
-        return self._weyl_elements
+        rows = b"".join(self.weyl_words())
+        return np.frombuffer(rows, dtype=np.int16).reshape(-1, self.num_positive)
 
 
 def is_prime(n: int) -> bool:
@@ -451,8 +452,7 @@ def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
     diagonal, so a root's coefficients are those over a's simple roots, then
     those over b's, and each block keeps its own symmetrizer."""
     C = [row + [0] * b.rank for row in a.cartan] + [[0] * a.rank + row for row in b.cartan]
-    label = f"{a.type_label}{a.rank}+{b.type_label}{b.rank}"
-    return RootSystem(label, a.rank + b.rank, cartan=C)
+    return RootSystem(f"{a.name}+{b.name}", a.rank + b.rank, cartan=C)
 
 
 # -- Euclidean models (conversion helpers and an independent oracle) ---------

@@ -22,7 +22,7 @@ import pytest
 from chevlie.gf import GF
 from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import Root, build_root_system, direct_sum
-from chevlie.chevalley import LieVector, build_constants, p_power, root_group_element
+from chevlie.chevalley import build_constants, root_group_element
 from chevlie.commuting import (
     appendix_oracle,
     b_family,
@@ -37,7 +37,6 @@ from chevlie.elementary import (
     conjugation_reduce,
     g_conjugacy_classes,
     get_setting,
-    is_elementary,
     leading_term_solve,
     lie,
     lt,

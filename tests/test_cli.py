@@ -227,6 +227,29 @@ def test_enumerate_stream():
                                "r": 3, "rank": 2, "type": "A"}
 
 
+@pytest.mark.parametrize(
+    "argv,points,classes",
+    [
+        # p >= h: every x in u is p-nilpotent, so the points are the
+        # (q^N - 1)/(q - 1) lines of u; in sl_3 they are the minimal and the
+        # regular nilpotent lines
+        (["--type", "A2", "--p", "3"], 13, 2),
+        (["--type", "B2", "--p", "5"], 156, None),
+        # a e12 + b e23 + c e13 in sl_3 over F_{2^r} is 2-nilpotent iff
+        # ab = 0: 2q + 1 lines, all of rank-one matrices, one G(F_q)-orbit
+        (["--type", "A2", "--p", "2"], 5, 1),
+        (["--type", "A2", "--p", "2", "--r-ext", "2"], 9, 1),
+    ],
+)
+def test_enumerate_lines(argv, points, classes):
+    # one key row per point is a strided slice of the key stack
+    code, out = run(["enumerate", *argv, "--dim", "1"])
+    assert code == 0
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["point_count"] == points
+    assert classes in (None, summary["orbit_count"])
+
+
 def test_enumerate_over_f343_keys_two_bytes_per_entry():
     # q = 343 > 256: an entry is keyed by two bytes, so no two of the 344
     # points share a key; 2 + gcd(3, q - 1) classes (LEDGER.md, A2 over F_q

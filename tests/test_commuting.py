@@ -16,7 +16,6 @@ from chevlie.commuting import (
     enumerate_max_commuting,
     is_ideal,
     maximum_cliques,
-    partial_weyl_orbits,
     weyl_stabilizer_generators,
     _reflect_mask,
 )
@@ -196,6 +195,12 @@ def test_p_commuting_catalogs(t, n, p):
         for i, a in enumerate(members):
             for b in members[i + 1 :]:
                 assert sys_.commute(a, b, p)
+
+
+def test_catalogs_are_built_once_per_system_and_p():
+    s = build_root_system("B", 3)
+    assert enumerate_max_commuting(s) is enumerate_max_commuting(s)
+    assert enumerate_max_commuting(s, p=5) is enumerate_max_commuting(s, p=5)
 
 
 # (m, count, first 16 hex digits of the SHA-256 of ",".join(map(str, cliques)))

@@ -19,7 +19,6 @@ from chevlie.chevgroups import class_report
 from chevlie.commuting import b_family, commuting_set, enumerate_max_commuting
 from chevlie.elementary import (
     BudgetExceeded,
-    ElementarySubalgebra,
     Setting,
     borel_generators,
     brute_force_Eu,

@@ -193,7 +193,9 @@ def test_weyl_enumeration_sizes():
     assert len(build_root_system("B", 2).weyl_elements()) == 8
     assert len(build_root_system("A", 3).weyl_elements()) == 24
     assert len(build_root_system("F", 4).weyl_elements()) == 1152
-    assert build_root_system("B", 5).weyl_elements(2000) is None
+    assert build_root_system("B", 5).weyl_elements() is None
+    g2 = build_root_system("G", 2)
+    assert g2.weyl_elements() is g2.weyl_elements()  # enumerated once per system
 
 
 def test_weyl_group_order_from_degrees():
@@ -248,6 +250,13 @@ def test_direct_sum():
     assert s.num_positive == 2
     r1, r2 = s.positive_roots
     assert not s.is_root(r1 + r2)
+
+
+def test_direct_sum_name():
+    s = direct_sum(build_root_system("B", 2), build_root_system("G", 2))
+    assert s.name == "B2+G2"
+    assert repr(s) == "RootSystem(B2+G2)"
+    assert repr(build_root_system("B", 4)) == "RootSystem(B4)"
 
 
 def _units(rank: int) -> list[Root]:

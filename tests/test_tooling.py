@@ -1,6 +1,6 @@
 """The benchmark still runs against chevlie: the names its tracer wraps
 resolve, its seeded inputs build and check, and no module is large enough
-to move its peak memory."""
+to move its peak memory.  No module imports a name it never uses."""
 
 import ast
 import importlib
@@ -107,3 +107,22 @@ def test_modules_stay_below_the_parser_token_step():
             "token array, which raised peak_rss_mb by about 0.6 MiB (CHANGES.md, FOUND on the "
             "parser's token array); move code out of the module"
         )
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; a name that appears only in a
+    docstring or comment is unused."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    paths = sorted((ROOT / "src" / "chevlie").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
