@@ -88,6 +88,8 @@ def _emit_table(rows: list[dict], fmt: str, out):
 
 def cmd_tables(args, out) -> int:
     which = args.which
+    if args.golden_file == "":
+        raise CliError("--golden-file needs a path")
     if args.type is not None:
         if which != "maxsets" or args.golden or args.golden_file or args.write_golden:
             raise CliError(
@@ -107,7 +109,11 @@ def cmd_tables(args, out) -> int:
         return EXIT_PASS
     if args.golden or args.golden_file:
         path = args.golden_file
-        mismatches = goldmod.diff_golden(which, rows, path)
+        try:
+            mismatches = goldmod.diff_golden(which, rows, path)
+        except (OSError, ValueError) as e:  # unreadable, not JSON, or not rows
+            reason = getattr(e, "strerror", None) or e
+            raise CliError(f"golden file {path or goldmod.golden_path(which)}: {reason}") from None
         if mismatches:
             for line in mismatches:
                 out.write(f"MISMATCH {line}\n")

@@ -1,10 +1,13 @@
 """Maximal sets of commuting (or p-commuting) positive roots.
 
 Enumeration is exact maximum-clique search on the commutation graph, done as
-maximum independent sets of its sparse complement in two passes: the exact
-size, peeling vertices of degree <= 1 among those a branch touched, then every
-set of that size, splitting a degree-1 vertex into "it or its neighbour" and
-entering only branches whose exact size matches (see `maximum_cliques`).
+maximum independent sets of its sparse complement in two passes over the same
+subproblems: the exact size, then every set of that size, read off the
+branches whose exact size matches.  Both passes peel vertices of degree <= 1
+(the list trades a peeled vertex for its neighbour where that fits) and branch
+on a degree-2 vertex first: one branch at a triangle, else "it in" and "both
+its neighbours in", with the first branch's sets traded onto each neighbour
+(see `maximum_cliques`).
 Catalogs carry ideal flags (B(F_p)-stability in a p-catalog), the orbit
 partition under the partial Weyl action and each set's shortest path to its
 ideal; everything is ordered by membership mask for reproducibility.
@@ -79,24 +82,32 @@ class MaxSetCatalog:
 # is sparse, and for the simply laced types triangle-free, which makes every
 # coloring or fractional bound on the clique side useless (>= n/2 while the
 # answer is ~n/3).  Maximum cliques are therefore the maximum independent sets
-# of the complement, found in two passes over vertex masks P.  Both read P
-# through one flood fill, split(P): the component C of P's lowest vertex, and
-# C's branch vertex v, its first vertex of degree 1, else its first of
-# maximum degree.
-# - size, alpha(P, todo): peel each v in todo of degree <= 1, counting it and
-#   dropping N[v] (exact: trading v's neighbour, if any, for v keeps a maximum
-#   set maximum); then, if C != P, add alpha(C) and alpha(P \ C), else branch
-#   on v.  "v out" seeds todo with N(v) alone, the only degrees it lowers in
-#   a P the peel has left; other calls seed all of P.  Any seed is exact: a
-#   vertex left unpeeled is branched on, and the memo (one int) is keyed on
-#   the P that the peel leaves.
-# - sets(P, a = alpha(P)): if C != P, join each set of C with each set of
-#   P \ C (an isolated v is a C with the one set {v}); else branch on v.  A
-#   degree-1 v with neighbour u splits into "v in" and "u in" (a maximum set
-#   holds one of them, never both; if neither, it could take v), any other v
-#   into "v in" and "v out".  A branch is entered only when its exact alpha
-#   fits a (as "v in" of a degree-1 v always does), so the list is complete
-#   and has no repeats.
+# of the complement.  Two passes walk the same subproblems, the vertex masks P
+# the peel leaves: `alpha` memoizes the size of each, and `sets` the list of
+# its maximum sets.
+# - peel(P, todo): drop each v in todo of degree <= 1 with its neighbour u, if
+#   any, and record the step.  A maximum set holds v or u, never both (holding
+#   neither, it could take v), and those holding u are those holding v with v
+#   traded for u where u fits, N(u) & t = {v}.  So each step adds 1 to alpha,
+#   and `sets` rebuilds the peeled P's list in reverse step order: each set
+#   takes v, and each such t where u fits also gives t - v + u.  Dropping u
+#   lowers only the degrees in N(u), which join todo; "v out" below seeds todo
+#   with N(v), the only degrees it lowers in a peeled P, and other calls seed
+#   all of P.  Any seed is exact: a vertex left unpeeled is branched on.
+# - split(P): one flood fill finds the component C of P's lowest vertex and
+#   its branch vertex v, its first of degree 2, else its first of maximum
+#   degree.  If C != P, alpha adds alpha(C) and alpha(P \ C), and the sets are
+#   each set of C joined with each set of P \ C.
+# - A connected P branches at v.  If N(v) = {a, b}, a maximum set holds v, or
+#   exactly one of a, b (traded for v it is a maximum set holding v), or both
+#   (holding none, it could take v).  So the branches are "v in" (P - N[v])
+#   and "a and b in" (P - N[a] - N[b]), the second dropped when a ~ b (a
+#   triangle: v is simplicial), and the sets of "v in" are also traded, v for
+#   a and v for b where each fits, which gives exactly the maximum sets
+#   holding one of a, b.  Any other v branches into "v in" and "v out".
+# `sets` enters a branch only when the branch's k + alpha(Q) is alpha(P), so
+# each list is complete; its groups differ in which of v, a and b they hold
+# (or whether they hold v), so no set is listed twice.
 
 
 def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
@@ -104,63 +115,88 @@ def maximum_cliques(adj: list[int], n: int) -> tuple[int, list[int]]:
     full = (1 << n) - 1
     nonadj = [full & ~adj[v] & ~(1 << v) for v in range(n)]
     memo: dict[int, int] = {0: 0}
+    lists: dict[int, list[int]] = {0: [0]}
 
     def split(P: int) -> tuple[int, int]:
         """The component of P's lowest vertex, and its branch vertex."""
         comp = frontier = P & -P
-        best = -1  # rank: degree 1 above any other degree, then the lower index
+        best = -1  # rank: degree 2 above any other degree, then the lower index
         while frontier:
             v = frontier.bit_length() - 1
             nb = nonadj[v] & P
             grown = nb & ~comp
             frontier, comp = frontier ^ 1 << v | grown, comp | grown
             d = nb.bit_count()
-            if (rank := (n if d == 1 else d) * n + n - v) > best:
+            if (rank := (n if d == 2 else d) * n + n - v) > best:
                 best, branch = rank, v
         return comp, branch
 
-    def alpha(P: int, todo: int) -> int:
-        size = 0
+    def peel(P: int, todo: int) -> tuple[int, list[tuple[int, int]]]:
+        steps = []  # (v, N(v)) as masks
         while todo:  # dropping u = N(v) lowers only the degrees in N(u)
             low = todo & -todo
             todo ^= low
             nb = nonadj[low.bit_length() - 1] & P
             if P & low and nb & (nb - 1) == 0:
-                size += 1
+                steps.append((low, nb))
                 P &= ~(nb | low)
                 if nb:
                     todo |= nonadj[nb.bit_length() - 1] & P
+        return P, steps
+
+    def branches(P: int, v: int) -> tuple[list[tuple[int, int, int]], tuple[int, ...]]:
+        """(taken, rest, seed) per branch of a connected peeled P at v, "v in"
+        first, and the neighbours v is traded for in the sets of "v in"."""
+        bit, nv = 1 << v, nonadj[v] & P
+        inside = P & ~nv & ~bit
+        if nv.bit_count() != 2:
+            return [(bit, inside, inside), (0, P ^ bit, nv)], ()
+        a, b = (nv & -nv).bit_length() - 1, nv.bit_length() - 1
+        if nonadj[a] >> b & 1:  # a triangle: v is simplicial
+            return [(bit, inside, inside)], (a, b)
+        both = P & ~nonadj[a] & ~nonadj[b] & ~nv
+        return [(bit, inside, inside), (nv, both, both)], (a, b)
+
+    def alpha(P: int, todo: int) -> int:
+        P, steps = peel(P, todo)
         if P not in memo:
             C, v = split(P)
             if C != P:
                 memo[P] = alpha(C, C) + alpha(P ^ C, P ^ C)
             else:
-                nv = nonadj[v] & P
-                inside = P & ~nv & ~(1 << v)
-                memo[P] = max(1 + alpha(inside, inside), alpha(P & ~(1 << v), nv))
-        return size + memo[P]
+                memo[P] = max(
+                    t.bit_count() + alpha(Q, seed) for t, Q, seed in branches(P, v)[0]
+                )
+        return len(steps) + memo[P]
 
-    def sets(P: int, a: int) -> list[int]:
-        if not P:
-            return [0]
-        C, v = split(P)
-        if C != P:
-            c = alpha(C, C)
-            return [s | t for s in sets(C, c) for t in sets(P ^ C, a - c)]
-        nv = nonadj[v] & P
-        inside = P & ~nv & ~(1 << v)
-        if nv & (nv - 1) == 0 and nv:  # degree 1: "v in", then "u in" below
-            out = [s | 1 << v for s in sets(inside, a - 1)]
-            v = nv.bit_length() - 1
-            inside = P & ~nonadj[v] & ~(1 << v)
-        else:  # "v out", then "v in" below
-            out = sets(P & ~(1 << v), a) if alpha(P & ~(1 << v), nv) == a else []
-        if 1 + alpha(inside, inside) == a:
-            out += [s | 1 << v for s in sets(inside, a - 1)]
+    def sets(P: int, todo: int, size: int = -1) -> list[int]:
+        """P's maximum sets, or none if their size is not `size` (if given)."""
+        P, steps = peel(P, todo)
+        if size >= 0 and len(steps) + memo[P] != size:
+            return []
+        if P not in lists:
+            C, v = split(P)
+            if C != P:
+                rest = sets(P ^ C, P ^ C)
+                lists[P] = [s | t for s in sets(C, C) for t in rest]
+            else:
+                moves, trade = branches(P, v)
+                lists[P] = out = []
+                for t, Q, seed in moves:
+                    out += [s | t for s in sets(Q, seed, memo[P] - t.bit_count())]
+                bit = 1 << v
+                for x in trade:  # only sets of "v in" hold v
+                    out += [s ^ bit | 1 << x for s in out if nonadj[x] & s == bit]
+        out = lists[P]
+        for low, nb in reversed(steps):  # the sets holding v, then those holding u
+            out = [s | low for s in out]
+            if nb:
+                fits = nonadj[nb.bit_length() - 1]
+                out += [s ^ low | nb for s in out if fits & s == low]
         return out
 
     a = alpha(full, full)
-    return a, sorted(sets(full, a))
+    return a, sorted(sets(full, full))
 
 
 # -- catalog construction --------------------------------------------------------

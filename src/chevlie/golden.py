@@ -109,14 +109,22 @@ def write_golden(which: str) -> Path:
 
 
 def load_golden(which: str, path: Path | str | None = None) -> list[dict]:
-    return json.loads(Path(path or golden_path(which)).read_text())
+    rows = json.loads(Path(path or golden_path(which)).read_text())
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ValueError("not a JSON list of table rows")
+    return rows
 
 
-def diff_golden(which: str, rows: list[dict], path: Path | None = None) -> list[str]:
-    """Human-readable mismatches between computed rows and the golden file."""
+def diff_golden(which: str, rows: list[dict], path: Path | str | None = None) -> list[str]:
+    """Human-readable mismatches between computed rows and the golden file.
+
+    A missing embedded file is a mismatch; a `path` that cannot be read, or
+    does not hold a list of rows, raises OSError or ValueError."""
     try:
         expected = load_golden(which, path)
     except FileNotFoundError:
+        if path is not None:
+            raise
         return [f"golden file for {which} is missing"]
     out = []
     canon = lambda rs: json.dumps(rs, sort_keys=True)

@@ -68,6 +68,30 @@ def test_tables_mismatch_exit_code(tmp_path):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (None, "No such file or directory"),
+        ("dir", "Is a directory"),
+        ('{"a": 1}', "not a JSON list of table rows"),
+        ("[1, 2]", "not a JSON list of table rows"),
+    ],
+    ids=["missing", "directory", "object", "numbers"],
+)
+def test_tables_bad_golden_file(tmp_path, capsys, content, reason):
+    # a golden file that cannot be read or holds no rows is invalid input,
+    # not a mismatch
+    path = tmp_path / "primes.json"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    code, out = run(["tables", "--which", "primes", "--golden-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2 and "MISMATCH" not in out
+    assert len(err.splitlines()) == 1 and str(path) in err and reason in err
+
+
 def test_invalid_type_exit_code():
     code, _ = run(["tables", "--which", "maxsets", "--type", "Z9"])
     assert code == 2
@@ -189,6 +213,7 @@ def test_verify_orbits_a2_q_1_mod_3():
         # --type selects one row of the maxsets table, and is never diffed
         (["tables", "--which", "primes", "--type", "A2"], "--type works only with"),
         (["tables", "--which", "maxsets", "--type", "A2", "--golden"], "--type works only with"),
+        (["tables", "--which", "primes", "--golden-file", ""], "--golden-file needs a path"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):

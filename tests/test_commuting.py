@@ -145,6 +145,54 @@ def test_maximum_cliques_degree_one_split():
         assert maximum_cliques(adj, n) == _brute_force_cliques(adj, n), (n, sorted(edges))
 
 
+def _degree_two_graphs(rng: random.Random):
+    """(n, complement edges) of graphs rich in degree-2 vertices, n <= 16:
+    cycles, subdivided random graphs (a degree-2 vertex on each edge, its
+    neighbours apart), triangles with pendant paths, and chains of K4 minus an
+    edge (the two ends of the missing edge have degree 2 and adjacent
+    neighbours)."""
+    for k in range(3, 13):
+        yield k, {(i, (i + 1) % k) for i in range(k)}
+    for _ in range(12):
+        k = rng.randint(3, 6)
+        base = [(u, v) for u in range(k) for v in range(u + 1, k) if rng.random() < 0.5]
+        base = base[: 16 - k]
+        yield k + len(base), {e for w, (u, v) in enumerate(base, k) for e in ((u, w), (w, v))}
+    for _ in range(12):
+        edges, n = set(), 0
+        for _ in range(rng.randint(1, 3)):  # triangles, each tied to the last
+            edges |= {(n, n + 1), (n + 1, n + 2), (n, n + 2)}
+            if n:
+                edges.add((rng.randrange(n), n + rng.randrange(3)))
+            n += 3
+        while n < 16 and rng.random() < 0.7:  # pendant paths
+            at = rng.randrange(n)
+            for w in range(n, min(n + rng.randint(1, 3), 16)):
+                edges.add((at, w))
+                at = w
+            n = w + 1
+        yield n, edges
+    for _ in range(12):
+        edges, n = set(), 0
+        for _ in range(rng.randint(1, 4)):  # K4 on n..n+3 less the edge n, n+1
+            edges |= {(n, n + 2), (n, n + 3), (n + 1, n + 2), (n + 1, n + 3), (n + 2, n + 3)}
+            if n:
+                edges.add((rng.randrange(n), n + rng.choice([2, 3])))
+            n += 4
+        yield n, edges
+
+
+def test_maximum_cliques_degree_two_rules():
+    # a degree-2 v with N(v) = {a, b}: "v in" with v traded for a or b, plus
+    # "a and b in" unless a ~ b; a lost trade or triangle case shows here
+    rng = random.Random(20150306)
+    for n, edges in _degree_two_graphs(rng):
+        order = list(range(n))
+        rng.shuffle(order)
+        adj = _from_complement(n, {(order[u], order[v]) for u, v in edges})
+        assert maximum_cliques(adj, n) == _brute_force_cliques(adj, n), (n, sorted(edges))
+
+
 def _malcev_m(t: str, n: int) -> int:
     if t == "A":
         return (n + 1) ** 2 // 4
@@ -204,18 +252,78 @@ def test_catalogs_are_built_once_per_system_and_p():
 
 
 # (m, count, first 16 hex digits of the SHA-256 of ",".join(map(str, cliques)))
-# of `maximum_cliques`: the golden maxsets table pins (m, count) only, so this
-# pins the sets themselves
+# of `maximum_cliques` for every `TABLE1_RANKS` type at p = None, 2 and 3: the
+# golden maxsets table pins (m, count) only, so this pins the sets themselves
 CLIQUE_DIGESTS = {
-    ("E", 8, None): (36, 134, "25e41e3333fd99e3"),
-    ("E", 7, None): (27, 1, "2f2f7a0a76b07cd5"),
-    ("E", 6, None): (16, 2, "6e8c54464e4ed0a8"),
-    ("F", 4, None): (9, 28, "adfe23c3ffb59183"),
-    ("F", 4, 3): (9, 28, "adfe23c3ffb59183"),
-    ("F", 4, 2): (11, 56, "4d7974d3dbd0a8dc"),
+    ("A", 1, None): (1, 1, "6b86b273ff34fce1"),
+    ("A", 1, 2): (1, 1, "6b86b273ff34fce1"),
+    ("A", 1, 3): (1, 1, "6b86b273ff34fce1"),
+    ("A", 2, None): (2, 2, "e96f71a6079688ae"),
+    ("A", 2, 2): (2, 2, "e96f71a6079688ae"),
+    ("A", 2, 3): (2, 2, "e96f71a6079688ae"),
+    ("A", 3, None): (4, 1, "6208ef0f7750c111"),
+    ("A", 3, 2): (4, 1, "6208ef0f7750c111"),
+    ("A", 3, 3): (4, 1, "6208ef0f7750c111"),
+    ("A", 4, None): (6, 2, "b84e78f689e1148a"),
+    ("A", 4, 2): (6, 2, "b84e78f689e1148a"),
+    ("A", 4, 3): (6, 2, "b84e78f689e1148a"),
+    ("A", 5, None): (9, 1, "433abb1e3761643f"),
+    ("A", 5, 2): (9, 1, "433abb1e3761643f"),
+    ("A", 5, 3): (9, 1, "433abb1e3761643f"),
+    ("A", 6, None): (12, 2, "2a563a72576bc577"),
+    ("A", 6, 2): (12, 2, "2a563a72576bc577"),
+    ("A", 6, 3): (12, 2, "2a563a72576bc577"),
+    ("B", 2, None): (3, 1, "3fdba35f04dc8c46"),
+    ("B", 2, 2): (3, 2, "858d37b5a6935b85"),
+    ("B", 2, 3): (3, 1, "3fdba35f04dc8c46"),
+    ("B", 3, None): (5, 1, "0dfcddb0440e967f"),
+    ("B", 3, 2): (6, 1, "0604cd3138feed20"),
+    ("B", 3, 3): (5, 1, "0dfcddb0440e967f"),
+    ("B", 4, None): (7, 8, "bf120c5f6d384b1e"),
+    ("B", 4, 2): (10, 1, "47fd889470024d18"),
+    ("B", 4, 3): (7, 8, "bf120c5f6d384b1e"),
+    ("B", 5, None): (11, 9, "538581429cf56184"),
+    ("B", 5, 2): (15, 1, "12f5a17d7cda7bca"),
+    ("B", 5, 3): (11, 9, "538581429cf56184"),
     ("B", 6, None): (16, 11, "de86b4abc3869fbd"),
     ("B", 6, 2): (21, 1, "80de1ebba9d1d7de"),
+    ("B", 6, 3): (16, 11, "de86b4abc3869fbd"),
+    ("C", 2, None): (3, 1, "8527a891e2241369"),
+    ("C", 2, 2): (3, 2, "858d37b5a6935b85"),
+    ("C", 2, 3): (3, 1, "8527a891e2241369"),
+    ("C", 3, None): (6, 1, "0604cd3138feed20"),
+    ("C", 3, 2): (6, 1, "0604cd3138feed20"),
+    ("C", 3, 3): (6, 1, "0604cd3138feed20"),
+    ("C", 4, None): (10, 1, "47fd889470024d18"),
+    ("C", 4, 2): (10, 1, "47fd889470024d18"),
+    ("C", 4, 3): (10, 1, "47fd889470024d18"),
+    ("C", 5, None): (15, 1, "12f5a17d7cda7bca"),
+    ("C", 5, 2): (15, 1, "12f5a17d7cda7bca"),
+    ("C", 5, 3): (15, 1, "12f5a17d7cda7bca"),
+    ("D", 4, None): (6, 3, "7208ed0e268abc78"),
+    ("D", 4, 2): (6, 3, "7208ed0e268abc78"),
+    ("D", 4, 3): (6, 3, "7208ed0e268abc78"),
+    ("D", 5, None): (10, 2, "79d94eb569adda2b"),
+    ("D", 5, 2): (10, 2, "79d94eb569adda2b"),
+    ("D", 5, 3): (10, 2, "79d94eb569adda2b"),
     ("D", 6, None): (15, 2, "349cb1838ebbe765"),
+    ("D", 6, 2): (15, 2, "349cb1838ebbe765"),
+    ("D", 6, 3): (15, 2, "349cb1838ebbe765"),
+    ("E", 6, None): (16, 2, "6e8c54464e4ed0a8"),
+    ("E", 6, 2): (16, 2, "6e8c54464e4ed0a8"),
+    ("E", 6, 3): (16, 2, "6e8c54464e4ed0a8"),
+    ("E", 7, None): (27, 1, "2f2f7a0a76b07cd5"),
+    ("E", 7, 2): (27, 1, "2f2f7a0a76b07cd5"),
+    ("E", 7, 3): (27, 1, "2f2f7a0a76b07cd5"),
+    ("E", 8, None): (36, 134, "25e41e3333fd99e3"),
+    ("E", 8, 2): (36, 134, "25e41e3333fd99e3"),
+    ("E", 8, 3): (36, 134, "25e41e3333fd99e3"),
+    ("F", 4, None): (9, 28, "adfe23c3ffb59183"),
+    ("F", 4, 2): (11, 56, "4d7974d3dbd0a8dc"),
+    ("F", 4, 3): (9, 28, "adfe23c3ffb59183"),
+    ("G", 2, None): (3, 5, "1ce5675c9c0f3987"),
+    ("G", 2, 2): (4, 1, "2858dcd1057d3eae"),
+    ("G", 2, 3): (4, 3, "3c07c32856484660"),
 }
 
 
@@ -225,6 +333,29 @@ def test_maximum_clique_lists_pinned(t, n, p):
     m, cliques = maximum_cliques(commutation_adjacency(sys_, p), sys_.num_positive)
     digest = hashlib.sha256(",".join(map(str, cliques)).encode()).hexdigest()[:16]
     assert (m, len(cliques), digest) == CLIQUE_DIGESTS[(t, n, p)]
+
+
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_abelian_ideals_peterson(t, n):
+    # a second route to the ideal flags: grow the abelian ideals of b upward,
+    # adding a root once every root one simple step above it is in and it
+    # commutes with the ideal; Peterson's count is 2^rank (Kostant, IMRN 1998)
+    sys_ = build_root_system(t, n)
+    N = sys_.num_positive
+    up = sys_.sum_index[:N, :n].tolist()  # root k plus alpha_i
+    add = (sys_.sum_index[:N, :N] >= 0).tolist()
+    ideals, todo = {0}, [0]
+    for I in todo:
+        for k in range(N):
+            J = I | 1 << k  # J == I is already in ideals
+            above = all(I >> j & 1 for j in up[k] if j >= 0)
+            if J not in ideals and above and not any(add[k][j] for j in range(N) if J >> j & 1):
+                ideals.add(J)
+                todo.append(J)
+    assert len(ideals) == 2 ** n
+    cat = enumerate_max_commuting(sys_)
+    flagged = {s.mask for s, flag in zip(cat.sets, cat.ideals) if flag}
+    assert flagged == {I for I in ideals if I.bit_count() == cat.m}
 
 
 def test_catalog_sets_are_maximal_and_commuting():
