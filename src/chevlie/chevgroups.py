@@ -6,9 +6,9 @@ contain an ideal, with two tabulated exceptions (rank-2 type A contributes a
 third, non-Chevalley class for p >= 3; G2 is reported with the lower-bound
 marker ">=3" and the exact desk-scale count is available through the witness
 below).  The subgroup order is q^m with m the maximal number of commuting
-roots, and the spectrum row repeats the class count with Krull dimension
-p^(r*m - 1).  Each report is the row of its golden table (`groups.json`,
-`spectrum.json`), a plain dict.
+roots, and the spectrum row repeats the class count with the tabulated
+p^(r*m - 1) and the Krull dimension r*m (Quillen; LEDGER.md).  Each report is
+the row of its golden table (`groups.json`, `spectrum.json`), a plain dict.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ def class_report(type_label: str, rank: int, p: int, r: int = 1) -> dict:
 
 def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> dict:
     """Components and dimension of Spec H*(G(F_{p^r}), k), as the
-    `spectrum.json` row: one component per class of `class_report`, Krull
-    dimension p^(r*m - 1) and maximal elementary abelian rank r*m."""
+    `spectrum.json` row: one component per class of `class_report`, the
+    tabulated p^(r*m - 1) and the p-rank r*m, the Krull dimension (Quillen;
+    LEDGER.md)."""
     row = class_report(type_label, rank, p, r)
     rm = r * row["order_exponent"]
     return {

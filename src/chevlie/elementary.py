@@ -17,14 +17,14 @@ solving the bracket constraints of all partial fillings of a level as one
 stack of linear systems (they are linear in each new row) and filtering rows
 by p-nilpotency of the adjoint matrix.  G-conjugacy of
 points inside u is decided with the Bruhat decomposition: two subalgebras of
-u are conjugate iff some fixed Weyl representative maps a point of one
-B-orbit into the B-orbit of the other, so a B-orbit partition of the point
-set plus one Weyl sweep is a complete and exact fusion analysis; its unions
-span each class by a tree.  `conjugation_reduce` has two routes to a normal
-form: a point of a closed orbit G lie(I), I an abelian ideal, is b w lie(I),
-and `_closed_orbit_word` clears it by root elements and reads its pivot
-set's path to I from the catalog; any other point reads a path in its
-fusion tree.  Every word is replayed onto its form before it is returned.
+u are conjugate iff generators of B(F_q) and simple reflections, each
+keeping u, join them, so the components of the point set under these moves
+are its classes; its unions span each class by a tree.  `conjugation_reduce`
+has two routes to a normal form: a point of a closed orbit G lie(I), I an
+abelian ideal, is b w lie(I), and `_closed_orbit_word` clears it by root
+elements and reads its pivot set's path to I from the catalog; any other
+point reads a path in its fusion tree.  Every word is replayed onto its form
+before it is returned.
 A move acts through the nonzero entries of its matrix, by table gathers.
 Fusion skips the points a move fixes, found without a row reduction: a
 reduced point E contains a vector v exactly when v = v[P] E for its pivot
@@ -610,14 +610,19 @@ def _generating_set(setting: Setting, roots) -> list[GroupGenerator]:
 
 
 def borel_generators(setting: Setting) -> list[GroupGenerator]:
-    """Generators of B(F_q): x_alpha(t) for every positive root alpha and t in
-    the F_p-basis 1, t, ..., t^(r-1) of F_q, and alpha_i^vee(lam0) for every
-    simple i and one primitive lam0 (none when q = 2).  They generate B(F_q)
-    because x_alpha(s + t) = x_alpha(s) x_alpha(t) and alpha^vee is
-    multiplicative; in a finite group the components of a generator graph on
-    a set are its orbits, so they fuse points exactly as all of B(F_q) would.
+    """Generators of B(F_q): x_alpha(t) for t in the F_p-basis 1, ..., t^(r-1)
+    of F_q and each positive alpha that is no sum beta + gamma of positive
+    roots with N_{beta,gamma} != 0 mod p, and alpha_i^vee(lam0) for simple i
+    and a primitive lam0 (none when q = 2).  By descending induction on
+    height, [x_beta(t), x_gamma(1)] = x_alpha(+-N t) times higher root
+    elements puts each dropped x_alpha in <kept> Phi(U), so by Burnside's
+    basis theorem the kept ones generate the p-group U(F_q) (x_alpha is
+    additive in t, alpha^vee multiplicative).  In a finite group the
+    components of a generator graph are the orbits.
     """
-    return _generating_set(setting, setting.system.positive_roots)
+    made = set(setting.system.sum_index[np.nonzero(setting.n_mod_p)].tolist())
+    roots = setting.system.positive_roots
+    return _generating_set(setting, [a for k, a in enumerate(roots) if k not in made])
 
 
 def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
@@ -644,10 +649,11 @@ def weyl_words_all(system: RootSystem) -> list[WeylWord]:
 @lru_cache(maxsize=None)
 def _moves(setting: Setting) -> tuple[list[GroupGenerator], list[list[tuple]]]:
     """The moves of Bruhat fusion, built once per setting: the generators of
-    B(F_q), then the nontrivial Weyl representatives, with the nonzero
-    entries M[a, b] = c of the u-rows M = g.matrix.T[:n_pos] (the points lie
-    in u) in layers (a, b, c): layer l holds the l-th entry of each column b."""
-    words = [w for w in weyl_words_all(setting.system) if w.letters]
+    B(F_q), then the simple reflections (they suffice by
+    `g_conjugacy_classes`), with the nonzero entries M[a, b] = c of the
+    u-rows M = g.matrix.T[:n_pos] (the points lie in u) in layers (a, b, c):
+    layer l holds the l-th entry of each column b."""
+    words = [w for w in weyl_words_all(setting.system) if len(w.letters) == 1]
     gens = borel_generators(setting) + [
         weyl_word_element(setting.basis, setting.field, w) for w in words
     ]
@@ -745,12 +751,13 @@ def g_conjugacy_classes(
 ) -> list[FusionClass]:
     """Partition of E(u)(F_q) into G(F_q)-conjugacy classes.
 
-    Complete by the Bruhat decomposition: any g with gE = E' factors as
-    u w t u', so E ~ E' iff some fixed Weyl representative maps a point of
-    the B-orbit of E into the B-orbit of E'.  The B-orbits are the union-find
-    components under `borel_generators`, which generate B(F_q); in a finite
-    group the components of a generator graph are the orbits.  The point list
-    must be closed under B (true for the full enumeration output).
+    Complete by the Bruhat decomposition: if gE = E' for E, E' in u, write
+    g = b w b'; then E_1 = b'E and w E_1 lie in u.  For w = w' s_i with
+    l(w') < l(w), w(alpha_i) < 0, so alpha_i is outside the support of E_1
+    and s_i E_1 lies in u; by induction on l(w), B-moves and simple
+    reflections that keep each point inside u join E to E'.  So the classes
+    are the union-find components under `_moves`.  The point list must be
+    closed under B (true for the full enumeration output).
     Every union that merges two classes is kept as an edge of their tree.
 
     Each move takes a chunk of points at a time and acts through the nonzero
@@ -789,7 +796,7 @@ def g_conjugacy_classes(
             a = parent[a]
         return a
 
-    # the generators of B(F_q) keep u; a Weyl representative counts on the
+    # the generators of B(F_q) keep u; a simple reflection counts on the
     # points it keeps inside u
     for k_move, (g, layers) in enumerate(zip(*_moves(setting))):
         src, dst = [], []

@@ -81,6 +81,7 @@ def test_spectrum_reports(key):
         assert rep["component_count"] == count
         assert rep["dimension_exponent"] == r * exponent - 1
         assert rep["rank_exponent"] == r * exponent
+        # the tabulated p^(rm - 1); the Krull dimension is rm (LEDGER.md)
         assert rep["dimension"] == f"p^{r * exponent - 1}"
 
 

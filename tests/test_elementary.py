@@ -44,6 +44,7 @@ from chevlie.elementary import (
     _apply_word_u,
     _closed_orbit_word,
     _fusion_words,
+    _generating_set,
     _key_array,
     _moves,
     _cell,
@@ -633,19 +634,77 @@ def _reference_classes(setting, points):
     return sorted(out)
 
 
+# len(borel_generators) by (type, rank, q): the kept roots times the degree,
+# plus a torus element per simple root unless q = 2; at these bad p the kept
+# roots are the simple ones and (3,1) for G2, (0,2,1), (2,2,1) for C3 and
+# (0,1,2) for B3
+BOREL_GENERATOR_COUNTS = {
+    ("G", 2, 5): 4, ("B", 2, 9): 6, ("A", 3, 4): 9, ("G", 2, 3): 5, ("C", 3, 2): 5, ("B", 3, 2): 4,
+}
+
+
 @pytest.mark.parametrize(
     "t,n,p,deg,r,npts,nclasses",
-    [("G", 2, 5, 1, 3, 181, 4), ("B", 2, 3, 2, 2, 100, 3), ("A", 3, 2, 2, 3, 94, 5)],
+    [
+        ("G", 2, 5, 1, 3, 181, 4), ("B", 2, 3, 2, 2, 100, 3), ("A", 3, 2, 2, 3, 94, 5),
+        ("G", 2, 3, 1, 3, 274, 9), ("C", 3, 2, 1, 5, 71, 6), ("B", 3, 2, 1, 5, 72, 7),
+    ],
 )
 def test_fusion_over_borel_generators_matches_all_elements(t, n, p, deg, r, npts, nclasses):
     setting = get_setting(t, n, p, degree=deg)
-    assert len(borel_generators(setting)) == setting.n_pos * deg + (n if setting.field.q > 2 else 0)
+    assert len(borel_generators(setting)) == BOREL_GENERATOR_COUNTS[t, n, setting.field.q]
     points = brute_force_Eu(setting, r)
     classes = g_conjugacy_classes(setting, points)
     assert len(points) == npts and len(classes) == nclasses
     assert [(c.representative.pack(), c.point_indices, c.normalizer_dim) for c in classes] == (
         _reference_classes(setting, points)
     )
+
+
+def _group_order(setting, gens) -> int:
+    """Order of the matrix group the generators generate: BFS from the
+    identity by right multiplication (a finite monoid of units is a group),
+    each product by table gathers over the generator's nonzero entries."""
+    gf, d = setting.field, setting.basis.dim
+    frontier = gf.eye(d)[None]
+    seen = {frontier[0].tobytes()}
+    layers = [GF.layers(g.matrix) for g in gens]
+    while len(frontier):
+        fresh = []
+        for L in layers:
+            for x in gf.sparse_matmul(frontier, L, d).astype(frontier.dtype):
+                if (k := x.tobytes()) not in seen:
+                    seen.add(k)
+                    fresh.append(x)
+        frontier = np.array(fresh)
+    return len(seen)
+
+
+@pytest.mark.parametrize(
+    "t,n,q,order",
+    [
+        ("G", 2, 2, 64), ("G", 2, 3, 2916), ("G", 2, 4, 36864), ("B", 2, 2, 16),
+        ("B", 2, 3, 162), ("A", 2, 4, 192), ("B", 3, 2, 512), ("C", 3, 2, 512),
+    ],
+)
+def test_borel_generators_generate_the_borel(t, n, q, order):
+    """The kept root groups and the torus generate the group that every
+    positive root group and the torus generate, in the adjoint image:
+    |U||T| for q = 2, 3, 4, over the centre for B2/F3 and A2/F4."""
+    p = 2 if q == 4 else q
+    setting = get_setting(t, n, p, degree=2 if q == 4 else 1)
+    full = _generating_set(setting, setting.system.positive_roots)
+    assert len(borel_generators(setting)) < len(full)
+    assert _group_order(setting, borel_generators(setting)) == _group_order(setting, full) == order
+
+
+@pytest.mark.parametrize("t,n,p,order", [("G", 2, 3, 972), ("B", 3, 2, 128)])
+def test_simple_root_groups_fall_short_at_a_bad_prime(t, n, p, order):
+    # (3,1) of G2 and (0,1,2) of B3 are each one sum of positive roots, with
+    # N = 3 and 2, which vanish mod p, so the simple root groups and the torus
+    # miss x_{(3,1)}(F_3) and x_{(0,1,2)}(F_2)
+    setting = get_setting(t, n, p)
+    assert _group_order(setting, _generating_set(setting, setting.system.simple_roots)) == order
 
 
 def _tree_components(edges, npts):
@@ -803,7 +862,7 @@ def test_move_images_by_entries_match_matmul(t, n, p, deg, r):
             assert len(L) == 1 and sorted(L[0][0].tolist()) == list(range(npos))
     assert left
     if (t, deg) == ("G", 2):
-        assert sum(len(a) for L in layers for a, _, _ in L) == 178
+        assert sum(len(a) for L in layers for a, _, _ in L) == 64
 
 
 MASK_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
