@@ -17,8 +17,9 @@ basis from `sum_index` and `constants`: root with root, x_a with x_{-a} (the
 coroot h_a) and h with a root.  E8 has 16,694 rows.  `ad_matrix` is one
 slice of it over Z; `field_data` scatters it mod p into one int16
 (dim, dim, dim) stack per prime, and `ad_of` combines only the stack rows in
-the support of its vectors.  `sparse_bracket` brackets with `Root`
-arithmetic and stays as the reference the tests compare the table with.
+the support of its vectors.  The reference the tests compare the table
+with, a bracket by `Root` arithmetic, is `sparse_bracket` in
+`tests/oracles.py`.
 
 Group elements act through integer divided-power exponentials: the matrices
 ad(x_a)^k / k! are formed over Z first and only then reduced mod p.  The mod-p
@@ -125,43 +126,6 @@ class ChevalleyBasis:
         """Structure constant N_{a,b}; zero when a+b is not a root."""
         sys = self.system
         return int(self.constants[sys.signed_index(a), sys.signed_index(b)])
-
-    def sparse_bracket(self, x: dict, y: dict) -> dict:
-        """Bracket of formal Z-combinations {("x", root) | ("h", i): coeff}."""
-        out: dict = {}
-
-        def add(key, c):
-            if c:
-                out[key] = out.get(key, 0) + c
-                if not out[key]:
-                    del out[key]
-
-        sys = self.system
-        for ka, ca in x.items():
-            for kb, cb in y.items():
-                if ka[0] == "h" and kb[0] == "h":
-                    continue
-                if ka[0] == "h":
-                    add(kb, ca * cb * sys.pairing(kb[1], ka[1]))
-                elif kb[0] == "h":
-                    add(ka, -ca * cb * sys.pairing(ka[1], kb[1]))
-                else:
-                    s = ka[1] + kb[1]
-                    if all(v == 0 for v in s.coeffs):
-                        for j, cj in enumerate(sys.coroot_coeffs(ka[1])):
-                            add(("h", j), ca * cb * cj)
-                    elif sys.is_root(s):
-                        add(("x", s), ca * cb * self.N(ka[1], kb[1]))
-        return out
-
-    def csv_lines(self):
-        """Deterministic (alpha, beta, N) dump over positive pairs."""
-        yield "alpha,beta,N"
-        n, pos = self.n_pos, self.system.positive_roots
-        for i, j in zip(*np.nonzero(self.constants[:n, :n])):
-            av = " ".join(map(str, pos[i].coeffs))
-            bv = " ".join(map(str, pos[j].coeffs))
-            yield f"{av},{bv},{self.constants[i, j]}"
 
     # -- the bracket table ------------------------------------------------------
 
@@ -273,27 +237,6 @@ class ChevalleyBasis:
 @lru_cache(maxsize=None)
 def build_constants(system: RootSystem, order: RootOrder | None = None) -> ChevalleyBasis:
     return ChevalleyBasis(system, order)
-
-
-def p_power(basis: ChevalleyBasis, field: GF, x: np.ndarray) -> np.ndarray:
-    """The unique y with ad(y) = ad(x)^p, solved in the scope of x: u when x
-    has `n_pos` coordinates, g when it has `dim`.
-
-    Rejects (ArithmeticError) when the solution fails to exist or to be
-    unique, which signals a characteristic outside the supported range.
-    """
-    k = len(x)
-    xg = field.zeros(basis.dim)
-    xg[:k] = x  # u is the span of the first n_pos basis elements of g
-    P = field.matpow(basis.ad_of(field, xg), field.p)
-    M = basis.field_data(field)[:k].reshape(k, -1).T
-    sol = field.solve_affine(M, P.reshape(-1))
-    if sol is None:
-        raise ArithmeticError("ad(y) = ad(x)^p has no solution in this scope")
-    y, kernel = sol
-    if len(kernel):
-        raise ArithmeticError("adjoint representation is not faithful on this scope")
-    return y
 
 
 # -- group generators -----------------------------------------------------------

@@ -4,16 +4,15 @@ Class counts are derived from the commuting-root catalogs: for a good prime,
 the classes correspond to the components of the partial Weyl action that
 contain an ideal, with two tabulated exceptions (rank-2 type A contributes a
 third, non-Chevalley class for p >= 3; G2 is reported with the lower-bound
-marker ">=3" and the exact desk-scale count is available through the witness
-below).  The subgroup order is q^m with m the maximal number of commuting
-roots, and the spectrum row repeats the class count with the tabulated
-p^(r*m - 1) and the Krull dimension r*m (Quillen; LEDGER.md).  Each report is
-the row of its golden table (`groups.json`, `spectrum.json`), a plain dict.
+marker ">=3", and the exact desk-scale count is the test oracle
+`g2_witness_classes` in `tests/oracles.py`).  The subgroup order is q^m with
+m the maximal number of commuting roots, and the spectrum row repeats the
+class count with the tabulated p^(r*m - 1) and the Krull dimension r*m
+(Quillen; LEDGER.md).  Each report is the row of its golden table
+(`groups.json`, `spectrum.json`), a plain dict.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .commuting import MaxSetCatalog, enumerate_max_commuting
 from .rootsys import build_root_system
@@ -83,33 +82,3 @@ def spectrum_report(type_label: str, rank: int, p: int, r: int = 1) -> dict:
         "rank_exponent": rm,
     }
 
-
-# candidate rows of brute force: F25 takes 17,559; F29, F49 and F125 are refused
-WITNESS_BUDGET = 20_000
-
-
-@lru_cache(maxsize=None)
-def _g2_witness_classes(p: int, r: int) -> tuple:
-    """Bruhat fusion classes of the 3-dimensional points of u for G2 over F_q,
-    computed once per field: the count and the dimensions read the same run."""
-    if p < 5:
-        raise ValueError(f"p = {p} is bad for G2: the maximal dimension is 4, not 3")
-    from .elementary import brute_force_Eu, g_conjugacy_classes, get_setting
-
-    setting = get_setting("G", 2, p, degree=r)
-    return tuple(g_conjugacy_classes(setting, brute_force_Eu(setting, 3, budget=WITNESS_BUDGET)))
-
-
-def g2_class_count_witness(p: int, r: int) -> int:
-    """Exact number of G(F_q)-classes of maximal elementary abelian subgroups
-    for G2 by Bruhat fusion: 3 + gcd(3, q - 1) at q = 5, 7, 11, 13, 25 (LEDGER.md).
-
-    Desk-scale only: p >= 5 with a field F_{p^r} (ValueError otherwise),
-    within `WITNESS_BUDGET` (BudgetExceeded otherwise).
-    """
-    return len(_g2_witness_classes(p, r))
-
-
-def g2_witness_normalizer_dims(p: int, r: int) -> list[int]:
-    """Sorted normalizer dimensions across the witness classes."""
-    return sorted(c.normalizer_dim for c in _g2_witness_classes(p, r))

@@ -215,6 +215,9 @@ def _verify_normalizers(t, n, p, budget, out) -> int:
     if (t, n) == ("G", 2) and p < 5:
         # lie(C3), lie(C5) and L have maximal dimension only at a good prime
         raise CliError(f"the G2 normalizer check needs a good prime p >= 5, not p = {p}")
+    if (t, n) == ("A", 2) and p == 2:
+        # x_a1 + x_a2 squares to x_{a1+a2} in gl_3, so L3 is no point at p = 2
+        raise CliError("L3 is not 2-nilpotent, so it is no point at p = 2 (LEDGER.md, A2 over F2)")
     setting = get_setting(t, n, p)
     if (t, n) == ("G", 2):
         dims = tuple(normalizer_in_g(E)[1] for E in g2_normal_forms(setting).values())

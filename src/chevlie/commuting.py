@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .rootsys import Root, RootSystem, build_root_system, EuclidModel
+from .rootsys import Root, RootSystem
 
 
 @dataclass(frozen=True)
@@ -340,141 +338,6 @@ def weyl_stabilizer_generators(R: CommutingSet):
         report["parabolic_order"] = len(para)
         report["stabilizer_equals_parabolic"] = {w.tobytes() for w in stab} == para.keys()
     return gens, report
-
-
-# -- closed-form constructions ---------------------------------------------------
-
-
-class BFamily(NamedTuple):
-    """Epsilon-coordinate roots of B_n and the maximum commuting sets built
-    from them: eps[i], plus[(i, j)] = eps_i + eps_j and minus[(i, j)] =
-    eps_i - eps_j for i < j, S[t] for 1 <= t <= n and S*[t] for 1 <= t < n."""
-
-    eps: dict[int, Root]
-    plus: dict[tuple[int, int], Root]
-    minus: dict[tuple[int, int], Root]
-    S: dict[int, list[Root]]
-    Sstar: dict[int, list[Root]]
-
-
-@lru_cache(maxsize=None)
-def b_family(system: RootSystem) -> BFamily:
-    """S_t and S*_t for type B_n, with the epsilon roots they are made of."""
-    n = system.rank
-    em = EuclidModel(system)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    eps = {i: em.root(i) for i in range(1, n + 1)}
-    plus = {(i, j): em.root(i, j) for i, j in pairs}
-    minus = {(i, j): em.root(i, -j) for i, j in pairs}
-    r1 = [plus[(i, j)] for i, j in pairs if j < n]
-    r2 = [plus[(i, n)] for i in range(1, n)]
-    r3 = [minus[(i, n)] for i in range(1, n)]
-    S = {t: r1 + r2 + [eps[t]] for t in range(1, n + 1)}
-    Sstar = {t: r1 + r3 + [eps[t]] for t in range(1, n)}
-    return BFamily(eps, plus, minus, S, Sstar)
-
-
-def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
-    """Closed-form catalog of the maximum commuting sets, where one exists."""
-    system = build_root_system(type_label, rank)
-    n = rank
-    sets: list[list[Root]] = []
-    if type_label == "A":
-        em = EuclidModel(system)
-        # eps_i - eps_j for i <= k < j, with k = ceil(n/2) or floor(n/2) + 1
-        sets = [
-            [em.root(i, -j) for i in range(1, k + 1) for j in range(k + 1, n + 2)]
-            for k in sorted({(n + 1) // 2, n // 2 + 1})
-        ]
-    elif type_label == "C":
-        em = EuclidModel(system)
-        sets = [[em.root(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]]
-    elif type_label == "B":
-        if n < 5:
-            raise ValueError("type B oracle applies for rank >= 5")
-        family = b_family(system)
-        sets = [family.S[t] for t in range(1, n + 1)] + [family.Sstar[t] for t in range(1, n)]
-    elif type_label == "D":
-        if n < 7:
-            raise ValueError("type D oracle applies for rank >= 7")
-        em = EuclidModel(system)
-        R = [em.root(i, j) for i in range(1, n) for j in range(i + 1, n)]
-        sets = [
-            R + [em.root(i, n) for i in range(1, n)],
-            R + [em.root(i, -n) for i in range(1, n)],
-        ]
-    elif type_label == "F":
-        sets = _f4_sets(system)
-    elif type_label == "G":
-        sets = [
-            [Root(c) for c in cs]
-            for cs in [
-                (((1, 0)), ((3, 1)), ((3, 2))),
-                (((1, 1)), ((3, 1)), ((3, 2))),
-                (((0, 1)), ((2, 1)), ((3, 2))),
-                (((0, 1)), ((1, 1)), ((3, 2))),
-                (((2, 1)), ((3, 1)), ((3, 2))),
-            ]
-        ]
-    else:
-        raise ValueError(f"no closed-form construction for type {type_label}")
-    csets = sorted((commuting_set(system, s) for s in sets), key=lambda s: s.mask)
-    sizes = {s.cardinality for s in csets}
-    assert len(sizes) == 1, "constructed sets have unequal sizes"
-    catalog = MaxSetCatalog(
-        system=system,
-        predicate=("plain",),
-        m=sizes.pop(),
-        sets=csets,
-        ideals=[is_ideal(s) for s in csets],
-    )
-    partial_weyl_orbits(catalog)
-    return catalog
-
-
-def _f4_sets(system: RootSystem) -> list[list[Root]]:
-    """The 12 + 9 + 7 case construction of the 28 maximum sets in F4."""
-    em = EuclidModel(system)
-    r = em.root
-    # the B4 subsystem uses eps_i (short) and eps_i +- eps_j (long)
-    phir1 = [r(1)] + [r(1, i) for i in (2, 3, 4)] + [r(1, -i) for i in (2, 3, 4)]
-    S = {t: [r(t)] + [r(i, j) for i in (1, 2, 3) for j in range(i + 1, 5)]
-         for t in (1, 2, 3, 4)}
-    Sstar = {t: [r(t)] + [r(i, j) for i in (1, 2) for j in range(i + 1, 4)]
-             + [r(i, -4) for i in (1, 2, 3)] for t in (1, 2, 3)}
-    out: list[list[Root]] = []
-    signs3 = [(a, b, c) for a in (1, -1) for b in (1, -1) for c in (1, -1)]
-    # eps_{abc} = (eps_1 + a eps_2 + b eps_3 + c eps_4) / 2
-    half = {s: em.to_root([Fraction(x, 2) for x in (1, *s)]) for s in signs3}
-    # case 1: 12 unordered pairs differing by one sign change
-    seen = set()
-    for s in signs3:
-        for t in range(3):
-            s2 = list(s)
-            s2[t] = -s2[t]
-            key = frozenset([s, tuple(s2)])
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(phir1 + [half[s], half[tuple(s2)]])
-    # case 2: S_t plus eps_{+++} and one negative not on the eps_t slot
-    for t in (1, 2, 3, 4):
-        for u in (2, 3, 4):
-            if u == t:
-                continue
-            s = [1, 1, 1]
-            s[u - 2] = -1
-            out.append(S[t] + [half[(1, 1, 1)], half[tuple(s)]])
-    # case 3: S*_t plus eps_{++-} paired with eps_{+++} or a second negative
-    for t in (1, 2, 3):
-        out.append(Sstar[t] + [half[(1, 1, -1)], half[(1, 1, 1)]])
-        for u in (2, 3):
-            if u == t:
-                continue
-            s = [1, 1, -1]
-            s[u - 2] = -1
-            out.append(Sstar[t] + [half[(1, 1, -1)], half[tuple(s)]])
-    return out
 
 
 # -- JSON emission ----------------------------------------------------------------

@@ -29,8 +29,8 @@ A move acts through the nonzero entries of its matrix, by table gathers.
 Fusion skips the points a move fixes, found without a row reduction: a
 reduced point E contains a vector v exactly when v = v[P] E for its pivot
 columns P, and a fixed point only joins itself.
-The generic orbit BFS over ambient subspaces is also provided and
-cross-checked against the Bruhat engine at desk scale.
+The generic orbit BFS over ambient subspaces, which cross-checks the Bruhat
+engine at desk scale, is a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -64,9 +64,8 @@ class BudgetExceeded(RuntimeError):
 DEFAULT_BUDGET = 100_000_000
 # the largest Weyl group whose elements fusion enumerates
 WEYL_FUSION_LIMIT = 5000
-# solutions of one leading-term system, and points of one orbit decomposition
+# solutions of one leading-term system
 _MAX_SOLUTIONS = 1_000_000
-_MAX_ORBIT_POINTS = 5_000_000
 
 # partial fillings of a cell whose next row is solved for in one stacked system
 _FILL_BATCH = 256
@@ -625,11 +624,6 @@ def borel_generators(setting: Setting) -> list[GroupGenerator]:
     return _generating_set(setting, [a for k, a in enumerate(roots) if k not in made])
 
 
-def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
-    """x_{+-alpha_i}(t) for simple alpha_i, t in the F_p-basis, and alpha_i^vee(lam0)."""
-    return _generating_set(setting, [b for a in setting.system.simple_roots for b in (a, -a)])
-
-
 def check_weyl_order(system: RootSystem):
     """BudgetExceeded if |W| > `WEYL_FUSION_LIMIT`, decided from the degrees
     before any search."""
@@ -658,77 +652,6 @@ def _moves(setting: Setting) -> tuple[list[GroupGenerator], list[list[tuple]]]:
         weyl_word_element(setting.basis, setting.field, w) for w in words
     ]
     return gens, [GF.layers(g.matrix.T[: setting.n_pos]) for g in gens]
-
-
-# -- orbit decomposition (ambient BFS) ------------------------------------------------
-
-
-@dataclass
-class Orbit:
-    representative_rows: np.ndarray  # (r, dim_g)
-    size: int
-    normalizer_dim: int
-
-
-def orbit_decompose(
-    setting: Setting,
-    points: list[ElementarySubalgebra],
-    generators: list[GroupGenerator],
-) -> list[Orbit]:
-    """The orbits under the generators that meet the points, by BFS with
-    ambient closure, sorted by representative key.
-
-    Conjugates may leave u, so the BFS runs over all encountered g-subspaces,
-    and an orbit's size counts them all; BudgetExceeded once the orbits hold
-    more than `_MAX_ORBIT_POINTS`.  Representatives are the canonical
-    matrices of minimal key, and the normalizer dimension is recorded per
-    orbit.  Only the keys of the current orbit are kept, not its matrices.
-    """
-    gf = setting.field
-    if not points:
-        return []
-    r = points[0].dim
-    mats = [g.matrix.T.copy() for g in generators]
-    # points of u are already canonical in g: the u-columns lead the column order
-    starts = np.stack([E.as_g_rows() for E in points])
-    start_keys = keys(setting, starts)
-    covered: set[bytes] = set()
-    orbits: list[tuple[bytes, Orbit]] = []
-    total = 0
-    for key0, rows0 in zip(start_keys, starts):
-        if key0 in covered:
-            continue
-        members = {key0}
-        rep_key, rep = key0, rows0
-        frontier = rows0[None, :, :]
-        while len(frontier):
-            fresh = []
-            for M in mats:
-                imgs = canonical(setting, gf.matmul(frontier, M[None, :, :]))
-                for k, x in zip(keys(setting, imgs), imgs):
-                    if k in members:
-                        continue
-                    members.add(k)
-                    fresh.append(x)
-                    if k < rep_key:
-                        rep_key, rep = k, x
-                    if len(members) + total > _MAX_ORBIT_POINTS:
-                        raise BudgetExceeded("orbit closure exceeds the point budget")
-            frontier = np.stack(fresh) if fresh else np.zeros((0, r, setting.basis.dim), dtype=np.int16)
-        total += len(members)
-        covered.update(k for k in start_keys if k in members)
-        orbits.append(
-            (
-                rep_key,
-                Orbit(
-                    representative_rows=rep,
-                    size=len(members),
-                    normalizer_dim=len(normalizer_basis(setting, rep)),
-                ),
-            )
-        )
-    orbits.sort(key=lambda item: item[0])
-    return [o for _, o in orbits]
 
 
 # -- Bruhat fusion: exact G(F_q)-conjugacy on points inside u ---------------------------

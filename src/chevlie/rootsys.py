@@ -7,7 +7,7 @@ canonical index used for masks and matrices everywhere else.  The Euclidean
 (epsilon-coordinate) models of the classical types and F4 are conversion
 helpers only: `EuclidModel` is one table from the doubled epsilon
 coordinates of each signed root to the root, and the closed-form
-constructions read their roots from it.
+constructions in `tests/oracles.py` read their roots from it.
 
 The signed roots are the positive roots in that order, then their negatives;
 `RootSystem.signed_index` gives a root's position there, also the index of
@@ -28,7 +28,6 @@ from itertools import product
 
 import numpy as np
 
-VALID_TYPES = "ABCDEFG"
 WEYL_EXHAUSTIVE_ORDER = 2000  # largest |W| that `weyl_elements` enumerates
 
 

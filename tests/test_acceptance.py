@@ -24,8 +24,6 @@ from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import Root, build_root_system, direct_sum
 from chevlie.chevalley import build_constants, root_group_element
 from chevlie.commuting import (
-    appendix_oracle,
-    b_family,
     commuting_set,
     enumerate_max_commuting,
     weyl_stabilizer_generators,
@@ -41,13 +39,12 @@ from chevlie.elementary import (
     lie,
     lt,
     normalizer_in_g,
-    orbit_decompose,
     solution_subalgebra,
     subalgebra_from_rows,
     _apply_word_u,
 )
 from chevlie import golden as goldmod
-from chevlie.chevgroups import g2_class_count_witness, g2_witness_normalizer_dims
+from oracles import appendix_oracle, b_family, g2_witness_classes, orbit_decompose, sparse_bracket
 
 
 def _verdict(name, failures):
@@ -432,7 +429,7 @@ def test_criterion_9_witness_f5():
     and equal counts mean equal partitions.
     """
     failures = []
-    got = g2_class_count_witness(5, 1)
+    got = len(g2_witness_classes(5, 1))
     if got != 4:
         failures.append(f"witness(5,1) = {got} != 4")
     setting = get_setting("G", 2, 5)
@@ -449,7 +446,7 @@ def test_criterion_9_witness_f5():
     if any(order % s for s in sizes):
         failures.append(f"orbit sizes {sizes} do not all divide |G2(F5)| = {order}")
     dims = sorted(o.normalizer_dim for o in orbits)
-    if dims != g2_witness_normalizer_dims(5, 1):
+    if dims != sorted(c.normalizer_dim for c in g2_witness_classes(5, 1)):
         failures.append(f"orbit normalizer dims {dims} differ from the fusion classes'")
     _verdict("criterion 9b: F5 witness", failures)
 
@@ -459,11 +456,11 @@ def test_criterion_9_witness_f25():
     """The F25 witness: six classes, matching the even-power claim."""
     failures = []
     t0 = time.time()
-    got = g2_class_count_witness(5, 2)
+    got = len(g2_witness_classes(5, 2))
     if got != 6:
         failures.append(f"witness(5,2) = {got} != 6")
-    dims5 = set(g2_witness_normalizer_dims(5, 1))
-    dims25 = set(g2_witness_normalizer_dims(5, 2))
+    dims5 = {c.normalizer_dim for c in g2_witness_classes(5, 1)}
+    dims25 = {c.normalizer_dim for c in g2_witness_classes(5, 2)}
     if dims5 != dims25:
         failures.append(f"normalizer dimension sets differ: {dims5} vs {dims25}")
     if time.time() - t0 >= 3600:
@@ -510,7 +507,7 @@ def test_criterion_10_property_suites():
             a, b, c = ({rng.choice(keys): 1} for _ in range(3))
             total = {}
             for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                for k, v in cb.sparse_bracket(x, cb.sparse_bracket(y, z)).items():
+                for k, v in sparse_bracket(cb, x, sparse_bracket(cb, y, z)).items():
                     total[k] = total.get(k, 0) + v
             if any(total.values()):
                 failures.append(f"Jacobi fails in {t}{n}")

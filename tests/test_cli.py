@@ -214,6 +214,8 @@ def test_verify_orbits_a2_q_1_mod_3():
         (["tables", "--which", "primes", "--type", "A2"], "--type works only with"),
         (["tables", "--which", "maxsets", "--type", "A2", "--golden"], "--type works only with"),
         (["tables", "--which", "primes", "--golden-file", ""], "--golden-file needs a path"),
+        # L3 is abelian but not 2-nilpotent (LEDGER.md, A2 over F2)
+        (["verify", "--stage", "normalizers", "--type", "A2", "--p", "2"], "not 2-nilpotent"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):

@@ -9,7 +9,6 @@ import pytest
 from chevlie.golden import TABLE1_RANKS
 from chevlie.rootsys import Root, build_root_system
 from chevlie.commuting import (
-    appendix_oracle,
     catalog_to_json,
     commutation_adjacency,
     commuting_set,
@@ -19,6 +18,7 @@ from chevlie.commuting import (
     weyl_stabilizer_generators,
     _reflect_mask,
 )
+from oracles import appendix_oracle
 
 TABLE2 = {
     ("A", 4): (6, 2), ("A", 5): (9, 1), ("B", 2): (3, 1), ("B", 3): (5, 1),

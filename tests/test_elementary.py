@@ -16,7 +16,7 @@ from chevlie.chevalley import (
     weyl_word_element,
 )
 from chevlie.chevgroups import class_report
-from chevlie.commuting import b_family, commuting_set, enumerate_max_commuting
+from chevlie.commuting import commuting_set, enumerate_max_commuting
 from chevlie.elementary import (
     BudgetExceeded,
     Setting,
@@ -24,7 +24,6 @@ from chevlie.elementary import (
     brute_force_Eu,
     build_leading_term_system,
     canonical,
-    chevalley_group_generators,
     check_weyl_order,
     conjugation_reduce,
     g2_normal_forms,
@@ -36,7 +35,6 @@ from chevlie.elementary import (
     lie,
     lt,
     normalizer_in_g,
-    orbit_decompose,
     replay_verify,
     solution_subalgebra,
     subalgebra_from_rows,
@@ -51,6 +49,7 @@ from chevlie.elementary import (
     _p_nilpotent_mask,
     _pivot_sets,
 )
+from oracles import b_family, chevalley_group_generators, orbit_decompose
 
 
 # -- orders ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The benchmark still runs against chevlie: the names its tracer wraps
 resolve, its seeded inputs build and check, and no module is large enough
-to move its peak memory.  No module imports a name it never uses."""
+to move its peak memory.  No module imports a name it never uses, and every
+def and class in src/ has a caller in src/ or the benchmark."""
 
 import ast
 import importlib
@@ -126,3 +127,35 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     paths = sorted((ROOT / "src" / "chevlie").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert [hit for path in paths for hit in _unused_imports(path)] == []
+
+
+# src/ names without a product caller: moving `direct_sum` out would leave
+# `RootSystem(cartan=...)` behind as a knob that only tests set
+NO_PRODUCT_CALLER = {"direct_sum"}
+
+
+def _reads(node) -> set[str]:
+    """Names a syntax tree reads: `Name`s, attribute names and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+    return out
+
+
+def test_src_names_have_a_product_caller():
+    # a def or class that only tests reach is a test oracle and belongs in
+    # tests/oracles.py; reads inside its own body do not count
+    src = sorted((ROOT / "src" / "chevlie").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in src + sorted(PERFBENCH.glob("*.py"))]
+    defs = (ast.FunctionDef, ast.ClassDef)
+    read = set()
+    for tree in trees:
+        for top in tree.body:
+            read |= _reads(top) - {top.name if isinstance(top, defs) else None}
+    defined = {top.name for tree in trees[: len(src)] for top in tree.body if isinstance(top, defs)}
+    assert defined - read - {"main"} == NO_PRODUCT_CALLER
