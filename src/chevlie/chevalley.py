@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gf import GF
-from .orders import RootOrder, default_order
+from .orders import RootOrder
 from .rootsys import Root, RootSystem, WeylWord
 
 
@@ -45,15 +45,15 @@ class ChevalleyBasis:
 
     Basis layout: x_a for positive roots a (storage order of the system),
     then x_{-a}, then h_1..h_rank; x_root is basis element
-    `RootSystem.signed_index(root)`.
+    `RootSystem.signed_index(root)`.  The root order has no default;
+    `get_setting` picks it.
     """
 
-    def __init__(self, system: RootSystem, order: RootOrder | None = None):
+    def __init__(self, system: RootSystem, order: RootOrder):
         self.system = system
-        self.order = order if order is not None else default_order(system)
-        if not self.order.respects_addition(system):
+        if not order.respects_addition(system):
             raise ValueError("root order does not respect addition of positive roots")
-        ascending = [system.index(r) for r in self.order.sorted_roots(system)]
+        ascending = [system.index(r) for r in order.sorted_roots(system)]
         self.order_index = np.argsort(ascending)  # place of each positive root, ascending
         self.n_pos = system.num_positive
         self.dim = 2 * self.n_pos + system.rank
@@ -235,7 +235,7 @@ class ChevalleyBasis:
 
 
 @lru_cache(maxsize=None)
-def build_constants(system: RootSystem, order: RootOrder | None = None) -> ChevalleyBasis:
+def build_constants(system: RootSystem, order: RootOrder) -> ChevalleyBasis:
     return ChevalleyBasis(system, order)
 
 

@@ -237,7 +237,8 @@ def _verify_normalizers(t, n, p, budget, out) -> int:
             "(the printed orbit dimension 5 disagrees; see LEDGER.md)\n"
         )
         return EXIT_PASS
-    cat = enumerate_max_commuting(setting.system)
+    # maximal p-commuting sets: at a bad prime m can exceed the good-prime value
+    cat = enumerate_max_commuting(setting.system, p=p)
     for k, R in enumerate(cat.sets):
         if cat.ideals[k]:
             _, d = normalizer_in_g(lie(setting, R))

@@ -29,10 +29,6 @@ class CommutingSet:
     system: RootSystem
     mask: int
 
-    @property
-    def cardinality(self) -> int:
-        return self.mask.bit_count()
-
     def members(self) -> list[Root]:
         return [
             self.system.root(i)

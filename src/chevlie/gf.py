@@ -115,9 +115,6 @@ class GF:
 
     # -- scalar helpers ----------------------------------------------------
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def units(self) -> range:
         return range(1, self.q)
 
@@ -257,17 +254,6 @@ class GF:
             out += self.FLAT_MUL.take(Bq[..., None, k, :] + A[..., k, None])
             out = self.FLAT_ADD.take(out)
         return out
-
-    def matpow(self, A: np.ndarray, n: int) -> np.ndarray:
-        """A^n for n >= 1 by square-and-multiply over the bits of n, leading
-        bit first: one squaring per further bit and one product per further
-        one bit (3 products for n = 5, 5 for n = 13).  A may be a stack."""
-        P = A
-        for bit in bin(n)[3:]:
-            P = self.matmul(P, P)
-            if bit == "1":
-                P = self.matmul(P, A)
-        return P
 
     def rref(self, M: np.ndarray, ncols: int | None = None):
         """Reduced row echelon form.  Returns (R, pivot_columns)."""

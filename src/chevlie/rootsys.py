@@ -6,8 +6,9 @@ enumerated by height, ties broken lexicographically, which fixes the
 canonical index used for masks and matrices everywhere else.  The Euclidean
 (epsilon-coordinate) models of the classical types and F4 are conversion
 helpers only: `EuclidModel` is one table from the doubled epsilon
-coordinates of each signed root to the root, and the closed-form
-constructions in `tests/oracles.py` read their roots from it.
+coordinates of each signed root to the root, read through `eps` and
+`to_root`.  The closed-form constructions in `tests/oracles.py` read their
+roots from it, and `euclid_positive_roots` there checks the closure.
 
 The signed roots are the positive roots in that order, then their negatives;
 `RootSystem.signed_index` gives a root's position there, also the index of
@@ -24,7 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class Root:
     @property
     def height(self) -> int:
         return sum(self.coeffs)
-
-    @property
-    def is_positive(self) -> bool:
-        return all(c >= 0 for c in self.coeffs) and any(self.coeffs)
 
     def __add__(self, other: "Root") -> "Root":
         return Root(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -133,15 +129,14 @@ def _validate_type(type_label: str, rank: int):
 
 
 class RootSystem:
-    """A root system given by its Cartan matrix: build_root_system() makes
-    the irreducible ones, direct_sum() joins two."""
+    """A root system given by its name ("B4"), type label and Cartan matrix;
+    build_root_system() makes the irreducible ones."""
 
-    def __init__(self, type_label: str, rank: int, cartan=None):
+    def __init__(self, name: str, type_label: str, cartan: list[list[int]]):
+        self.name = name
         self.type_label = type_label
-        self.rank = rank
-        # "B4"; a direct sum passes its Cartan matrix and a label like "B2+G2"
-        self.name = type_label if cartan is not None else f"{type_label}{rank}"
-        self.cartan = cartan if cartan is not None else cartan_matrix(type_label, rank)
+        self.rank = len(cartan)
+        self.cartan = cartan
         self.symmetrizer = self._symmetrizer()
         self.positive_roots = self._closure()
         self.simple_roots = self.positive_roots[: self.rank]  # the roots of height one
@@ -432,7 +427,7 @@ def _int_det(M) -> int:
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Construct the irreducible root system of the given type and rank."""
     _validate_type(type_label, rank)
-    sys = RootSystem(type_label, rank)
+    sys = RootSystem(f"{type_label}{rank}", type_label, cartan_matrix(type_label, rank))
     expected = {
         "A": rank * (rank + 1) // 2,
         "B": rank * rank,
@@ -446,15 +441,7 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
     return sys
 
 
-def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
-    """The direct sum of two root systems: the Cartan matrix is block
-    diagonal, so a root's coefficients are those over a's simple roots, then
-    those over b's, and each block keeps its own symmetrizer."""
-    C = [row + [0] * b.rank for row in a.cartan] + [[0] * a.rank + row for row in b.cartan]
-    return RootSystem(f"{a.name}+{b.name}", a.rank + b.rank, cartan=C)
-
-
-# -- Euclidean models (conversion helpers and an independent oracle) ---------
+# -- Euclidean models (conversion helpers) -------------------------------------
 
 
 class EuclidModel:
@@ -495,39 +482,9 @@ class EuclidModel:
     def eps(self, i: int) -> tuple[int, ...]:
         return tuple(self._sum(i))
 
-    def root(self, *signed: int) -> Root:
-        """The root sum of sign(k) eps_|k| over k: root(1, -3) is
-        eps_1 - eps_3 and root(2, 2) is 2 eps_2."""
-        return self.to_root(self._sum(*signed))
-
     def to_root(self, vec) -> Root:
         """The root with epsilon coordinates `vec` (integers or Fractions)."""
         root = self._roots.get(tuple(2 * Fraction(x) for x in vec))
         if root is None:
             raise ValueError(f"{tuple(vec)} is not a root of {self.system}")
         return root
-
-    def positive_roots(self) -> set[Root]:
-        """All positive roots generated directly in epsilon coordinates."""
-        t, n = self.system.type_label, self.system.rank
-        r = self.root
-        if t == "A":
-            roots = [r(i, -j) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
-        else:
-            m = self.dim
-            roots = [
-                r(si * i, sj * j)
-                for i in range(1, m + 1)
-                for j in range(i + 1, m + 1)
-                for si, sj in product((1, -1), repeat=2)
-            ]
-            if t in "BF":
-                roots += [r(s * i) for i in range(1, m + 1) for s in (1, -1)]
-            if t == "C":
-                roots += [r(s * i, s * i) for i in range(1, m + 1) for s in (1, -1)]
-            if t == "F":
-                roots += [
-                    self.to_root([Fraction(s, 2) for s in signs])
-                    for signs in product((1, -1), repeat=4)
-                ]
-        return {x for x in roots if x.is_positive}

@@ -3,11 +3,14 @@
 * the ambient orbit BFS over all subspaces of g that the orbits reach, and
   generators of G(F_q) from the simple root groups: a route to conjugacy
   classes independent of Bruhat fusion;
+* the positive roots generated directly in epsilon coordinates, a route
+  independent of the string closure, and `direct_sum` of two root systems;
 * the closed-form catalogs of the maximum commuting sets (the B_n family
   S_t, S*_t and F4's 12 + 9 + 7 cases), which read their roots from
   `EuclidModel`: a route independent of the clique search;
-* `p_power`, `sparse_bracket` with `Root` arithmetic and the `csv_lines`
-  dump of the structure constants: routes independent of the bracket table;
+* `p_power` by `matpow`, `sparse_bracket` with `Root` arithmetic and the
+  `csv_lines` dump of the structure constants: routes independent of the
+  bracket table;
 * the G2 witness, the Bruhat fusion classes of G2 over small F_q that the
   LEDGER entries on G2 cite.
 
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +47,57 @@ from chevlie.rootsys import EuclidModel, Root, RootSystem, build_root_system
 
 # points of one orbit decomposition
 _MAX_ORBIT_POINTS = 5_000_000
+
+
+# -- root systems ----------------------------------------------------------------
+
+
+def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
+    """The direct sum of two root systems: the Cartan matrix is block
+    diagonal, so a root's coefficients are those over a's simple roots, then
+    those over b's, and each block keeps its own symmetrizer."""
+    C = [row + [0] * b.rank for row in a.cartan] + [[0] * a.rank + row for row in b.cartan]
+    name = f"{a.name}+{b.name}"
+    return RootSystem(name, name, C)
+
+
+def is_positive(root: Root) -> bool:
+    return all(c >= 0 for c in root.coeffs) and any(root.coeffs)
+
+
+def eps_root(model: EuclidModel, *signed: int) -> Root:
+    """The root sum of sign(k) eps_|k| over k: eps_root(em, 1, -3) is
+    eps_1 - eps_3 and eps_root(em, 2, 2) is 2 eps_2."""
+    vec = [0] * model.dim
+    for k in signed:
+        vec = [x + (y if k > 0 else -y) for x, y in zip(vec, model.eps(abs(k)))]
+    return model.to_root(vec)
+
+
+def euclid_positive_roots(model: EuclidModel) -> set[Root]:
+    """All positive roots generated directly in epsilon coordinates."""
+    t, n = model.system.type_label, model.system.rank
+    r = partial(eps_root, model)
+    if t == "A":
+        roots = [r(i, -j) for i in range(1, n + 2) for j in range(1, n + 2) if i != j]
+    else:
+        m = model.dim
+        roots = [
+            r(si * i, sj * j)
+            for i in range(1, m + 1)
+            for j in range(i + 1, m + 1)
+            for si, sj in product((1, -1), repeat=2)
+        ]
+        if t in "BF":
+            roots += [r(s * i) for i in range(1, m + 1) for s in (1, -1)]
+        if t == "C":
+            roots += [r(s * i, s * i) for i in range(1, m + 1) for s in (1, -1)]
+        if t == "F":
+            roots += [
+                model.to_root([Fraction(s, 2) for s in signs])
+                for signs in product((1, -1), repeat=4)
+            ]
+    return {x for x in roots if is_positive(x)}
 
 
 # -- orbit decomposition (ambient BFS) ------------------------------------------------
@@ -142,9 +197,9 @@ def b_family(system: RootSystem) -> BFamily:
     n = system.rank
     em = EuclidModel(system)
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    eps = {i: em.root(i) for i in range(1, n + 1)}
-    plus = {(i, j): em.root(i, j) for i, j in pairs}
-    minus = {(i, j): em.root(i, -j) for i, j in pairs}
+    eps = {i: eps_root(em, i) for i in range(1, n + 1)}
+    plus = {(i, j): eps_root(em, i, j) for i, j in pairs}
+    minus = {(i, j): eps_root(em, i, -j) for i, j in pairs}
     r1 = [plus[(i, j)] for i, j in pairs if j < n]
     r2 = [plus[(i, n)] for i in range(1, n)]
     r3 = [minus[(i, n)] for i in range(1, n)]
@@ -162,12 +217,12 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
         em = EuclidModel(system)
         # eps_i - eps_j for i <= k < j, with k = ceil(n/2) or floor(n/2) + 1
         sets = [
-            [em.root(i, -j) for i in range(1, k + 1) for j in range(k + 1, n + 2)]
+            [eps_root(em, i, -j) for i in range(1, k + 1) for j in range(k + 1, n + 2)]
             for k in sorted({(n + 1) // 2, n // 2 + 1})
         ]
     elif type_label == "C":
         em = EuclidModel(system)
-        sets = [[em.root(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]]
+        sets = [[eps_root(em, i, j) for i in range(1, n + 1) for j in range(i, n + 1)]]
     elif type_label == "B":
         if n < 5:
             raise ValueError("type B oracle applies for rank >= 5")
@@ -177,10 +232,10 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
         if n < 7:
             raise ValueError("type D oracle applies for rank >= 7")
         em = EuclidModel(system)
-        R = [em.root(i, j) for i in range(1, n) for j in range(i + 1, n)]
+        R = [eps_root(em, i, j) for i in range(1, n) for j in range(i + 1, n)]
         sets = [
-            R + [em.root(i, n) for i in range(1, n)],
-            R + [em.root(i, -n) for i in range(1, n)],
+            R + [eps_root(em, i, n) for i in range(1, n)],
+            R + [eps_root(em, i, -n) for i in range(1, n)],
         ]
     elif type_label == "F":
         sets = _f4_sets(system)
@@ -198,7 +253,7 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
     else:
         raise ValueError(f"no closed-form construction for type {type_label}")
     csets = sorted((commuting_set(system, s) for s in sets), key=lambda s: s.mask)
-    sizes = {s.cardinality for s in csets}
+    sizes = {s.mask.bit_count() for s in csets}
     assert len(sizes) == 1, "constructed sets have unequal sizes"
     catalog = MaxSetCatalog(
         system=system,
@@ -214,7 +269,7 @@ def appendix_oracle(type_label: str, rank: int) -> MaxSetCatalog:
 def _f4_sets(system: RootSystem) -> list[list[Root]]:
     """The 12 + 9 + 7 case construction of the 28 maximum sets in F4."""
     em = EuclidModel(system)
-    r = em.root
+    r = partial(eps_root, em)
     # the B4 subsystem uses eps_i (short) and eps_i +- eps_j (long)
     phir1 = [r(1)] + [r(1, i) for i in (2, 3, 4)] + [r(1, -i) for i in (2, 3, 4)]
     S = {t: [r(t)] + [r(i, j) for i in (1, 2, 3) for j in range(i + 1, 5)]
@@ -298,6 +353,18 @@ def csv_lines(basis: ChevalleyBasis):
         yield f"{av},{bv},{basis.constants[i, j]}"
 
 
+def matpow(field: GF, A: np.ndarray, n: int) -> np.ndarray:
+    """A^n for n >= 1 by square-and-multiply over the bits of n, leading
+    bit first: one squaring per further bit and one product per further
+    one bit (3 products for n = 5, 5 for n = 13).  A may be a stack."""
+    P = A
+    for bit in bin(n)[3:]:
+        P = field.matmul(P, P)
+        if bit == "1":
+            P = field.matmul(P, A)
+    return P
+
+
 def p_power(basis: ChevalleyBasis, field: GF, x: np.ndarray) -> np.ndarray:
     """The unique y with ad(y) = ad(x)^p, solved in the scope of x: u when x
     has `n_pos` coordinates, g when it has `dim`.
@@ -308,7 +375,7 @@ def p_power(basis: ChevalleyBasis, field: GF, x: np.ndarray) -> np.ndarray:
     k = len(x)
     xg = field.zeros(basis.dim)
     xg[:k] = x  # u is the span of the first n_pos basis elements of g
-    P = field.matpow(basis.ad_of(field, xg), field.p)
+    P = matpow(field, basis.ad_of(field, xg), field.p)
     M = basis.field_data(field)[:k].reshape(k, -1).T
     sol = field.solve_affine(M, P.reshape(-1))
     if sol is None:

@@ -21,7 +21,7 @@ import pytest
 
 from chevlie.gf import GF
 from chevlie.orders import canonical_order, default_order
-from chevlie.rootsys import Root, build_root_system, direct_sum
+from chevlie.rootsys import Root, build_root_system
 from chevlie.chevalley import build_constants, root_group_element
 from chevlie.commuting import (
     commuting_set,
@@ -44,7 +44,14 @@ from chevlie.elementary import (
     _apply_word_u,
 )
 from chevlie import golden as goldmod
-from oracles import appendix_oracle, b_family, g2_witness_classes, orbit_decompose, sparse_bracket
+from oracles import (
+    appendix_oracle,
+    b_family,
+    direct_sum,
+    g2_witness_classes,
+    orbit_decompose,
+    sparse_bracket,
+)
 
 
 def _verdict(name, failures):

@@ -159,6 +159,24 @@ def test_verify_normalizers_a2_d4():
     assert out == "".join(f"ideal #{k}: dim N_g(lie(R)) = 22\n" for k in range(3))
 
 
+@pytest.mark.parametrize(
+    "type_,dims",
+    [
+        ("F4", {45: 34, 51: 36, 54: 32, 55: 32}),
+        ("B4", {0: 26}),
+        ("B3", {0: 15}),
+        ("B2", {0: 7, 1: 7}),
+    ],
+)
+def test_verify_normalizers_at_p2(type_, dims):
+    # the B(F_2)-stable sets of the 2-catalog, whose m exceeds the
+    # characteristic-0 one (F4: 11, not 9); F4's dims are the closed-orbit
+    # dims that `verify --stage orbits --type F4 --p 2` prints
+    code, out = run(["verify", "--stage", "normalizers", "--type", type_, "--p", "2"])
+    assert code == 0
+    assert out == "".join(f"ideal #{k}: dim N_g(lie(R)) = {d}\n" for k, d in dims.items())
+
+
 def test_verify_orbits_exit_codes():
     code, out = run(["verify", "--stage", "orbits", "--type", "A2", "--p", "5"])
     assert code == 0

@@ -9,13 +9,9 @@ import pytest
 from chevlie.chevalley import build_constants
 from chevlie.commuting import commutation_adjacency
 from chevlie.golden import TABLE1_RANKS
-from chevlie.rootsys import (
-    EuclidModel,
-    Root,
-    WeylWord,
-    build_root_system,
-    direct_sum,
-)
+from chevlie.orders import default_order
+from chevlie.rootsys import EuclidModel, Root, WeylWord, build_root_system
+from oracles import direct_sum, eps_root, euclid_positive_roots, is_positive
 
 CLASSICAL_COUNTS = {
     ("A", 2): 3, ("A", 5): 15, ("B", 2): 4, ("B", 4): 16, ("C", 3): 9,
@@ -30,20 +26,20 @@ def test_positive_root_counts(key):
     sys_ = build_root_system(t, n)
     assert sys_.num_positive == CLASSICAL_COUNTS[key]
     for r in sys_.positive_roots:
-        assert r.is_positive
+        assert is_positive(r)
 
 
 @pytest.mark.parametrize("t,n", [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("F", 4)])
 def test_epsilon_model_matches_closure(t, n):
     sys_ = build_root_system(t, n)
-    assert EuclidModel(sys_).positive_roots() == set(sys_.positive_roots)
+    assert euclid_positive_roots(EuclidModel(sys_)) == set(sys_.positive_roots)
 
 
 def test_epsilon_model_lookup():
     em = EuclidModel(build_root_system("B", 4))
-    assert em.root(1, -3) == em.to_root((1, 0, -1, 0)) == Root((1, 1, 0, 0))
-    assert em.root(4) == em.to_root(em.eps(4)) == Root((0, 0, 0, 1))
-    assert EuclidModel(build_root_system("C", 3)).root(2, 2) == Root((0, 2, 1))
+    assert eps_root(em, 1, -3) == em.to_root((1, 0, -1, 0)) == Root((1, 1, 0, 0))
+    assert eps_root(em, 4) == em.to_root(em.eps(4)) == Root((0, 0, 0, 1))
+    assert eps_root(EuclidModel(build_root_system("C", 3)), 2, 2) == Root((0, 2, 1))
     f4 = EuclidModel(build_root_system("F", 4))
     assert f4.to_root((Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2))) == Root(
         (0, 0, 0, 1)
@@ -215,7 +211,7 @@ def test_weyl_words_are_reduced(t, n):
         img = tuple(signed[k] for k in np.frombuffer(key, dtype=np.int16))
         assert tuple(sys_.apply_weyl(word, r) for r in sys_.positive_roots) == img
         # a reduced word is as long as the number of positive roots sent negative
-        assert len(word.letters) == sum(not r.is_positive for r in img)
+        assert len(word.letters) == sum(not is_positive(r) for r in img)
 
 
 @pytest.mark.parametrize("t,n", TABLE1_RANKS)
@@ -277,11 +273,11 @@ def test_direct_sum_keeps_each_component(first, second):
     s = direct_sum(a, b)
     assert s.symmetrizer == a.symmetrizer + b.symmetrizer
     assert s.simple_roots == [r for r in s.positive_roots if r.height == 1] == _units(4)
-    cs = build_constants(s)
+    cs = build_constants(s, default_order(s))
     for part, before in ((a, ()), (b, (0, 0))):
         after = (0,) * (2 - len(before))
         embed = lambda r: Root(before + r.coeffs + after)
-        cp = build_constants(part)
+        cp = build_constants(part, default_order(part))
         signed = part.positive_roots + [-r for r in part.positive_roots]
         assert [s.norm2(embed(r)) for r in signed] == [part.norm2(r) for r in signed]
         for x in signed:

@@ -1,7 +1,8 @@
 """The benchmark still runs against chevlie: the names its tracer wraps
 resolve, its seeded inputs build and check, and no module is large enough
-to move its peak memory.  No module imports a name it never uses, and every
-def and class in src/ has a caller in src/ or the benchmark."""
+to move its peak memory.  No module imports a name it never uses, every
+def, class, method and field in src/ has a caller in src/ or the benchmark,
+and every test oracle has a reader in the tests."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import time
 import tokenize
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,33 +131,73 @@ def test_no_unused_imports():
     assert [hit for path in paths for hit in _unused_imports(path)] == []
 
 
-# src/ names without a product caller: moving `direct_sum` out would leave
-# `RootSystem(cartan=...)` behind as a knob that only tests set
-NO_PRODUCT_CALLER = {"direct_sum"}
+# src/ members without a product caller, kept as the reference API the tests
+# check the index tables and the constants against
+REFERENCE_API = {
+    "RootSystem.root_string": "the alpha-string through beta, read off `string_down`",
+    "RootSystem.phi_rad": "Phi_rad of a parabolic, cited in LEDGER.md",
+    "RootSystem.apply_weyl": "a Weyl word acting on a root by `reflect`",
+    "ChevalleyBasis.extraspecial": "the pairs with N_{a1,b1} = r + 1 the chevalley docstring defines",
+}
 
 
-def _reads(node) -> set[str]:
-    """Names a syntax tree reads: `Name`s, attribute names and imported names."""
-    out = set()
+def _reads(node) -> Counter:
+    """Names a syntax tree reads, with multiplicity: `Name`s and attribute
+    names in `Load` context, and imported names."""
+    out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            out.add(sub.name.split(".")[-1])
+            out[sub.name.split(".")[-1]] += 1
     return out
 
 
+def _members(cls: ast.ClassDef):
+    """(name, body) of each method and property of a class, dunders aside,
+    and of each `self.<name> = ...` field, whose body is empty."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
+            yield node.name, node
+    fields = {
+        sub.attr
+        for sub in ast.walk(cls)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+    }
+    for name in sorted(fields):
+        yield name, None
+
+
 def test_src_names_have_a_product_caller():
-    # a def or class that only tests reach is a test oracle and belongs in
-    # tests/oracles.py; reads inside its own body do not count
+    # a def, class, method or field that only tests reach is a test oracle
+    # and belongs in tests/oracles.py; reads inside its own body do not count.
+    # Names are matched, not bindings: a read of a same-named attribute
+    # anywhere counts as a read of every member so named.
     src = sorted((ROOT / "src" / "chevlie").glob("*.py"))
     trees = [ast.parse(path.read_text()) for path in src + sorted(PERFBENCH.glob("*.py"))]
-    defs = (ast.FunctionDef, ast.ClassDef)
-    read = set()
-    for tree in trees:
+    read = sum((_reads(tree) for tree in trees), Counter())
+    unread = set()
+    for tree in trees[: len(src)]:
         for top in tree.body:
-            read |= _reads(top) - {top.name if isinstance(top, defs) else None}
-    defined = {top.name for tree in trees[: len(src)] for top in tree.body if isinstance(top, defs)}
-    assert defined - read - {"main"} == NO_PRODUCT_CALLER
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if read[top.name] == _reads(top)[top.name]:
+                unread.add(top.name)
+            if isinstance(top, ast.ClassDef):
+                for name, body in _members(top):
+                    if read[name] == (_reads(body)[name] if body else 0):
+                        unread.add(f"{top.name}.{name}")
+    assert unread - {"main"} == set(REFERENCE_API)
+
+
+def test_oracles_have_a_test_reader():
+    # every top-level def and class of tests/oracles.py is read by a test
+    # module or by another oracle, so an oracle no test needs does not stay
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    tests = [ast.parse(path.read_text()) for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    read = sum((_reads(tree) for tree in tests + [oracles]), Counter())
+    defined = [top for top in oracles.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))]
+    assert [top.name for top in defined if read[top.name] == _reads(top)[top.name]] == []
