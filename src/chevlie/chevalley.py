@@ -7,7 +7,7 @@ N_{a1,b1} = +(r+1); every other sign follows from the Jacobi identity and
 the standard triangle relation N_{a,b}/(c,c) = N_{b,c}/(a,a) for
 a + b + c = 0.  `ChevalleyBasis.constants` holds every N_{a,b} over the
 signed roots, derived once with numpy from `RootSystem.sum_index` one height
-of sums at a time; `N` reads it.  All derived constants are checked to be
+of sums at a time.  All derived constants are checked to be
 integers of absolute value r+1, and the test suite verifies the Jacobi
 identity over Z.
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .gf import GF
 from .orders import RootOrder
-from .rootsys import Root, RootSystem, WeylWord
+from .rootsys import Root, RootSystem
 
 
 class ChevalleyBasis:
@@ -121,11 +121,6 @@ class ChevalleyBasis:
             C[x, y], C[y, x], C[nx, ny], C[ny, nx] = val, -val, -val, val
         mixed()
         return C
-
-    def N(self, a: Root, b: Root) -> int:
-        """Structure constant N_{a,b}; zero when a+b is not a root."""
-        sys = self.system
-        return int(self.constants[sys.signed_index(a), sys.signed_index(b)])
 
     # -- the bracket table ------------------------------------------------------
 
@@ -299,9 +294,9 @@ def weyl_rep_element(basis: ChevalleyBasis, field: GF, i: int) -> GroupGenerator
     return GroupGenerator("weyl_rep", (i,), field, M)
 
 
-def weyl_word_element(basis: ChevalleyBasis, field: GF, word: WeylWord) -> GroupGenerator:
-    """Representative of a Weyl word (first letter applied last)."""
+def weyl_word_element(basis: ChevalleyBasis, field: GF, word: tuple[int, ...]) -> GroupGenerator:
+    """Representative of a Weyl word, as in `RootSystem.weyl_words`."""
     M = field.eye(basis.dim)
-    for i in word.letters:
+    for i in word:
         M = field.matmul(M, weyl_rep_element(basis, field, i).matrix)
-    return GroupGenerator("weyl_word", (word.letters,), field, M)
+    return GroupGenerator("weyl_word", (word,), field, M)

@@ -104,7 +104,7 @@ def cmd_tables(args, out) -> int:
         return EXIT_PASS
     rows = goldmod.BUILDERS[which]()
     if args.write_golden:
-        path = goldmod.write_golden(which)
+        path = goldmod.write_golden(which, rows)
         out.write(f"wrote {path}\n")
         return EXIT_PASS
     if args.golden or args.golden_file:
@@ -135,7 +135,7 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
     if (t, n) in golden:
         cat0 = enumerate_max_commuting(system)  # the table is the characteristic-0 catalog
         ok = (cat0.m, cat0.count) == golden[(t, n)]
-        verdicts.append(("clique-level m and count match the table", ok))
+        verdicts.append(ok)
         out.write(f"[{'PASS' if ok else 'FAIL'}] max commuting sets: m={cat0.m} count={cat0.count}\n")
     # maximal p-commuting sets: at a bad prime m can exceed the good-prime value
     cat = enumerate_max_commuting(system, p=p)
@@ -147,7 +147,7 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
         return EXIT_BUDGET
     masks = {s.mask for s in cat.sets}
     ok = all(lt(E).mask in masks for E in points)
-    verdicts.append(("every leading-term set is a maximal commuting set", ok))
+    verdicts.append(ok)
     out.write(f"[{'PASS' if ok else 'FAIL'}] {len(points)} points; lt lands in max(Phi)\n")
     total = 0
     for k, R in enumerate(cat.sets):
@@ -164,9 +164,9 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
             f"{rep.count} bracket solutions, {len(elem)} elementary; {rep.describe()}\n"
         )
     ok = total == len(points)
-    verdicts.append(("leading-term solutions account for every point", ok))
+    verdicts.append(ok)
     out.write(f"[{'PASS' if ok else 'FAIL'}] solution total {total} vs brute force {len(points)}\n")
-    return EXIT_PASS if all(v for _, v in verdicts) else EXIT_MISMATCH
+    return EXIT_PASS if all(verdicts) else EXIT_MISMATCH
 
 
 def _check_fusion(setting, r, budget):
@@ -192,7 +192,7 @@ def _verify_orbits(t, n, p, budget, out) -> int:
         dims = {normalizer_in_g(points[i])[1] for i in c.point_indices[: min(8, c.size)]}
         if len(dims) != 1:
             const = False
-    verdicts.append(("normalizer dimension constant on classes", const))
+    verdicts.append(const)
     out.write(f"[{'PASS' if const else 'FAIL'}] normalizer dimension constant on sampled class members\n")
     out.write(
         f"classes: {len(classes)} with normalizer dims "
@@ -206,9 +206,9 @@ def _verify_orbits(t, n, p, budget, out) -> int:
             ok = len(classes) >= int(expected.removeprefix(">="))
         else:
             ok = len(classes) == expected
-        verdicts.append((f"class count matches {expected}", ok))
+        verdicts.append(ok)
         out.write(f"[{'PASS' if ok else 'FAIL'}] class count {len(classes)} vs expected {expected}\n")
-    return EXIT_PASS if all(v for _, v in verdicts) else EXIT_MISMATCH
+    return EXIT_PASS if all(verdicts) else EXIT_MISMATCH
 
 
 def _verify_normalizers(t, n, p, budget, out) -> int:
@@ -301,6 +301,12 @@ def cmd_enumerate(args, out) -> int:
     return EXIT_PASS
 
 
+def _reject(message: str):
+    """argparse's error hook: a bad argument is one line on stderr, as every
+    other invalid input is, not a usage block."""
+    raise CliError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chevlie")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -326,15 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--dim", required=True, type=int)
     ep.add_argument("--r-ext", type=int, default=1, help="field extension degree")
     ep.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    for parser in (ap, tp, vp, ep):
+        parser.error = _reject
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_INVALID if e.code not in (0, None) else 0
+        args = build_parser().parse_args(argv)
+    except SystemExit:  # --help wrote its text; a bad argument raises CliError
+        return EXIT_PASS
+    except CliError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return EXIT_INVALID
     out = sys.stdout
     commands = {"tables": cmd_tables, "verify": cmd_verify, "enumerate": cmd_enumerate}
     try:

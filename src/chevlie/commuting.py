@@ -202,7 +202,7 @@ def commutation_adjacency(system: RootSystem, p: int | None = None) -> list[int]
     commute = system.sum_index[:n, :n] < 0
     if p is not None:
         commute |= system.string_down[:n, :n] == p - 1
-    # the pair (i, j), i < j, is decided as commute(root i, root j, p)
+    # the pair (i, j), i < j, is decided by the root_i-string through root_j
     upper = np.triu(commute, 1)
     bits = np.packbits(upper | upper.T, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in bits]

@@ -43,7 +43,7 @@ from itertools import count, product
 import numpy as np
 
 from .gf import GF
-from .orders import RootOrder, canonical_order, default_order
+from .orders import canonical_order, default_order
 from .chevalley import (
     ChevalleyBasis,
     GroupGenerator,
@@ -54,7 +54,7 @@ from .chevalley import (
     weyl_word_element,
 )
 from .commuting import CommutingSet, commuting_set, enumerate_max_commuting
-from .rootsys import Root, RootSystem, WeylWord, build_root_system
+from .rootsys import Root, RootSystem, build_root_system
 
 
 class BudgetExceeded(RuntimeError):
@@ -80,10 +80,10 @@ _FUSION_CHUNK = 1 << 16
 
 @dataclass(eq=False)
 class Setting:
-    """A root system with a fixed leading-term order, constants, and field."""
+    """A root system, its constants over a fixed leading-term order (the
+    order is `basis.order_index`), and a field."""
 
     system: RootSystem
-    order: RootOrder
     basis: ChevalleyBasis
     field: GF
 
@@ -129,8 +129,7 @@ def get_setting(type_label: str, rank: int, p: int, degree: int = 1) -> Setting:
         order = canonical_order(type_label, rank)
     except ValueError:
         order = default_order(system)
-    basis = build_constants(system, order)
-    return Setting(system, order, basis, GF.get(p, degree))
+    return Setting(system, build_constants(system, order), GF.get(p, degree))
 
 
 def _pivots(setting: Setting, rows: np.ndarray) -> np.ndarray:
@@ -634,7 +633,7 @@ def check_weyl_order(system: RootSystem):
         )
 
 
-def weyl_words_all(system: RootSystem) -> list[WeylWord]:
+def weyl_words_all(system: RootSystem) -> list[tuple[int, ...]]:
     """Shortest words for every Weyl group element (small groups only)."""
     check_weyl_order(system)
     return list(system.weyl_words().values())
@@ -647,7 +646,7 @@ def _moves(setting: Setting) -> tuple[list[GroupGenerator], list[list[tuple]]]:
     `g_conjugacy_classes`), with the nonzero entries M[a, b] = c of the
     u-rows M = g.matrix.T[:n_pos] (the points lie in u) in layers (a, b, c):
     layer l holds the l-th entry of each column b."""
-    words = [w for w in weyl_words_all(setting.system) if len(w.letters) == 1]
+    words = [w for w in weyl_words_all(setting.system) if len(w) == 1]
     gens = borel_generators(setting) + [
         weyl_word_element(setting.basis, setting.field, w) for w in words
     ]

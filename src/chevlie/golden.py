@@ -101,10 +101,10 @@ def golden_path(which: str) -> Path:
     return GOLDEN_DIR / f"{which}.json"
 
 
-def write_golden(which: str) -> Path:
+def write_golden(which: str, rows: list[dict]) -> Path:
     GOLDEN_DIR.mkdir(exist_ok=True)
     path = golden_path(which)
-    path.write_text(json.dumps(BUILDERS[which](), indent=1, sort_keys=True) + "\n")
+    path.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")
     return path
 
 

@@ -8,12 +8,12 @@ ascending key order is ascending root order.  Every order here is built from
 two kinds of rows, given 1-based simple indices:
 
 * `_coeffsum` is one row: sign * (sum of the coefficients at the indices);
-* `_revlex` is one row per index of a priority sequence: sign * that
+* `_revlex` is one row per index of a priority sequence: minus that
   coefficient, first difference wins.
 
-The reverse-lexicographic orders used by the leading-term arguments carry
-sign -1: a *larger* coefficient at the first distinguishing priority position
-makes a root *smaller*.
+So in the reverse-lexicographic orders the leading-term arguments use, a
+*larger* coefficient at the first distinguishing priority position makes a
+root *smaller*.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ def _coeffsum(rank: int, indices, sign: int) -> tuple[tuple[int, ...], ...]:
     return (tuple(sign if j + 1 in indices else 0 for j in range(rank)),)
 
 
-def _revlex(rank: int, priority, sign: int = -1) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sign if j + 1 == i else 0 for j in range(rank)) for i in priority)
+def _revlex(rank: int, priority) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(-1 if j + 1 == i else 0 for j in range(rank)) for i in priority)
 
 
 def default_order(system: RootSystem) -> RootOrder:

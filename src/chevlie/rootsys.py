@@ -55,13 +55,6 @@ class Root:
 
 
 @dataclass(frozen=True)
-class WeylWord:
-    """A word in the simple reflections; letters are 1-based simple indices."""
-
-    letters: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class PrimeProfile:
     bad_primes: frozenset[int]
     torsion_primes: frozenset[int]
@@ -293,15 +286,6 @@ class RootSystem:
             raise ValueError("alpha proportional to beta has no root string")
         return int(self.string_down[a, b]), int(self.string_down[self._neg[a], b])
 
-    def commute(self, alpha: Root, beta: Root, p: int | None = None) -> bool:
-        """Whether alpha and beta commute (sum not a root); p gives p-commuting."""
-        if alpha == beta:
-            raise ValueError("commute is defined for distinct roots")
-        a, b = self.signed_index(alpha), self.signed_index(beta)
-        if self.sum_index[a, b] < 0:
-            return True
-        return p is not None and bool(self.string_down[a, b] == p - 1)
-
     def phi_rad(self, S) -> frozenset[Root]:
         """Positive roots needing at least one simple root from S (1-based indices)."""
         S = {S} if isinstance(S, int) else set(S)
@@ -341,28 +325,29 @@ class RootSystem:
             tuple(b - (c if j == i - 1 else 0) for j, b in enumerate(beta.coeffs))
         )
 
-    def apply_weyl(self, word: WeylWord, beta: Root) -> Root:
-        # letters act as a composition: the first letter is applied last
-        for i in reversed(word.letters):
+    def apply_weyl(self, word: tuple[int, ...], beta: Root) -> Root:
+        """A Weyl word (as in `weyl_words`) applied to beta."""
+        for i in reversed(word):
             beta = self.reflect(i, beta)
         return beta
 
     def weyl_words(self, letters=None):
         """Shortest words for the elements of the group the letters generate.
 
-        Breadth-first over right multiplication by the letters (all simple
-        reflections by default), so the first word found for an element is a
-        shortest one.  Returns a dict keyed by the element's row as bytes:
-        the int16 positions among the signed roots of the images of the
-        positive roots, in root order.  The search has no size limit: callers
-        check the group's order first.
+        A word is a tuple of 1-based simple indices read as a composition:
+        its first letter is applied last.  Breadth-first over right
+        multiplication by the letters (all simple reflections by default), so
+        the first word found for an element is a shortest one.  Returns a
+        dict keyed by the element's row as bytes: the int16 positions among
+        the signed roots of the images of the positive roots, in root order.
+        The search has no size limit: callers check the group's order first.
         """
         n = self.num_positive
         letters = list(range(1, self.rank + 1) if letters is None else letters)
         # (w s_i)(root k) = w(s_i(root k)), w extended to the negative roots
         refl = self.reflections[[i - 1 for i in letters], :n]
         frontier = [np.arange(n, dtype=np.int16).tobytes()]
-        words = {frontier[0]: WeylWord(())}
+        words = {frontier[0]: ()}
         while frontier:
             level = np.frombuffer(b"".join(frontier), dtype=np.int16).reshape(-1, n)
             images = np.hstack([level, self._neg[level]])[:, refl]
@@ -370,8 +355,8 @@ class RootSystem:
             for k, img in enumerate(images.reshape(-1, n)):  # element first, then letter
                 key = img.tobytes()
                 if key not in words:
-                    base = words[frontier[k // len(letters)]].letters
-                    words[key] = WeylWord(base + (letters[k % len(letters)],))
+                    base = words[frontier[k // len(letters)]]
+                    words[key] = base + (letters[k % len(letters)],)
                     nxt.append(key)
             frontier = nxt
         return words

@@ -5,12 +5,14 @@
   classes independent of Bruhat fusion;
 * the positive roots generated directly in epsilon coordinates, a route
   independent of the string closure, and `direct_sum` of two root systems;
+* `commute`, the (p-)commuting predicate on one pair of roots, which
+  `commutation_adjacency` computes for all pairs at once;
 * the closed-form catalogs of the maximum commuting sets (the B_n family
   S_t, S*_t and F4's 12 + 9 + 7 cases), which read their roots from
   `EuclidModel`: a route independent of the clique search;
-* `p_power` by `matpow`, `sparse_bracket` with `Root` arithmetic and the
-  `csv_lines` dump of the structure constants: routes independent of the
-  bracket table;
+* `p_power` by `matpow`, `sparse_bracket` with `Root` arithmetic and
+  `structure_constant` (one N_{a,b}), and the `csv_lines` dump of the
+  structure constants: routes independent of the bracket table;
 * the G2 witness, the Bruhat fusion classes of G2 over small F_q that the
   LEDGER entries on G2 cite.
 
@@ -59,6 +61,16 @@ def direct_sum(a: RootSystem, b: RootSystem) -> RootSystem:
     C = [row + [0] * b.rank for row in a.cartan] + [[0] * a.rank + row for row in b.cartan]
     name = f"{a.name}+{b.name}"
     return RootSystem(name, name, C)
+
+
+def commute(system: RootSystem, alpha: Root, beta: Root, p: int | None = None) -> bool:
+    """Whether alpha and beta commute (sum not a root); p gives p-commuting."""
+    if alpha == beta:
+        raise ValueError("commute is defined for distinct roots")
+    a, b = system.signed_index(alpha), system.signed_index(beta)
+    if system.sum_index[a, b] < 0:
+        return True
+    return p is not None and bool(system.string_down[a, b] == p - 1)
 
 
 def is_positive(root: Root) -> bool:
@@ -314,6 +326,12 @@ def _f4_sets(system: RootSystem) -> list[list[Root]]:
 # -- brackets and p-powers ------------------------------------------------------
 
 
+def structure_constant(basis: ChevalleyBasis, a: Root, b: Root) -> int:
+    """Structure constant N_{a,b}; zero when a+b is not a root."""
+    sys = basis.system
+    return int(basis.constants[sys.signed_index(a), sys.signed_index(b)])
+
+
 def sparse_bracket(basis: ChevalleyBasis, x: dict, y: dict) -> dict:
     """Bracket of formal Z-combinations {("x", root) | ("h", i): coeff}."""
     out: dict = {}
@@ -339,7 +357,7 @@ def sparse_bracket(basis: ChevalleyBasis, x: dict, y: dict) -> dict:
                     for j, cj in enumerate(sys.coroot_coeffs(ka[1])):
                         add(("h", j), ca * cb * cj)
                 elif sys.is_root(s):
-                    add(("x", s), ca * cb * basis.N(ka[1], kb[1]))
+                    add(("x", s), ca * cb * structure_constant(basis, ka[1], kb[1]))
     return out
 
 

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from chevlie import golden
 from chevlie.cli import main
 
 
@@ -66,6 +67,18 @@ def test_tables_mismatch_exit_code(tmp_path):
     code, out = run(["tables", "--which", "primes", "--golden-file", str(bad)])
     assert code == 1
     assert "MISMATCH" in out
+
+
+@pytest.mark.parametrize("which", list(golden.BUILDERS))
+def test_write_golden_reproduces_the_checked_in_file(monkeypatch, tmp_path, which):
+    # --write-golden writes the rows it built, byte for byte the checked-in file
+    checked_in = golden.golden_path(which).read_bytes()
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    code, out = run(["tables", "--which", which, "--write-golden"])
+    path = tmp_path / f"{which}.json"
+    assert code == 0
+    assert out == f"wrote {path}\n"
+    assert path.read_bytes() == checked_in
 
 
 @pytest.mark.parametrize(
@@ -234,6 +247,10 @@ def test_verify_orbits_a2_q_1_mod_3():
         (["tables", "--which", "primes", "--golden-file", ""], "--golden-file needs a path"),
         # L3 is abelian but not 2-nilpotent (LEDGER.md, A2 over F2)
         (["verify", "--stage", "normalizers", "--type", "A2", "--p", "2"], "not 2-nilpotent"),
+        # argparse's own errors: one line, no usage block
+        (["enumerate", "--type", "G2", "--dim", "3"], "the following arguments are required: --p"),
+        (["tables", "--which", "bogus"], "argument --which: invalid choice: 'bogus'"),
+        (["enumerate", "--type", "G2", "--p", "x", "--dim", "3"], "argument --p: invalid int value: 'x'"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):
@@ -242,6 +259,14 @@ def test_invalid_input_exit_code(argv, reason, capsys):
     assert code == 2
     assert len(err.splitlines()) == 1 and reason in err
     assert "[PASS]" not in out  # no verdict before the input is rejected
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["enumerate", "--help"]], ids=["chevlie", "enumerate"])
+def test_help_exits_0(argv, capsys):
+    code, out = run(argv)
+    assert code == 0
+    assert out.startswith("usage: chevlie")
+    assert capsys.readouterr().err == ""
 
 
 def test_enumerate_classical_type():

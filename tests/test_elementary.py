@@ -49,7 +49,14 @@ from chevlie.elementary import (
     _p_nilpotent_mask,
     _pivot_sets,
 )
-from oracles import b_family, chevalley_group_generators, direct_sum, matpow, orbit_decompose
+from oracles import (
+    b_family,
+    chevalley_group_generators,
+    commute,
+    direct_sum,
+    matpow,
+    orbit_decompose,
+)
 
 
 # -- orders ---------------------------------------------------------------
@@ -123,7 +130,7 @@ def test_lie_lt_identity_random():
         for _ in range(100):
             roots = []
             for r in rng.sample(sys_.positive_roots, sys_.num_positive):
-                if all(sys_.commute(r, x) for x in roots):
+                if all(commute(sys_, r, x) for x in roots):
                     roots.append(r)
             R = commuting_set(sys_, roots)
             E = lie(setting, R)
@@ -360,7 +367,7 @@ def test_lemma_oto_unique_points():
         setting = get_setting(t, n, p)
         cat = enumerate_max_commuting(setting.system)
         points = brute_force_Eu(setting, cat.m)
-        key = setting.order.key
+        key = canonical_order(t, n).key
         for R in cat.sets:
             members = set(R.members())
             rest = [r for r in setting.system.positive_roots if r not in members]
@@ -1160,6 +1167,40 @@ def test_conjugation_reduce_rejects_wrong_dimension():
             conjugation_reduce(setting, E)
 
 
+def test_conjugation_reduce_rejects_a_subspace_that_is_not_elementary():
+    # random fillings of the echelon cells of B4's ideals over F3 have the
+    # maximal dimension; those that are not elementary reach neither route
+    setting = get_setting("B", 4, 3)
+    catalog = enumerate_max_commuting(setting.system, p=3)
+    place = np.argsort(setting.perm_desc)  # place of each positive root in perm_desc
+    rng = np.random.default_rng(0)
+    verdicts = set()
+    for R, ideal in zip(catalog.sets, catalog.ideals):
+        if not ideal:
+            continue
+        idx = [setting.system.index(r) for r in R.members()]
+        pivots, below = _cell(setting, sorted(place[idx].tolist()))
+        for _ in range(10):
+            rows = setting.field.zeros((len(pivots), setting.n_pos))
+            for k, (c, cols) in enumerate(zip(pivots, below)):
+                rows[k, c] = 1
+                rows[k, cols] = rng.integers(0, 3, len(cols))
+            E = subalgebra_from_rows(setting, rows)
+            verdicts.add(elementary := is_elementary(setting, E.rows))
+            if elementary:
+                word, out = conjugation_reduce(setting, E)
+                assert replay_verify(setting, E, word, out)
+            else:
+                with pytest.raises(ValueError, match="E is not an elementary subalgebra of u"):
+                    conjugation_reduce(setting, E)
+    assert verdicts == {True, False}
+
+
+def test_brute_force_rejects_dimension_0():
+    with pytest.raises(ValueError, match="dimension 0 is out of range"):
+        brute_force_Eu(get_setting("A", 2, 5), 0)
+
+
 def test_conjugation_reduce_g2_f7_one_form_per_class():
     """Each fusion class reduces to one of its own points, and a class holding
     lie(C3), lie(C5) or L reduces to that normal form."""
@@ -1195,8 +1236,7 @@ def test_product_count_a1_plus_a1():
     gf = GF.get(3)
 
     def count_max(system, r):
-        order = default_order(system)
-        setting = Setting(system, order, build_constants(system, order), gf)
+        setting = Setting(system, build_constants(system, default_order(system)), gf)
         return len(brute_force_Eu(setting, r))
 
     single = count_max(a1, 1)
@@ -1204,6 +1244,5 @@ def test_product_count_a1_plus_a1():
     assert single == 1 and total == single * single
     # and the sum admits nothing bigger
     s2 = direct_sum(a1, a1)
-    order = default_order(s2)
-    setting = Setting(s2, order, build_constants(s2, order), gf)
+    setting = Setting(s2, build_constants(s2, default_order(s2)), gf)
     assert brute_force_Eu(setting, 3) == []

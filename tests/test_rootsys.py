@@ -10,8 +10,15 @@ from chevlie.chevalley import build_constants
 from chevlie.commuting import commutation_adjacency
 from chevlie.golden import TABLE1_RANKS
 from chevlie.orders import default_order
-from chevlie.rootsys import EuclidModel, Root, WeylWord, build_root_system
-from oracles import direct_sum, eps_root, euclid_positive_roots, is_positive
+from chevlie.rootsys import EuclidModel, Root, build_root_system
+from oracles import (
+    commute,
+    direct_sum,
+    eps_root,
+    euclid_positive_roots,
+    is_positive,
+    structure_constant,
+)
 
 CLASSICAL_COUNTS = {
     ("A", 2): 3, ("A", 5): 15, ("B", 2): 4, ("B", 4): 16, ("C", 3): 9,
@@ -87,15 +94,15 @@ def test_root_strings():
 def test_commute():
     a2 = build_root_system("A", 2)
     r1, r2 = a2.simple_roots
-    assert not a2.commute(r1, r2)
+    assert not commute(a2, r1, r2)
     for sys_ in (a2, build_root_system("G", 2), build_root_system("B", 3)):
         theta = sys_.highest_root
         assert all(
-            sys_.commute(theta, r) for r in sys_.positive_roots if r != theta
+            commute(sys_, theta, r) for r in sys_.positive_roots if r != theta
         )
     g2 = build_root_system("G", 2)
-    assert g2.commute(g2.simple_roots[0], Root((2, 1)), p=3)
-    assert not g2.commute(g2.simple_roots[0], Root((2, 1)))
+    assert commute(g2, g2.simple_roots[0], Root((2, 1)), p=3)
+    assert not commute(g2, g2.simple_roots[0], Root((2, 1)))
 
 
 def test_commute_symmetric():
@@ -104,7 +111,7 @@ def test_commute_symmetric():
         for a in sys_.positive_roots:
             for b in sys_.positive_roots:
                 if a != b:
-                    assert sys_.commute(a, b) == sys_.commute(b, a)
+                    assert commute(sys_, a, b) == commute(sys_, b, a)
 
 
 def test_phi_rad():
@@ -174,7 +181,7 @@ def test_weyl_action():
     a1, a2 = g2.simple_roots
     assert g2.reflect(1, a1) == -a1
     assert g2.reflect(1, a2) == Root((3, 1))
-    assert g2.apply_weyl(WeylWord(()), a2) == a2
+    assert g2.apply_weyl((), a2) == a2
     # every letter is an involution and words send roots to roots
     for sys_ in (g2, build_root_system("B", 3)):
         for i in range(1, sys_.rank + 1):
@@ -211,7 +218,7 @@ def test_weyl_words_are_reduced(t, n):
         img = tuple(signed[k] for k in np.frombuffer(key, dtype=np.int16))
         assert tuple(sys_.apply_weyl(word, r) for r in sys_.positive_roots) == img
         # a reduced word is as long as the number of positive roots sent negative
-        assert len(word.letters) == sum(not is_positive(r) for r in img)
+        assert len(word) == sum(not is_positive(r) for r in img)
 
 
 @pytest.mark.parametrize("t,n", TABLE1_RANKS)
@@ -283,4 +290,5 @@ def test_direct_sum_keeps_each_component(first, second):
         for x in signed:
             for y in signed:
                 if x != -y and part.is_root(x + y):
-                    assert cs.N(embed(x), embed(y)) == cp.N(x, y), (x, y)
+                    want = structure_constant(cp, x, y)
+                    assert structure_constant(cs, embed(x), embed(y)) == want, (x, y)

@@ -141,12 +141,13 @@ REFERENCE_API = {
 }
 
 
-def _reads(node) -> Counter:
-    """Names a syntax tree reads, with multiplicity: `Name`s and attribute
-    names in `Load` context, and imported names."""
+def _reads(node, bare: bool = True) -> Counter:
+    """Names a syntax tree reads, with multiplicity: attribute names in
+    `Load` context and imported names, and with `bare` also `Name`s in
+    `Load` context."""
     out = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+        if bare and isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             out[sub.attr] += 1
@@ -157,11 +158,16 @@ def _reads(node) -> Counter:
 
 def _members(cls: ast.ClassDef):
     """(name, body) of each method and property of a class, dunders aside,
-    and of each `self.<name> = ...` field, whose body is empty."""
+    and of each field, whose body is empty: a class-body annotation (a
+    dataclass field) or a `self.<name> = ...` assignment."""
     for node in cls.body:
         if isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__")):
             yield node.name, node
     fields = {
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    } | {
         sub.attr
         for sub in ast.walk(cls)
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
@@ -174,11 +180,13 @@ def _members(cls: ast.ClassDef):
 def test_src_names_have_a_product_caller():
     # a def, class, method or field that only tests reach is a test oracle
     # and belongs in tests/oracles.py; reads inside its own body do not count.
-    # Names are matched, not bindings: a read of a same-named attribute
-    # anywhere counts as a read of every member so named.
+    # A member is read only as an attribute (`x.name`) or an import, so a
+    # local variable of the same name does not hide it; attributes are still
+    # matched by name, whatever the class of `x`.
     src = sorted((ROOT / "src" / "chevlie").glob("*.py"))
     trees = [ast.parse(path.read_text()) for path in src + sorted(PERFBENCH.glob("*.py"))]
     read = sum((_reads(tree) for tree in trees), Counter())
+    attr_read = sum((_reads(tree, bare=False) for tree in trees), Counter())
     unread = set()
     for tree in trees[: len(src)]:
         for top in tree.body:
@@ -188,7 +196,7 @@ def test_src_names_have_a_product_caller():
                 unread.add(top.name)
             if isinstance(top, ast.ClassDef):
                 for name, body in _members(top):
-                    if read[name] == (_reads(body)[name] if body else 0):
+                    if attr_read[name] == (_reads(body, bare=False)[name] if body else 0):
                         unread.add(f"{top.name}.{name}")
     assert unread - {"main"} == set(REFERENCE_API)
 
