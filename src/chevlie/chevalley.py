@@ -15,9 +15,11 @@ Every nonzero bracket of two basis elements, [x_I, x_J] = C x_K, is one row
 (I, J, K, C) of the integer table `ChevalleyBasis.brackets`, built once per
 basis from `sum_index` and `constants`: root with root, x_a with x_{-a} (the
 coroot h_a) and h with a root.  E8 has 16,694 rows.  `ad_matrix` is one
-slice of it over Z; `field_data` scatters it mod p into one int16
-(dim, dim, dim) stack per prime, and `ad_of` combines only the stack rows in
-the support of its vectors.  The reference the tests compare the table
+slice of it over Z, and `field_data` scatters it mod p into one int16
+(dim, dim, dim) stack per prime.  `ad_of` reads the rows directly: on a
+scope of dimension d, ad(x) is x times the matrix with entry C mod p at
+(I, K * d + J), taken as one `GF.sparse_matmul` over the table's own rows,
+so a vector of u reads only the rows with I in u.  The reference the tests compare the table
 with, a bracket by `Root` arithmetic, is `sparse_bracket` in
 `tests/oracles.py`.
 
@@ -193,18 +195,35 @@ class ChevalleyBasis:
         return np.array(gens) if reached.all() else np.arange(self.dim)
 
     def ad_of(self, field: GF, vecs: np.ndarray, scope: str = "g") -> np.ndarray:
-        """ad(x) over the field for x in scope coordinates ("g" or "u").
+        """ad(x) over the field on the scope ("g" or "u"), as int16 matrices
+        (columns act).
 
-        One vector gives one (d, d) matrix; a stack (..., d) gives (..., d, d).
-        Only the stack rows of the basis elements in the support are read.
+        x has n_pos coordinates (x in u) or, in scope "g", dim coordinates.
+        One vector gives one (d, d) matrix; a stack (..., len) gives
+        (..., d, d), for d the dimension of the scope.  Entry [K, J] is the
+        x_K-coefficient of [x, x_J], gathered from the bracket rows by
+        `GF.sparse_matmul` (`_ad_layers`).
         """
         d = self.dim if scope == "g" else self.n_pos
-        flat = vecs.reshape(-1, d)
-        support = np.flatnonzero(flat.any(axis=0))
-        if not len(support):
-            return field.zeros(vecs.shape[:-1] + (d, d))
-        rows = self.field_data(field)[support, :d, :d].reshape(len(support), d * d)
-        return field.matmul(flat[:, support], rows).reshape(vecs.shape[:-1] + (d, d))
+        length, lengths = vecs.shape[-1], sorted({self.n_pos, d})
+        if length not in lengths:
+            raise ValueError(
+                f"ad on {scope} takes vectors of length {' or '.join(map(str, lengths))}, not {length}"
+            )
+        ad = field.sparse_matmul(vecs, self._ad_layers(field.p, length, d), d * d)
+        return ad.astype(np.int16, copy=False).reshape(vecs.shape[:-1] + (d, d))
+
+    @lru_cache(maxsize=None)
+    def _ad_layers(self, p: int, length: int, d: int) -> list[tuple]:
+        """`GF.entry_layers` of the (length, d * d) matrix whose entry
+        (I, K * d + J) is C mod p for each bracket row [x_I, x_J] = C x_K
+        with I < length and J, K < d.  F_p and every F_{p^r} read the same layers, since
+        F_p is encoded as itself.  The u-rows give one layer: a column
+        (K, J) fixes the weight of x_I, and a root's weight fixes the root."""
+        I, J, K, C = self.brackets.T
+        C = C % p
+        keep = (I < length) & (J < d) & (K < d) & (C != 0)
+        return GF.entry_layers(I[keep], K[keep] * d + J[keep], C[keep].astype(np.int16))
 
     # -- divided-power exponentials ------------------------------------------------
 

@@ -90,6 +90,8 @@ def cmd_tables(args, out) -> int:
     which = args.which
     if args.golden_file == "":
         raise CliError("--golden-file needs a path")
+    if args.write_golden and (args.golden or args.golden_file):
+        raise CliError("--write-golden writes the embedded table; it takes no --golden or --golden-file")
     if args.type is not None:
         if which != "maxsets" or args.golden or args.golden_file or args.write_golden:
             raise CliError(

@@ -259,20 +259,18 @@ def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
     subalgebra generated by the basis elements it kills.  It is applied
     only to the columns `ChevalleyBasis.lie_generators`: x_{+-alpha_i}, or
     all of g where these do not generate g mod p.  With V those columns of
-    ad(x), ad(x)^p V is p - 1 products ad(x) V.  The rows go in chunks whose
-    (rows, dim, dim) ad stacks hold about `_AD_CHUNK` entries.  Each
-    distinct row is tested once (`GF.distinct_rows`)."""
+    ad(x), ad(x)^p V is p - 1 products ad(x) V.  ad(x) on g is gathered
+    from the u-rows of the bracket table alone (`ChevalleyBasis.ad_of`).
+    The rows go in chunks whose (rows, dim, dim) ad stacks hold about
+    `_AD_CHUNK` entries.  Each distinct row is tested once
+    (`GF.distinct_rows`)."""
     gf = setting.field
-    d = setting.basis.dim
     cols = setting.basis.lie_generators(gf.p)
-    step = max(1, _AD_CHUNK // d**2)
+    step = max(1, _AD_CHUNK // setting.basis.dim**2)
     rows_u, inverse = gf.distinct_rows(rows_u)
     out = np.zeros(len(rows_u), dtype=bool)
     for lo in range(0, len(rows_u), step):
-        chunk = rows_u[lo : lo + step]
-        rows_g = gf.zeros((len(chunk), d))
-        rows_g[:, : setting.n_pos] = chunk
-        ad = setting.basis.ad_of(gf, rows_g, "g")
+        ad = setting.basis.ad_of(gf, rows_u[lo : lo + step], "g")
         V = ad[:, :, cols]
         for _ in range(gf.p - 1):
             V = gf.matmul(ad, V)

@@ -7,7 +7,9 @@ polynomial.  The polynomial per (p, r) is pinned in IRREDUCIBLE so that
 encodings never change between runs.
 
 All elementwise operations go through q x q lookup tables, which makes them
-vectorizable with numpy fancy indexing.  A matrix product is r BLAS products
+vectorizable with numpy fancy indexing.  `GF` refuses q >= `MAX_Q` = 2^11
+before it builds any table: the tables hold int16 entries below q, and at
+q = 2^11 each holds 4 Mi entries.  A matrix product is r BLAS products
 over the base-p digit planes of the encodings (`GF.matmul`), in float32 while
 r k (p-1)^2 < 2^24 for contraction length k: every partial sum is then an
 integer below 2^24, which float32 holds exactly in any summation order.
@@ -40,6 +42,9 @@ IRREDUCIBLE = {
 
 _CACHE: dict[tuple[int, int], "GF"] = {}
 
+# every q is below this: see the module docstring
+MAX_Q = 1 << 11
+
 # float elements per piece of a `GF.matmul` product (256 KiB of float32)
 _MATMUL_PIECE = 1 << 16
 
@@ -65,16 +70,20 @@ class GF:
     """The field with q = p^degree elements; use GF.get() for the cached instance."""
 
     def __init__(self, p: int, degree: int = 1):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not a prime")
+        # cheap checks first: the pinned degrees keep p**degree small, and the
+        # bound keeps is_prime's trial division short
         if degree < 1:
             raise ValueError(f"field degree {degree} is not positive")
         if degree > 1 and (p, degree) not in IRREDUCIBLE:
             raise ValueError(f"no pinned irreducible polynomial for F_{p}^{degree}")
+        q = p**degree
+        if q >= MAX_Q:
+            raise ValueError(f"q = {q} is too large: fields hold q < {MAX_Q}")
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
         self.p = p
         self.degree = degree
-        self.q = p**degree
-        q = self.q
+        self.q = q
         if degree == 1:
             add = (np.arange(q)[:, None] + np.arange(q)[None, :]) % p
             mul = (np.arange(q)[:, None] * np.arange(q)[None, :]) % p
@@ -225,10 +234,16 @@ class GF:
 
     @staticmethod
     def layers(M: np.ndarray) -> list[tuple]:
-        """The nonzero entries M[a, b] = c of a matrix for `sparse_matmul`, in
-        layers (a, b, c): layer l holds the l-th entry of each column b."""
-        b, a = np.nonzero(M.T)
-        c = M[a, b]
+        """The nonzero entries of a matrix as `entry_layers`."""
+        a, b = np.nonzero(M)
+        return GF.entry_layers(a, b, M[a, b])
+
+    @staticmethod
+    def entry_layers(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[tuple]:
+        """Entries M[a, b] = c of a matrix for `sparse_matmul`, in layers
+        (a, b, c): layer l holds the l-th entry of each column b."""
+        order = np.argsort(b)
+        a, b, c = a[order], b[order], c[order]
         k = np.arange(len(b)) - np.searchsorted(b, b)  # place within column b
         return [(a[k == l], b[k == l], c[k == l]) for l in range(k.max(initial=-1) + 1)]
 

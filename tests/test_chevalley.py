@@ -627,12 +627,78 @@ def test_divided_power_integrality_and_example_4_6():
     assert (exp_M0_mod3 != naive).any()
 
 
-def test_per_basis_data_is_built_once():
-    # F_5 and F_25 read one mod-5 stack; exp_terms is formed once per root
+def test_per_basis_data_is_built_once(monkeypatch):
+    # F_5 and F_25 read one mod-5 stack and gather ad from one layer list;
+    # exp_terms is formed once per root
     sys_, cb = constants("B", 2)
     assert cb.field_data(GF.get(5)) is cb.field_data(GF.get(5, 2))
+    seen = []
+    sparse_matmul = GF.sparse_matmul
+
+    def spy(gf, X, layers, width):
+        seen.append(layers)
+        return sparse_matmul(gf, X, layers, width)
+
+    monkeypatch.setattr(GF, "sparse_matmul", spy)
+    for field in [(5, 1), (5, 2)]:
+        cb.ad_of(GF.get(*field), GF.get(*field).zeros(cb.n_pos), "g")
+    assert len(seen) == 2 and seen[0] is seen[1]
+    assert len(seen[0]) == 1  # u-rows: each entry of ad(x) comes from one bracket row
     a = sys_.simple_roots[1]
     assert cb.exp_terms(a) is cb.exp_terms(a)
+
+
+AD_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (5, 2), (7, 3)]
+
+
+def _ad_by_stack(gf, stack, x, d):
+    """sum_I x_I ad(x_I) on the first d basis elements, in integers from the
+    dense `field_data` stack: its entries lie in F_p, and a scalar of F_p
+    scales each base-p digit of an element of F_q on its own."""
+    out = np.zeros(x.shape[:-1] + (d, d), dtype=np.int64)
+    for k in range(gf.degree):
+        digit = x.astype(np.int64) // gf.p**k % gf.p
+        plane = sum(digit[..., i, None, None] * stack[i, :d, :d] for i in range(x.shape[-1]))
+        out += plane % gf.p * gf.p**k
+    return out.astype(np.int16)
+
+
+@pytest.mark.parametrize("field", AD_FIELDS, ids=[f"F{p}^{r}" for p, r in AD_FIELDS])
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_ad_of_matches_the_dense_stack(t, n, field, monkeypatch):
+    # u-length vectors on u and on g, g-length vectors on g: one vector, a
+    # stack, a zero vector and an empty stack; F_{7^3} gathers through the
+    # int32 flat tables
+    sys_, cb = constants(t, n, canonical=False)
+    gf = GF.get(*field)
+    stack = cb.field_data(gf)
+    rng = np.random.default_rng([ord(t), n, *field])
+    cases = []
+    for length, scope in [(cb.n_pos, "u"), (cb.n_pos, "g"), (cb.dim, "g")]:
+        d = cb.dim if scope == "g" else cb.n_pos
+        for shape in [(length,), (2, 3, length), (0, length)]:
+            x = rng.integers(0, gf.q, shape).astype(np.int16)
+            cases.append((x, scope, _ad_by_stack(gf, stack, x, d)))
+        cases.append((gf.zeros(length), scope, gf.zeros((d, d))))
+
+    def refuse(*args):
+        raise AssertionError("ad_of called GF.matmul")
+
+    monkeypatch.setattr(GF, "matmul", refuse)
+    for x, scope, want in cases:
+        got = cb.ad_of(gf, x, scope)
+        assert got.dtype == np.int16 and got.shape == want.shape
+        assert (got == want).all(), (x.shape, scope)
+
+
+def test_ad_of_rejects_other_lengths():
+    # only u- and g-length vectors are accepted, and only u-length ones on u
+    sys_, cb = constants("B", 4)
+    gf = GF.get(5)
+    for length, scope in [(cb.n_pos - 1, "u"), (cb.n_pos + 1, "g"), (cb.dim - 1, "g"),
+                          (cb.dim + 1, "g"), (cb.dim, "u")]:
+        with pytest.raises(ValueError, match="takes vectors of length"):
+            cb.ad_of(gf, gf.zeros((2, length)), scope)
 
 
 def test_p_power_rejects_unfaithful_scope():

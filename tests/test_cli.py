@@ -81,6 +81,18 @@ def test_write_golden_reproduces_the_checked_in_file(monkeypatch, tmp_path, whic
     assert path.read_bytes() == checked_in
 
 
+@pytest.mark.parametrize("extra", [["--golden"], ["--golden-file", "primes.json"]],
+                         ids=["golden", "golden-file"])
+def test_write_golden_refuses_a_diff(monkeypatch, tmp_path, capsys, extra):
+    # --write-golden with a diff flag is invalid input: nothing is written
+    monkeypatch.setattr(golden, "GOLDEN_DIR", tmp_path)
+    code, out = run(["tables", "--which", "primes", "--write-golden"] + extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "--write-golden" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "content,reason",
     [
@@ -251,6 +263,8 @@ def test_verify_orbits_a2_q_1_mod_3():
         (["enumerate", "--type", "G2", "--dim", "3"], "the following arguments are required: --p"),
         (["tables", "--which", "bogus"], "argument --which: invalid choice: 'bogus'"),
         (["enumerate", "--type", "G2", "--p", "x", "--dim", "3"], "argument --p: invalid int value: 'x'"),
+        # a field too large for its q x q tables is refused before any is built
+        (["verify", "--stage", "unipotent", "--type", "G2", "--p", "100003"], "q = 100003 is too large"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):

@@ -354,3 +354,13 @@ def test_gather_products_match_the_table_definition(field):
     assert (gf.take_matmul(A, B) == _matmul_by_tables(gf, A, B)).all()
     full = np.full((2, 2, 2), gf.q - 1, dtype=np.int16)
     assert (gf.take_matmul(full, full) == _matmul_by_tables(gf, full, full)).all()
+
+
+@pytest.mark.parametrize("p", [2053, 100003, 10**18 + 3])
+def test_fields_past_the_table_bound_are_refused(p, monkeypatch):
+    # q >= MAX_Q is refused before any table is allocated, and before the
+    # trial division that takes minutes on an 18-digit prime
+    for alloc in ("zeros", "arange"):
+        monkeypatch.setattr(np, alloc, lambda *a, **k: pytest.fail("allocated a table"))
+    with pytest.raises(ValueError, match=f"q = {p} is too large"):
+        GF(p)
