@@ -25,10 +25,14 @@ abelian ideal, is b w lie(I), and `_closed_orbit_word` clears it by root
 elements and reads its pivot set's path to I from the catalog; any other
 point reads a path in its fusion tree.  Every word is replayed onto its form
 before it is returned.
+The generators of B(F_q) are few: torus conjugation turns x_alpha(1) into
+x_alpha(c) for every c of a subfield F_{p^e}, so x_alpha(t^k) is kept only
+for k < r/e (`_generating_set`).
 A move acts through the nonzero entries of its matrix, by table gathers.
 Fusion skips the points a move fixes, found without a row reduction: a
 reduced point E contains a vector v exactly when v = v[P] E for its pivot
-columns P, and a fixed point only joins itself.
+columns P, and a fixed point only joins itself.  A torus move maps E to
+E D, which row scaling alone reduces.
 The generic orbit BFS over ambient subspaces, which cross-checks the Bruhat
 engine at desk scale, is a test oracle in `tests/oracles.py`.
 """
@@ -594,27 +598,46 @@ def normalizer_basis(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
 
 
 def _generating_set(setting: Setting, roots) -> list[GroupGenerator]:
-    """x_alpha(t) for alpha in roots and t in the F_p-basis of F_q, then
-    alpha_i^vee(lam0) for each simple i and a primitive lam0 (none if q = 2)."""
-    gf = setting.field
+    """x_alpha(t^k) for alpha in roots and k < r/e_alpha, t^k in the F_p-basis
+    1, ..., t^(r-1) of F_q, then alpha_j^vee(lam0) for each simple j and a
+    primitive lam0 (none if q = 2).  With these torus elements T they
+    generate every x_alpha(F_q):
+
+    By Steinberg's relation h x_alpha(c) h^-1 = x_alpha(alpha(h) c), the
+    conjugates of x_alpha(c) by T are x_alpha(lam c) for lam in H_alpha,
+    the group generated by the entries lam0^<alpha, alpha_j^vee> of the
+    alpha_j^vee(lam0) at x_alpha.  x_alpha is additive, so their products
+    are x_alpha(c K) for K = F_p[H_alpha], the F_p-span of a multiplicative
+    group, which is the subfield F_{p^e} generated by those entries: e_alpha
+    is the least e with x^(p^e) = x for each.  t generates F_q over F_p,
+    hence over K, so 1, ..., t^(r/e - 1) is a K-basis of F_q and the kept
+    x_alpha(t^k) give x_alpha(F_q).  Over F_p, and when q = 2, e = r = 1."""
+    gf, system = setting.field, setting.system
     additive, lam0 = gf.generators()
-    gens = [root_group_element(setting.basis, gf, a, t) for a in roots for t in additive]
+    torus = []
     if lam0 != 1:
-        rank = setting.system.rank
-        gens += [cocharacter_element(setting.basis, gf, i, lam0) for i in range(1, rank + 1)]
-    return gens
+        torus = [cocharacter_element(setting.basis, gf, j, lam0) for j in range(1, system.rank + 1)]
+    gens = []
+    for a in roots:
+        i = system.signed_index(a)
+        entries = [int(h.matrix[i, i]) for h in torus]
+        e = next(e for e in count(1) if all(gf.power(x, gf.p**e) == x for x in entries))
+        gens += [root_group_element(setting.basis, gf, a, t) for t in additive[: gf.degree // e]]
+    return gens + torus
 
 
 def borel_generators(setting: Setting) -> list[GroupGenerator]:
-    """Generators of B(F_q): x_alpha(t) for t in the F_p-basis 1, ..., t^(r-1)
-    of F_q and each positive alpha that is no sum beta + gamma of positive
-    roots with N_{beta,gamma} != 0 mod p, and alpha_i^vee(lam0) for simple i
-    and a primitive lam0 (none when q = 2).  By descending induction on
-    height, [x_beta(t), x_gamma(1)] = x_alpha(+-N t) times higher root
-    elements puts each dropped x_alpha in <kept> Phi(U), so by Burnside's
-    basis theorem the kept ones generate the p-group U(F_q) (x_alpha is
-    additive in t, alpha^vee multiplicative).  In a finite group the
-    components of a generator graph are the orbits.
+    """Generators of B(F_q): `_generating_set` of the positive roots alpha
+    that are no sum beta + gamma of positive roots with N_{beta,gamma} != 0
+    mod p.  By descending induction on height, [x_beta(t), x_gamma(1)] =
+    x_alpha(+-N t) times higher root elements puts each dropped x_alpha in
+    <kept> Phi(U), so by Burnside's basis theorem the x_alpha(t) of the kept
+    alpha and every t in the F_p-basis of F_q generate the p-group U(F_q)
+    (x_alpha is additive in t, alpha^vee multiplicative).  The generating
+    set holds the torus T, and with it every x_alpha(F_q) of a kept alpha,
+    so the group it generates contains U and T: it is B.  Over G2/F25 both
+    simple roots keep x_alpha(1) alone, as H_alpha is all of F_25^x.
+    In a finite group the components of a generator graph are the orbits.
     """
     made = set(setting.system.sum_index[np.nonzero(setting.n_mod_p)].tolist())
     roots = setting.system.positive_roots
@@ -643,7 +666,8 @@ def _moves(setting: Setting) -> tuple[list[GroupGenerator], list[list[tuple]]]:
     B(F_q), then the simple reflections (they suffice by
     `g_conjugacy_classes`), with the nonzero entries M[a, b] = c of the
     u-rows M = g.matrix.T[:n_pos] (the points lie in u) in layers (a, b, c):
-    layer l holds the l-th entry of each column b."""
+    layer l holds the l-th entry of each column b.  A torus move's u-rows
+    are diagonal: one layer, with a == b."""
     words = [w for w in weyl_words_all(setting.system) if len(w) == 1]
     gens = borel_generators(setting) + [
         weyl_word_element(setting.basis, setting.field, w) for w in words
@@ -652,6 +676,14 @@ def _moves(setting: Setting) -> tuple[list[GroupGenerator], list[list[tuple]]]:
 
 
 # -- Bruhat fusion: exact G(F_q)-conjugacy on points inside u ---------------------------
+
+
+def _torus_forms(gf: GF, scale: np.ndarray, E: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Canonical forms of the images E D of a stack of reduced points E, with
+    pivot columns `pivots`, under D = diag(scale) on u.  Row k of E D is
+    zero at every pivot but its own, where it holds scale[pivots[k]], so E D
+    divided row by row by those entries is reduced, with the pivots of E."""
+    return gf.MUL[E, gf.MUL[scale, gf.INV[scale[pivots]][..., None]]]
 
 
 @dataclass
@@ -681,14 +713,17 @@ def g_conjugacy_classes(
     Every union that merges two classes is kept as an edge of their tree.
 
     Each move takes a chunk of points at a time and acts through the nonzero
-    entries of its u-rows (`GF.sparse_matmul`, table gathers; a Weyl or
-    torus move has one per row).  A point E_i that the move fixes is
+    entries of its u-rows (`GF.sparse_matmul`, table gathers; a Weyl move
+    has one per row).  A point E_i that the move fixes is
     skipped: E_i is reduced, its rows are unit vectors at its pivot columns
     P_i, so an image row v lies in E_i exactly when v = v[P_i] E_i (r table
     terms, `GF.take_matmul`), and a fixed point only gives the edge (i, i),
     which merges nothing.  The other images inside u are reduced by
-    `canonical` and found by `np.searchsorted` in the sorted key array of
-    the points.  Of the pairs of one move, numpy drops those whose classes
+    `canonical`.  A move whose u-rows are diagonal (a torus element, told
+    from its matrix) needs neither step: its image E_i D is reduced up to
+    row scale (`_torus_forms`), and E_i is fixed exactly when that form is
+    E_i.  The forms are found by `np.searchsorted` in the sorted key array
+    of the points.  Of the pairs of one move, numpy drops those whose classes
     were already one when the move began and all but the first that join
     the same two classes; the union-find walks the rest in point order, so
     the unions, and hence the trees (rows of one int array, at most
@@ -719,17 +754,28 @@ def g_conjugacy_classes(
     # the generators of B(F_q) keep u; a simple reflection counts on the
     # points it keeps inside u
     for k_move, (g, layers) in enumerate(zip(*_moves(setting))):
+        a, b, c = layers[0]
+        scale = None  # the diagonal of a torus move's u-rows
+        if len(layers) == 1 and (a == b).all():
+            scale = gf.zeros(n)
+            scale[a] = c
         src, dst = [], []
         for lo in range(0, npts, step):
-            E = rows_all[lo : lo + step]
-            imgs = gf.sparse_matmul(E, layers, d)
-            inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
-            imgs, E = imgs[inside, :, :n], E[inside]
-            coeffs = np.take_along_axis(imgs, pivots[lo + inside, None, :], axis=2)
-            moved = (gf.take_matmul(coeffs, E) != imgs).any(axis=(1, 2))
+            E, piv = rows_all[lo : lo + step], pivots[lo : lo + step]
+            if scale is None:
+                imgs = gf.sparse_matmul(E, layers, d)
+                inside = np.flatnonzero(~imgs[:, :, n:].any(axis=(1, 2)))
+                imgs, E = imgs[inside, :, :n], E[inside]
+                coeffs = np.take_along_axis(imgs, piv[inside, None, :], axis=2)
+                moved = (gf.take_matmul(coeffs, E) != imgs).any(axis=(1, 2))
+            else:
+                inside = np.arange(len(E))
+                imgs = _torus_forms(gf, scale, E, piv)
+                moved = (imgs != E).any(axis=(1, 2))
             if not moved.any():
                 continue
-            img_keys = _key_array(setting, canonical(setting, imgs[moved]))
+            imgs = imgs[moved]
+            img_keys = _key_array(setting, imgs if scale is not None else canonical(setting, imgs))
             at = np.minimum(sorted_keys.searchsorted(img_keys), npts - 1)
             if (sorted_keys[at] != img_keys).any():
                 raise ValueError(

@@ -2,7 +2,8 @@
 
 * the ambient orbit BFS over all subspaces of g that the orbits reach, and
   generators of G(F_q) from the simple root groups: a route to conjugacy
-  classes independent of Bruhat fusion;
+  classes independent of Bruhat fusion; `full_generating_set` gives each
+  root group every t of the F_p-basis, whatever the torus already yields;
 * the positive roots generated directly in epsilon coordinates, a route
   independent of the string closure, and `direct_sum` of two root systems;
 * `commute`, the (p-)commuting predicate on one pair of roots, which
@@ -30,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from chevlie.chevalley import ChevalleyBasis, GroupGenerator
+from chevlie.chevalley import ChevalleyBasis, GroupGenerator, cocharacter_element, root_group_element
 from chevlie.commuting import MaxSetCatalog, commuting_set, is_ideal, partial_weyl_orbits
 from chevlie.elementary import (
     BudgetExceeded,
@@ -42,7 +43,6 @@ from chevlie.elementary import (
     get_setting,
     keys,
     normalizer_basis,
-    _generating_set,
 )
 from chevlie.gf import GF
 from chevlie.rootsys import EuclidModel, Root, RootSystem, build_root_system
@@ -115,9 +115,21 @@ def euclid_positive_roots(model: EuclidModel) -> set[Root]:
 # -- orbit decomposition (ambient BFS) ------------------------------------------------
 
 
+def full_generating_set(setting: Setting, roots) -> list[GroupGenerator]:
+    """x_alpha(t) for alpha in roots and every t in the F_p-basis 1, ...,
+    t^(r-1) of F_q, then alpha_j^vee(lam0) for each simple j and a primitive
+    lam0 (none if q = 2): the set before any torus reduction."""
+    gf, cb = setting.field, setting.basis
+    additive, lam0 = gf.generators()
+    gens = [root_group_element(cb, gf, a, t) for a in roots for t in additive]
+    if lam0 != 1:
+        gens += [cocharacter_element(cb, gf, j, lam0) for j in range(1, setting.system.rank + 1)]
+    return gens
+
+
 def chevalley_group_generators(setting: Setting) -> list[GroupGenerator]:
     """x_{+-alpha_i}(t) for simple alpha_i, t in the F_p-basis, and alpha_i^vee(lam0)."""
-    return _generating_set(setting, [b for a in setting.system.simple_roots for b in (a, -a)])
+    return full_generating_set(setting, [b for a in setting.system.simple_roots for b in (a, -a)])
 
 
 @dataclass

@@ -45,6 +45,8 @@ from chevlie.elementary import (
     _generating_set,
     _key_array,
     _moves,
+    _pivots,
+    _torus_forms,
     _cell,
     _p_nilpotent_mask,
     _pivot_sets,
@@ -54,6 +56,7 @@ from oracles import (
     chevalley_group_generators,
     commute,
     direct_sum,
+    full_generating_set,
     matpow,
     orbit_decompose,
 )
@@ -640,12 +643,14 @@ def _reference_classes(setting, points):
     return sorted(out)
 
 
-# len(borel_generators) by (type, rank, q): the kept roots times the degree,
-# plus a torus element per simple root unless q = 2; at these bad p the kept
-# roots are the simple ones and (3,1) for G2, (0,2,1), (2,2,1) for C3 and
-# (0,1,2) for B3
+# len(borel_generators) by (type, rank, q): each kept root times r/e, its
+# x_alpha(t^k) that the torus does not give, plus a torus element per simple
+# root unless q = 2; at these bad p the kept roots are the simple ones and
+# (3,1) for G2, (0,2,1), (2,2,1) for C3 and (0,1,2) for B3; over F_9, F_4
+# and F_25 the torus gives every x_alpha(c) of a simple root (e = r)
 BOREL_GENERATOR_COUNTS = {
-    ("G", 2, 5): 4, ("B", 2, 9): 6, ("A", 3, 4): 9, ("G", 2, 3): 5, ("C", 3, 2): 5, ("B", 3, 2): 4,
+    ("G", 2, 5): 4, ("B", 2, 9): 4, ("A", 3, 4): 6, ("G", 2, 3): 5, ("C", 3, 2): 5, ("B", 3, 2): 4,
+    ("G", 2, 25): 4,
 }
 
 
@@ -687,19 +692,24 @@ def _group_order(setting, gens) -> int:
 
 
 @pytest.mark.parametrize(
-    "t,n,q,order",
-    [
-        ("G", 2, 2, 64), ("G", 2, 3, 2916), ("G", 2, 4, 36864), ("B", 2, 2, 16),
-        ("B", 2, 3, 162), ("A", 2, 4, 192), ("B", 3, 2, 512), ("C", 3, 2, 512),
+    "t,n,p,deg,order",
+    [  # named by t, n, q = p^deg and the order
+        pytest.param(t, n, p, deg, order, id=f"{t}-{n}-{p**deg}-{order}")
+        for t, n, p, deg, order in [
+            ("G", 2, 2, 1, 64), ("G", 2, 3, 1, 2916), ("G", 2, 2, 2, 36864), ("B", 2, 2, 1, 16),
+            ("B", 2, 3, 1, 162), ("A", 2, 2, 2, 192), ("B", 3, 2, 1, 512), ("C", 3, 2, 1, 512),
+            ("A", 1, 3, 2, 36), ("A", 1, 5, 2, 300), ("A", 2, 3, 2, 46656),
+        ]
     ],
 )
-def test_borel_generators_generate_the_borel(t, n, q, order):
+def test_borel_generators_generate_the_borel(t, n, p, deg, order):
     """The kept root groups and the torus generate the group that every
-    positive root group and the torus generate, in the adjoint image:
-    |U||T| for q = 2, 3, 4, over the centre for B2/F3 and A2/F4."""
-    p = 2 if q == 4 else q
-    setting = get_setting(t, n, p, degree=2 if q == 4 else 1)
-    full = _generating_set(setting, setting.system.positive_roots)
+    positive root group over the whole F_p-basis and the torus generate, in
+    the adjoint image: |U||T| for q = 2, 3, 4, over the centre for B2/F3,
+    A2/F4 and A2/F9.  Over F_9 and F_25 the torus of A1 and A2 acts on a
+    simple root group by the squares alone, which still span F_q."""
+    setting = get_setting(t, n, p, degree=deg)
+    full = full_generating_set(setting, setting.system.positive_roots)
     assert len(borel_generators(setting)) < len(full)
     assert _group_order(setting, borel_generators(setting)) == _group_order(setting, full) == order
 
@@ -748,7 +758,11 @@ def test_fusion_trees_span_their_classes(t, n, p, sizes):
 
 
 @pytest.mark.parametrize(
-    "t,n,p,deg,r", [("G", 2, 5, 1, 3), ("A", 2, 7, 1, 2), ("B", 2, 3, 2, 2), ("A", 3, 2, 2, 3)]
+    "t,n,p,deg,r",
+    [
+        ("G", 2, 5, 1, 3), ("A", 2, 7, 1, 2), ("B", 2, 3, 2, 2), ("A", 3, 2, 2, 3),
+        ("A", 2, 7, 3, 2), ("G", 2, 5, 2, 3),
+    ],
 )
 def test_fusion_trees_are_those_of_the_plain_loop(t, n, p, deg, r):
     """The union-find over every (move, point) pair in order, with a dict of
@@ -797,6 +811,22 @@ def test_fusion_refuses_a_list_not_closed_under_borel():
     j = next(j for c in classes for _, k, j in c.edges.tolist() if k < nb)
     with pytest.raises(ValueError, match="not closed under the Borel action"):
         g_conjugacy_classes(setting, points[:j] + points[j + 1 :])
+
+
+def test_fusion_refuses_a_list_not_closed_under_the_torus():
+    # the root-group moves come first, so the root-group edges of the trees
+    # span the components of those moves; without the component of a torus
+    # edge's target the list is closed under them, and the torus move is
+    # the first to map a point out of the list
+    setting = get_setting("G", 2, 5)
+    points = brute_force_Eu(setting, 3)
+    gens = _moves(setting)[0]
+    edges = np.concatenate([c.edges for c in g_conjugacy_classes(setting, points)]).tolist()
+    j = next(j for _, k, j in edges if gens[k].kind == "cocharacter")
+    roots = [e for e in edges if gens[e[1]].kind == "root_group"]
+    drop = next(c for c in _tree_components(roots, len(points)) if j in c)
+    with pytest.raises(ValueError, match="not closed under the Borel action"):
+        g_conjugacy_classes(setting, [E for x, E in enumerate(points) if x not in drop])
 
 
 def test_fusion_refuses_a_list_not_closed_under_weyl():
@@ -868,7 +898,27 @@ def test_move_images_by_entries_match_matmul(t, n, p, deg, r):
             assert len(L) == 1 and sorted(L[0][0].tolist()) == list(range(npos))
     assert left
     if (t, deg) == ("G", 2):
-        assert sum(len(a) for L in layers for a, _, _ in L) == 64
+        assert len(borel_generators(setting)) == BOREL_GENERATOR_COUNTS["G", 2, 25]
+        assert sum(len(a) for L in layers for a, _, _ in L) == 44
+
+
+@pytest.mark.parametrize("t,n,p,deg,r", [("G", 2, 5, 2, 3), ("A", 2, 7, 3, 2)])
+def test_torus_forms_are_the_canonical_images(t, n, p, deg, r):
+    # a torus move's row-scaled image of every point is `canonical` of its
+    # image by entries
+    setting = get_setting(t, n, p, degree=deg)
+    npos, d = setting.n_pos, setting.basis.dim
+    rows = np.stack([E.rows for E in brute_force_Eu(setting, r)])
+    pivots = _pivots(setting, rows)
+    torus = [L for g, L in zip(*_moves(setting)) if g.kind == "cocharacter"]
+    assert len(torus) == setting.system.rank
+    for L in torus:
+        ((a, b, c),) = L
+        assert (a == b).all()
+        scale = setting.field.zeros(npos)
+        scale[a] = c
+        imgs = setting.field.sparse_matmul(rows, L, d)
+        assert (canonical(setting, imgs[:, :, :npos]) == _torus_forms(setting.field, scale, rows, pivots)).all()
 
 
 MASK_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
