@@ -706,8 +706,8 @@ def test_borel_generators_generate_the_borel(t, n, p, deg, order):
     """The kept root groups and the torus generate the group that every
     positive root group over the whole F_p-basis and the torus generate, in
     the adjoint image: |U||T| for q = 2, 3, 4, over the centre for B2/F3,
-    A2/F4 and A2/F9.  Over F_9 and F_25 the torus of A1 and A2 acts on a
-    simple root group by the squares alone, which still span F_q."""
+    A2/F4 and A2/F9.  Over F_9 and F_25 the torus of A1 acts on its root
+    group by the squares alone, which still span F_q."""
     setting = get_setting(t, n, p, degree=deg)
     full = full_generating_set(setting, setting.system.positive_roots)
     assert len(borel_generators(setting)) < len(full)
