@@ -15,13 +15,13 @@ Every nonzero bracket of two basis elements, [x_I, x_J] = C x_K, is one row
 (I, J, K, C) of the integer table `ChevalleyBasis.brackets`, built once per
 basis from `sum_index` and `constants`: root with root, x_a with x_{-a} (the
 coroot h_a) and h with a root.  E8 has 16,694 rows.  `ad_matrix` is one
-slice of it over Z, and `field_data` scatters it mod p into one int16
-(dim, dim, dim) stack per prime.  `ad_of` reads the rows directly: on a
-scope of dimension d, ad(x) is x times the matrix with entry C mod p at
+slice of it over Z.  `ad_of` reads the rows directly: on a scope of
+dimension d, ad(x) is x times the matrix with entry C mod p at
 (I, K * d + J), taken as one `GF.sparse_matmul` over the table's own rows,
-so a vector of u reads only the rows with I in u.  The reference the tests compare the table
-with, a bracket by `Root` arithmetic, is `sparse_bracket` in
-`tests/oracles.py`.
+so a vector of u reads only the rows with I in u.  No dense
+(dim, dim, dim) ad stack is built here.  The references the tests compare
+the table with are in `tests/oracles.py`: a bracket by `Root` arithmetic,
+`sparse_bracket`, and the dense stack mod p, `ad_stack`.
 
 Group elements act through integer divided-power exponentials: the matrices
 ad(x_a)^k / k! are formed over Z first and only then reduced mod p.  The mod-p
@@ -158,22 +158,6 @@ class ChevalleyBasis:
         M = np.zeros((self.dim, self.dim), dtype=np.int64)
         M[K, J] = C
         return M
-
-    # -- per-field data ----------------------------------------------------------
-
-    def field_data(self, field: GF) -> np.ndarray:
-        """ad of every basis element mod p: an int16 (dim, dim, dim) stack whose
-        entry [I, K, J] is the x_K-coefficient of [x_I, x_J].  There is one
-        stack per characteristic: F_p and every F_{p^r} read the same one,
-        since F_p is encoded as itself."""
-        return self._stack_mod(field.p)
-
-    @lru_cache(maxsize=None)
-    def _stack_mod(self, p: int) -> np.ndarray:
-        stack = np.zeros((self.dim,) * 3, dtype=np.int16)
-        I, J, K, C = self.brackets.T
-        stack[I, K, J] = C % p
-        return stack
 
     @lru_cache(maxsize=None)
     def lie_generators(self, p: int) -> np.ndarray:

@@ -108,14 +108,23 @@ class Setting:
         """ad must be injective on u for p-nilpotency to characterize p-power 0.
 
         Only the block of ad(x_alpha) from the x_{-beta} columns to the h rows
-        is checked: [x_alpha, x_{-alpha}] = h_alpha.  Its rows are a subset of
-        the rows of the whole matrix, so a trivial kernel of the block proves
-        a trivial kernel of ad on u.
+        is checked.  Its rows are a subset of the rows of the whole matrix, so
+        a trivial kernel of the block proves a trivial kernel of ad on u.  The
+        block is the coroot rows of the bracket table, [x_alpha, x_{-alpha}]
+        = h_alpha: column alpha is zero outside the x_{-alpha} column of
+        ad(x_alpha), where it holds the coroot alpha^vee in simple coroots.
+        The columns have disjoint supports, so the kernel is trivial exactly
+        when no coroot vanishes mod p.  Every coroot is W-conjugate to a
+        simple coroot, so its coefficients have gcd 1: the check cannot fail.
+        It stays as the check on the basis the rest of this module relies
+        on, and `perfbench/tracing.py` pins `GF.nullspace` on the `unipotent`
+        workload, where this is its only caller.
         """
-        gf = self.field
-        stack = self.basis.field_data(gf)
-        n = self.system.num_positive
-        M = np.stack([stack[i][2 * n :, n : 2 * n].reshape(-1) for i in range(n)], axis=1)
+        gf, n = self.field, self.n_pos
+        I, J, K, C = self.basis.brackets.T
+        rows = (I < n) & (J == I + n)
+        M = gf.zeros((self.system.rank * n, n))
+        M[(K[rows] - 2 * n) * n + J[rows] - n, I[rows]] = C[rows] % gf.p
         if len(gf.nullspace(M)):
             raise ArithmeticError(
                 f"adjoint representation not faithful on u for {self.system} over {gf}"
@@ -257,6 +266,9 @@ def is_elementary(setting: Setting, rows_u: np.ndarray) -> bool:
 
 def _p_nilpotent_mask(setting: Setting, rows_u: np.ndarray) -> np.ndarray:
     """Boolean mask over candidate u-rows: ad(x)^p == 0 in g.
+
+    ad(x)^p = ad(x^[p]), and ad is injective on u (`Setting._check_faithful`),
+    so ad(x)^p == 0 is equivalent to x^[p] == 0.
 
     ad(x)^p is a derivation in characteristic p (Leibniz's rule for D^p has
     binomials C(p, k) = 0 mod p for 0 < k < p; Jacobson), so it kills the

@@ -14,6 +14,8 @@
 * `p_power` by `matpow`, `sparse_bracket` with `Root` arithmetic and
   `structure_constant` (one N_{a,b}), and the `csv_lines` dump of the
   structure constants: routes independent of the bracket table;
+* `ad_stack`, the dense (dim, dim, dim) ad of every basis element mod p,
+  the reference for the table gathers of `ChevalleyBasis.ad_of`;
 * the G2 witness, the Bruhat fusion classes of G2 over small F_q that the
   LEDGER entries on G2 cite.
 
@@ -395,6 +397,17 @@ def matpow(field: GF, A: np.ndarray, n: int) -> np.ndarray:
     return P
 
 
+def ad_stack(basis: ChevalleyBasis, p: int) -> np.ndarray:
+    """ad of every basis element mod p: an int16 (dim, dim, dim) stack whose
+    entry [I, K, J] is the x_K-coefficient of [x_I, x_J].  F_p and every
+    F_{p^r} read the same one, since F_p is encoded as itself.  Uncached:
+    E8's stack is 29 MiB."""
+    stack = np.zeros((basis.dim,) * 3, dtype=np.int16)
+    I, J, K, C = basis.brackets.T
+    stack[I, K, J] = C % p
+    return stack
+
+
 def p_power(basis: ChevalleyBasis, field: GF, x: np.ndarray) -> np.ndarray:
     """The unique y with ad(y) = ad(x)^p, solved in the scope of x: u when x
     has `n_pos` coordinates, g when it has `dim`.
@@ -406,7 +419,7 @@ def p_power(basis: ChevalleyBasis, field: GF, x: np.ndarray) -> np.ndarray:
     xg = field.zeros(basis.dim)
     xg[:k] = x  # u is the span of the first n_pos basis elements of g
     P = matpow(field, basis.ad_of(field, xg), field.p)
-    M = basis.field_data(field)[:k].reshape(k, -1).T
+    M = ad_stack(basis, field.p)[:k].reshape(k, -1).T
     sol = field.solve_affine(M, P.reshape(-1))
     if sol is None:
         raise ArithmeticError("ad(y) = ad(x)^p has no solution in this scope")

@@ -5,6 +5,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -15,13 +17,15 @@ from chevlie.golden import TABLE1_RANKS
 from chevlie.orders import RootOrder, canonical_order, default_order
 from chevlie.rootsys import EuclidModel, Root, build_root_system
 from chevlie.chevalley import (
+    ChevalleyBasis,
     build_constants,
     cocharacter_element,
     root_group_element,
     weyl_rep_element,
     weyl_word_element,
 )
-from oracles import commute, csv_lines, p_power, sparse_bracket, structure_constant
+from chevlie.elementary import Setting
+from oracles import ad_stack, commute, csv_lines, direct_sum, p_power, sparse_bracket, structure_constant
 
 
 def constants(t, n, canonical=True):
@@ -116,8 +120,8 @@ def test_bracket_table_matches_root_arithmetic(t, n):
 
 
 def test_e8_setting_memory():
-    # the E8 setting keeps one int16 ad stack (30 MiB); dense int64 copies of
-    # ad took the peak to 351 MiB.  The child reports VmHWM, the peak of its
+    # the E8 setting keeps no ad stack; dense int64 copies of ad took the
+    # peak to 351 MiB.  The child reports VmHWM, the peak of its
     # own address space: Linux carries ru_maxrss across exec, so that would
     # report the peak of this test process instead.
     script = (
@@ -130,6 +134,45 @@ def test_e8_setting_memory():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert int(out.stdout) / 1024 < 150  # kB to MiB
+
+
+def test_e8_settings_build_no_ad_stack():
+    # a Setting reads the coroot rows of the bracket table: four E8 settings
+    # on one basis allocate no (dim, dim, dim) stack.  A dense int16 stack
+    # per prime, cached on the basis, took the traced peak to 117 MiB
+    sys_ = build_root_system("E", 8)
+    cb = ChevalleyBasis(sys_, default_order(sys_))
+    fields = [GF.get(p) for p in (2, 3, 5, 7)]
+    tracemalloc.start()
+    try:
+        for gf in fields:
+            Setting(sys_, cb, gf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def _coroot_columns(cb):
+    """(rank, n_pos): column alpha is the coroot alpha^vee in simple coroots,
+    read from the [x_alpha, x_{-alpha}] = h_alpha rows of the bracket table."""
+    n = cb.n_pos
+    I, J, K, C = cb.brackets.T
+    rows = (I < n) & (J == I + n)
+    cols = np.zeros((cb.system.rank, n), dtype=np.int64)
+    cols[K[rows] - 2 * n, I[rows]] = C[rows]
+    return cols
+
+
+@pytest.mark.parametrize("name", [f"{t}{n}" for t, n in TABLE1_RANKS] + ["B2+G2"])
+def test_coroot_columns_have_gcd_one(name):
+    # every coroot is W-conjugate to a simple coroot, so its coefficients
+    # have gcd 1: no column vanishes mod any p, and ad is faithful on u in
+    # every characteristic (the check `Setting` makes cannot fail)
+    sys_ = reduce(direct_sum, [build_root_system(part[0], int(part[1:])) for part in name.split("+")])
+    cols = _coroot_columns(build_constants(sys_, default_order(sys_)))
+    assert (cols.T == [sys_.coroot_coeffs(r) for r in sys_.positive_roots]).all()
+    assert (np.gcd.reduce(cols, axis=0) == 1).all()
 
 
 @pytest.mark.parametrize("t,n", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
@@ -628,10 +671,9 @@ def test_divided_power_integrality_and_example_4_6():
 
 
 def test_per_basis_data_is_built_once(monkeypatch):
-    # F_5 and F_25 read one mod-5 stack and gather ad from one layer list;
-    # exp_terms is formed once per root
+    # F_5 and F_25 gather ad from one layer list; exp_terms is formed once
+    # per root
     sys_, cb = constants("B", 2)
-    assert cb.field_data(GF.get(5)) is cb.field_data(GF.get(5, 2))
     seen = []
     sparse_matmul = GF.sparse_matmul
 
@@ -653,7 +695,7 @@ AD_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (5, 2), (7, 3)]
 
 def _ad_by_stack(gf, stack, x, d):
     """sum_I x_I ad(x_I) on the first d basis elements, in integers from the
-    dense `field_data` stack: its entries lie in F_p, and a scalar of F_p
+    dense `ad_stack`: its entries lie in F_p, and a scalar of F_p
     scales each base-p digit of an element of F_q on its own."""
     out = np.zeros(x.shape[:-1] + (d, d), dtype=np.int64)
     for k in range(gf.degree):
@@ -671,7 +713,7 @@ def test_ad_of_matches_the_dense_stack(t, n, field, monkeypatch):
     # int32 flat tables
     sys_, cb = constants(t, n, canonical=False)
     gf = GF.get(*field)
-    stack = cb.field_data(gf)
+    stack = ad_stack(cb, gf.p)
     rng = np.random.default_rng([ord(t), n, *field])
     cases = []
     for length, scope in [(cb.n_pos, "u"), (cb.n_pos, "g"), (cb.dim, "g")]:

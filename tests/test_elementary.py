@@ -1,5 +1,6 @@
 """Leading terms, exhaustive enumeration, solving, conjugation, orbits."""
 
+import copy
 import hashlib
 import random
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from chevlie.gf import GF
+from chevlie.golden import TABLE1_RANKS
 from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import Root, build_root_system
 from chevlie.chevalley import (
@@ -52,6 +54,7 @@ from chevlie.elementary import (
     _pivot_sets,
 )
 from oracles import (
+    ad_stack,
     b_family,
     chevalley_group_generators,
     commute,
@@ -921,6 +924,43 @@ def test_torus_forms_are_the_canonical_images(t, n, p, deg, r):
         assert (canonical(setting, imgs[:, :, :npos]) == _torus_forms(setting.field, scale, rows, pivots)).all()
 
 
+@pytest.mark.parametrize("t,n", TABLE1_RANKS)
+def test_faithfulness_block_is_the_dense_block(t, n, monkeypatch):
+    # the block `Setting` hands to GF.nullspace, read from the coroot rows of
+    # the bracket table, is ad(x_alpha) from the x_{-beta} columns to the h
+    # rows of the dense stack
+    seen = []
+    nullspace = GF.nullspace
+
+    def spy(gf, M):
+        seen.append(M)
+        return nullspace(gf, M)
+
+    monkeypatch.setattr(GF, "nullspace", spy)
+    for p in (2, 3, 5, 7):
+        base = get_setting(t, n, p)
+        seen.clear()
+        Setting(base.system, base.basis, base.field)
+        npos, stack = base.n_pos, ad_stack(base.basis, p)
+        want = np.stack([stack[i, 2 * npos :, npos : 2 * npos].reshape(-1) for i in range(npos)], axis=1)
+        assert len(seen) == 1 and seen[0].shape == want.shape
+        assert (seen[0] == want).all(), p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_setting_refuses_a_coroot_that_vanishes_mod_p(p):
+    # multiplying alpha's coroot rows [x_alpha, x_{-alpha}] = h_alpha by p
+    # zeroes column alpha of the block mod p, and `Setting` refuses the basis
+    base = get_setting("B", 3, p)
+    npos, alpha = base.n_pos, 4
+    basis = copy.copy(base.basis)
+    basis.brackets = table = base.basis.brackets.copy()
+    table[(table[:, 0] == alpha) & (table[:, 1] == alpha + npos), 3] *= p
+    with pytest.raises(ArithmeticError, match="not faithful"):
+        Setting(base.system, basis, base.field)
+    Setting(base.system, base.basis, base.field)
+
+
 MASK_TYPES = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2)]
 # x_{+-alpha_i} do not generate g mod p exactly here
 MASK_FALLBACK = {("B", 2, 2), ("B", 3, 2), ("B", 4, 2), ("C", 3, 2), ("F", 4, 2), ("G", 2, 2), ("G", 2, 3)}
@@ -931,7 +971,7 @@ def _generated_dim(setting):
     span closed under their brackets by row reduction, independent of the
     walk of `ChevalleyBasis.lie_generators`."""
     gf, system = setting.field, setting.system
-    ads = setting.basis.field_data(gf)
+    ads = ad_stack(setting.basis, gf.p)
     gens = [system.signed_index(b) for a in system.simple_roots for b in (a, -a)]
     span, new = gf.zeros((0, setting.basis.dim)), gf.eye(setting.basis.dim)[gens]
     while True:
