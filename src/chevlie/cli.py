@@ -19,6 +19,7 @@ from .commuting import catalog_to_json, enumerate_max_commuting
 from .elementary import (
     BudgetExceeded,
     DEFAULT_BUDGET,
+    _pivots,
     brute_force_Eu,
     build_leading_term_system,
     check_weyl_order,
@@ -28,7 +29,6 @@ from .elementary import (
     is_elementary,
     leading_term_solve,
     lie,
-    lt,
     normal_form_tag,
     normalizer_in_g,
     solution_subalgebra,
@@ -148,7 +148,8 @@ def _verify_unipotent(t, n, p, budget, out) -> int:
         out.write(f"[BUDGET] exhaustive enumeration rejected: {e}\n")
         return EXIT_BUDGET
     masks = {s.mask for s in cat.sets}
-    ok = all(lt(E).mask in masks for E in points)
+    lead = _pivots(setting, points.rows).tolist()  # each point's leading roots
+    ok = all(sum(1 << i for i in row) in masks for row in lead)
     verdicts.append(ok)
     out.write(f"[{'PASS' if ok else 'FAIL'}] {len(points)} points; lt lands in max(Phi)\n")
     total = 0

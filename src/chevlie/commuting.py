@@ -43,13 +43,6 @@ class CommutingSet:
         return f"CommutingSet({self.system.name}, {sorted(r.coeffs for r in self.members())})"
 
 
-def commuting_set(system: RootSystem, roots) -> CommutingSet:
-    mask = 0
-    for r in roots:
-        mask |= 1 << system.index(r)
-    return CommutingSet(system, mask)
-
-
 @dataclass
 class MaxSetCatalog:
     """The maximum (p-)commuting sets by mask, their ideal flags (`is_ideal`,

@@ -15,7 +15,8 @@ leading-term systems both read it.  Exhaustive enumeration walks the cells
 whose pivots commute mod p (`_pivot_sets`), each one row level at a time,
 solving the bracket constraints of all partial fillings of a level as one
 stack of linear systems (they are linear in each new row) and filtering rows
-by p-nilpotency of the adjoint matrix.  G-conjugacy of
+by p-nilpotency of the adjoint matrix.  Its points stay one key-sorted
+stack (`PointSet`) through fusion.  G-conjugacy of
 points inside u is decided with the Bruhat decomposition: two subalgebras of
 u are conjugate iff generators of B(F_q) and simple reflections, each
 keeping u, join them, so the components of the point set under these moves
@@ -43,6 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, product
+from operator import index
 
 import numpy as np
 
@@ -57,7 +59,7 @@ from .chevalley import (
     weyl_rep_element,
     weyl_word_element,
 )
-from .commuting import CommutingSet, commuting_set, enumerate_max_commuting
+from .commuting import CommutingSet, enumerate_max_commuting
 from .rootsys import Root, RootSystem, build_root_system
 
 
@@ -77,6 +79,8 @@ _FILL_BATCH = 256
 _AD_CHUNK = 1 << 18
 # entries of the (points, r, dim) image stack of one Bruhat fusion chunk
 _FUSION_CHUNK = 1 << 16
+# pairs of one move that the fusion union-find reads as Python ints at a time
+_UNION_SLICE = 1 << 12
 
 
 # -- settings -----------------------------------------------------------------
@@ -180,6 +184,26 @@ class ElementarySubalgebra:
         return f"ElementarySubalgebra(dim={self.dim}, lt={lead})"
 
 
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """Points of one dimension r as one (N, r, n_pos) stack of canonical
+    rows (storage coordinates).  Item i is an `ElementarySubalgebra` view
+    of `rows[i]`, built only when read; a stack is 36 B per G2/F25 point
+    against about 224 B per `ElementarySubalgebra`."""
+
+    setting: Setting
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return (ElementarySubalgebra(self.setting, rows) for rows in self.rows)
+
+    def __getitem__(self, i) -> ElementarySubalgebra:
+        return ElementarySubalgebra(self.setting, self.rows[index(i)])
+
+
 def canonical(setting: Setting, rows: np.ndarray) -> np.ndarray:
     """Reduced echelon form of linearly independent rows, in storage coordinates.
 
@@ -244,11 +268,6 @@ def lie(setting: Setting, roots) -> ElementarySubalgebra:
     for k, i in enumerate(idx):
         rows[k, i] = 1
     return subalgebra_from_rows(setting, rows)
-
-
-def lt(E: ElementarySubalgebra) -> CommutingSet:
-    """Leading-term set of the reduced echelon basis."""
-    return commuting_set(E.setting.system, E.leading_roots())
 
 
 def is_elementary(setting: Setting, rows_u: np.ndarray) -> bool:
@@ -331,10 +350,10 @@ def _pivot_sets(setting: Setting, r: int):
     return grow([], list(range(setting.n_pos)))
 
 
-def brute_force_Eu(
-    setting: Setting, r: int, budget: int = DEFAULT_BUDGET
-) -> list[ElementarySubalgebra]:
-    """Every r-dimensional elementary subalgebra of u over the field.
+def brute_force_Eu(setting: Setting, r: int, budget: int = DEFAULT_BUDGET) -> PointSet:
+    """Every r-dimensional elementary subalgebra of u over the field, as a
+    `PointSet` of canonical rows sorted by key (`keys`).  It is closed under
+    B(F_q), as `g_conjugacy_classes` needs.
 
     Echelon-cell traversal: for each set of r pivots that commute mod p
     (`_pivot_sets`) the rows of its `_cell` are filled from the smallest
@@ -348,7 +367,9 @@ def brute_force_Eu(
     q^k for each consistent system with k free entries, before they are
     built; a row repeated in the batch counts each time, although
     p-nilpotency tests it once.  The count C(n, r) of all pivot patterns is
-    bounded up front.
+    bounded up front.  Whatever the budget, one broadcast builds at most
+    `DEFAULT_BUDGET` candidate rows, and the points and the partial
+    fillings of the level in progress hold at most `DEFAULT_BUDGET` entries.
     """
     gf = setting.field
     n = setting.n_pos
@@ -357,7 +378,7 @@ def brute_force_Eu(
     n_patterns = math.comb(n, r)
     if n_patterns > budget:
         raise BudgetExceeded(f"{n_patterns} pivot patterns exceed the budget of {budget}")
-    processed = 0
+    processed = stored = 0  # candidate rows; entries of the points found
     found: list[np.ndarray] = []  # the points of each cell, (F, r, n)
 
     for pos in _pivot_sets(setting, r):
@@ -365,7 +386,7 @@ def brute_force_Eu(
         # partial fillings (F, r - 1 - k, n): the rows of pivots k + 1, ..., r - 1
         fills = gf.zeros((1, 0, n))
         for k in range(r - 1, -1, -1):
-            grown = []
+            grown, held = [], stored
             for lo in range(0, len(fills), _FILL_BATCH):
                 F = fills[lo : lo + _FILL_BATCH]
                 ads = setting.basis.ad_of(gf, F, "u").reshape(len(F), F.shape[1] * n, n)
@@ -398,13 +419,17 @@ def brute_force_Eu(
                 cand, parent = np.concatenate(cands), np.concatenate(parents)
                 keep = _p_nilpotent_mask(setting, cand)
                 grown.append(np.concatenate([cand[keep, None], fills[parent[keep]]], axis=1))
+                held += grown[-1].size
+                if held > DEFAULT_BUDGET:  # whatever the budget, bound what is stored
+                    raise BudgetExceeded(
+                        f"{held} entries of points and partial fillings exceed the "
+                        f"{DEFAULT_BUDGET} held at once"
+                    )
             fills = np.concatenate(grown) if grown else gf.zeros((0, r - k, n))
         found.append(fills)
-    if not found:
-        return []
-    points = np.concatenate(found)
-    points = points[np.argsort(_key_array(setting, points), kind="stable")]
-    return [ElementarySubalgebra(setting, rows) for rows in points]
+        stored += fills.size
+    points = np.concatenate(found) if found else gf.zeros((0, r, n))
+    return PointSet(setting, points[np.argsort(_key_array(setting, points), kind="stable")])
 
 
 # -- leading-term systems --------------------------------------------------------
@@ -710,9 +735,7 @@ class FusionClass:
         return len(self.point_indices)
 
 
-def g_conjugacy_classes(
-    setting: Setting, points: list[ElementarySubalgebra]
-) -> list[FusionClass]:
+def g_conjugacy_classes(setting: Setting, points: PointSet) -> list[FusionClass]:
     """Partition of E(u)(F_q) into G(F_q)-conjugacy classes.
 
     Complete by the Bruhat decomposition: if gE = E' for E, E' in u, write
@@ -720,8 +743,10 @@ def g_conjugacy_classes(
     l(w') < l(w), w(alpha_i) < 0, so alpha_i is outside the support of E_1
     and s_i E_1 lies in u; by induction on l(w), B-moves and simple
     reflections that keep each point inside u join E to E'.  So the classes
-    are the union-find components under `_moves`.  The point list must be
-    closed under B (true for the full enumeration output).
+    are the union-find components under `_moves`.  The points are read as
+    `points.rows`, canonical rows in any order (`brute_force_Eu` sorts them
+    by key); a point index is a row of that stack.  The set must be closed
+    under B, as the output of `brute_force_Eu` is.
     Every union that merges two classes is kept as an edge of their tree.
 
     Each move takes a chunk of points at a time and acts through the nonzero
@@ -737,16 +762,16 @@ def g_conjugacy_classes(
     E_i.  The forms are found by `np.searchsorted` in the sorted key array
     of the points.  Of the pairs of one move, numpy drops those whose classes
     were already one when the move began and all but the first that join
-    the same two classes; the union-find walks the rest in point order, so
-    the unions, and hence the trees (rows of one int array, at most
-    len(points) - 1), are those of the plain loop over every (point, move)
-    pair.
+    the same two classes; the union-find walks the rest in point order, in
+    slices of `_UNION_SLICE` pairs, so the unions, and hence the trees (rows
+    of one int array, at most len(points) - 1), are those of the plain loop
+    over every (point, move) pair.
     """
     if not points:
         return []
     gf = setting.field
     n, d = setting.n_pos, setting.basis.dim
-    rows_all = np.stack([E.rows for E in points])
+    rows_all = points.rows
     npts, r = rows_all.shape[:2]
     point_keys = _key_array(setting, rows_all)
     order = np.argsort(point_keys, kind="stable")
@@ -804,12 +829,14 @@ def g_conjugacy_classes(
         _, first = np.unique(ends[:, 0] * npts + ends[:, 1], return_index=True)
         first = np.sort(first[ends[first, 0] != ends[first, 1]])
         parent = root.tolist()
-        for a, b in zip(i[first].tolist(), j[first].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-                tree[n_edges] = a, k_move, b
-                n_edges += 1
+        for lo in range(0, len(first), _UNION_SLICE):
+            part = first[lo : lo + _UNION_SLICE]
+            for a, b in zip(i[part].tolist(), j[part].tolist()):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+                    tree[n_edges] = a, k_move, b
+                    n_edges += 1
         root = np.array(parent)
         while ((up := root[root]) != root).any():  # pointer jumping
             root = up
@@ -857,7 +884,7 @@ def _fusion_words(setting: Setting) -> dict[bytes, tuple[list, ElementarySubalge
     system, gf = setting.system, setting.field
     check_weyl_order(system)
     points = brute_force_Eu(setting, enumerate_max_commuting(system, p=gf.p).m)
-    packs = keys(setting, np.stack([E.rows for E in points]))
+    packs = keys(setting, points.rows)
     forms = set()
     if system.type_label == "G":
         forms = {F.pack() for F in g2_normal_forms(setting).values()}
@@ -880,7 +907,8 @@ def _fusion_words(setting: Setting) -> dict[bytes, tuple[list, ElementarySubalge
                 if x not in words:
                     words[x] = [g] + words[y]
                     todo.append(x)
-        out.update((packs[i], (w, points[start])) for i, w in words.items())
+        form = points[start]
+        out.update((packs[i], (w, form)) for i, w in words.items())
     return out
 
 

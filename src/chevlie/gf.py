@@ -47,6 +47,8 @@ MAX_Q = 1 << 11
 
 # float elements per piece of a `GF.matmul` product (256 KiB of float32)
 _MATMUL_PIECE = 1 << 16
+# output entries per piece of a gather product (`GF.sparse_matmul`, `GF.take_matmul`)
+_TAKE_PIECE = 1 << 16
 
 
 def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
@@ -250,24 +252,36 @@ class GF:
     def sparse_matmul(self, X: np.ndarray, layers, width: int) -> np.ndarray:
         """X @ M for M of `width` columns given by its `layers`: a gather
         from `FLAT_MUL` per nonzero entry, and one from `FLAT_ADD` per entry
-        past the first of its column.  The result has the type of the tables."""
-        Xq = X.astype(self.FLAT_MUL.dtype) * self.q
-        out = np.zeros(X.shape[:-1] + (width,), dtype=Xq.dtype)
-        for l, (a, b, c) in enumerate(layers):
-            term = self.FLAT_MUL.take(Xq[..., a] + c)
-            out[..., b] = self.FLAT_ADD.take(out[..., b] * self.q + term) if l else term
-        return out
+        past the first of its column.  The result has the type of the tables.
+        The rows of X go in pieces of about `_TAKE_PIECE` output entries,
+        since `take` copies each index array to intp, 8 bytes per entry."""
+        X2 = X.reshape(-1, X.shape[-1])
+        out = np.zeros((len(X2), width), dtype=self.FLAT_MUL.dtype)
+        step = max(1, _TAKE_PIECE // max(width, 1))
+        for lo in range(0, len(X2), step):
+            Xq = X2[lo : lo + step].astype(out.dtype) * self.q
+            piece = out[lo : lo + step]
+            for l, (a, b, c) in enumerate(layers):
+                term = self.FLAT_MUL.take(Xq[:, a] + c)
+                piece[:, b] = self.FLAT_ADD.take(piece[:, b] * self.q + term) if l else term
+        return out.reshape(X.shape[:-1] + (width,))
 
     def take_matmul(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """A @ B for stacks (..., m, k) and (..., k, n) with a short k: k
-        terms gathered from the flat tables, no float planes.  The result
-        has the type of the tables."""
-        Bq = B.astype(self.FLAT_MUL.dtype) * self.q
-        out = self.FLAT_MUL.take(Bq[..., None, 0, :] + A[..., 0, None])
-        for k in range(1, A.shape[-1]):
-            out *= self.q
-            out += self.FLAT_MUL.take(Bq[..., None, k, :] + A[..., k, None])
-            out = self.FLAT_ADD.take(out)
+        """A @ B for stacks (N, m, k) and (N, k, n) with a short k: k terms
+        gathered from the flat tables, no float planes.  The result has the
+        type of the tables.  The stacks go in pieces of about `_TAKE_PIECE`
+        output entries, as in `sparse_matmul`."""
+        out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=self.FLAT_MUL.dtype)
+        step = max(1, _TAKE_PIECE // max(out[:1].size, 1))
+        for lo in range(0, len(out), step):
+            Bq = B[lo : lo + step].astype(out.dtype) * self.q
+            Ak = A[lo : lo + step]
+            acc = self.FLAT_MUL.take(Bq[:, None, 0, :] + Ak[..., 0, None])
+            for k in range(1, A.shape[-1]):
+                acc *= self.q
+                acc += self.FLAT_MUL.take(Bq[:, None, k, :] + Ak[..., k, None])
+                acc = self.FLAT_ADD.take(acc)
+            out[lo : lo + step] = acc
         return out
 
     def rref(self, M: np.ndarray, ncols: int | None = None):

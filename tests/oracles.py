@@ -17,7 +17,9 @@
 * `ad_stack`, the dense (dim, dim, dim) ad of every basis element mod p,
   the reference for the table gathers of `ChevalleyBasis.ad_of`;
 * the G2 witness, the Bruhat fusion classes of G2 over small F_q that the
-  LEDGER entries on G2 cite.
+  LEDGER entries on G2 cite;
+* `commuting_set` of a list of roots and `lt`, the leading-term set of one
+  point read root by root, which the CLI reads for a whole stack at once.
 
 Pytest puts this directory on `sys.path`, so tests read `from oracles import
 ...`; a command outside pytest runs with `PYTHONPATH=src:tests`.
@@ -34,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from chevlie.chevalley import ChevalleyBasis, GroupGenerator, cocharacter_element, root_group_element
-from chevlie.commuting import MaxSetCatalog, commuting_set, is_ideal, partial_weyl_orbits
+from chevlie.commuting import CommutingSet, MaxSetCatalog, is_ideal, partial_weyl_orbits
 from chevlie.elementary import (
     BudgetExceeded,
     ElementarySubalgebra,
@@ -51,6 +53,21 @@ from chevlie.rootsys import EuclidModel, Root, RootSystem, build_root_system
 
 # points of one orbit decomposition
 _MAX_ORBIT_POINTS = 5_000_000
+
+
+# -- commuting sets ----------------------------------------------------------------
+
+
+def commuting_set(system: RootSystem, roots) -> CommutingSet:
+    mask = 0
+    for r in roots:
+        mask |= 1 << system.index(r)
+    return CommutingSet(system, mask)
+
+
+def lt(E: ElementarySubalgebra) -> CommutingSet:
+    """Leading-term set of the reduced echelon basis, root by root."""
+    return commuting_set(E.setting.system, E.leading_roots())
 
 
 # -- root systems ----------------------------------------------------------------

@@ -23,11 +23,7 @@ from chevlie.gf import GF
 from chevlie.orders import canonical_order, default_order
 from chevlie.rootsys import Root, build_root_system
 from chevlie.chevalley import build_constants, root_group_element
-from chevlie.commuting import (
-    commuting_set,
-    enumerate_max_commuting,
-    weyl_stabilizer_generators,
-)
+from chevlie.commuting import enumerate_max_commuting, weyl_stabilizer_generators
 from chevlie.elementary import (
     Setting,
     brute_force_Eu,
@@ -37,7 +33,6 @@ from chevlie.elementary import (
     get_setting,
     leading_term_solve,
     lie,
-    lt,
     normalizer_in_g,
     solution_subalgebra,
     subalgebra_from_rows,
@@ -48,8 +43,10 @@ from oracles import (
     appendix_oracle,
     b_family,
     commute,
+    commuting_set,
     direct_sum,
     g2_witness_classes,
+    lt,
     orbit_decompose,
     sparse_bracket,
 )

@@ -1,13 +1,16 @@
 """Exit codes, golden diffs, and deterministic output of the CLI."""
 
+import hashlib
 import io
 import json
 import time
 
+import numpy as np
 import pytest
 
-from chevlie import golden
+from chevlie import elementary, golden
 from chevlie.cli import main
+from chevlie.elementary import brute_force_Eu, g_conjugacy_classes, get_setting
 
 
 def run(argv):
@@ -367,6 +370,51 @@ def test_large_budget_refuses_one_huge_system():
         "error": "budget",
         "detail": "30517578125 candidate rows exceed the 100000000 built at once",
     }
+
+
+def test_stored_points_are_bounded(monkeypatch):
+    # G2/F25 stores 16,901 x 3 x 6 = 304,218 entries of points, and no
+    # broadcast builds more than 17,559 rows: with the default budget at
+    # 100,000 only the stored entries are refused, whatever --budget says
+    monkeypatch.setattr(elementary, "DEFAULT_BUDGET", 100_000)
+    code, out = run(["enumerate", "--type", "G2", "--p", "5", "--r-ext", "2", "--dim", "3"])
+    assert code == 3 and out.count("\n") == 1
+    assert json.loads(out) == {
+        "error": "budget",
+        "detail": "126450 entries of points and partial fillings exceed the 100000 held at once",
+    }
+
+
+def test_d4_f3_lines_of_dimension_4_are_refused():
+    # 8,889,961 points: listing them took 6.3 GB and, under a memory limit,
+    # ended in a numpy traceback; the stored-entry bound refuses them in one line
+    start = time.perf_counter()
+    code, out = run(["enumerate", "--type", "D4", "--p", "3", "--dim", "4"])
+    assert code == 3 and time.perf_counter() - start < 20
+    assert out.count("\n") == 1
+    assert "entries of points and partial fillings exceed the 100000000 held at once" in out
+
+
+# SHA-256 of `enumerate` stdout and of the int32 little-endian bytes of the
+# concatenated `FusionClass.edges`, recorded before the points became one stack
+ENUMERATE_DIGESTS = {
+    (5, 1): ("08f53b21bd2dc34b99fae1048a947c592db70b3f7b445cabcfa40e07dd93f294",
+             "6a0cc75607bc0c2bd4d8482dfb76a9c5f3f650ef1e2fe603cbe43711dc8a8649"),
+    (5, 2): ("2b0c99c7ad8fb19a6534ee0a31719e95189640de76ba669eecdee595c499bc6f",
+             "d6666e01eaec5ebcc82e225cfbb612210d964f5c97ff0870ccc807b6ed7e251f"),
+}
+
+
+@pytest.mark.parametrize("p,degree", list(ENUMERATE_DIGESTS), ids=["G2-F5", "G2-F25"])
+def test_enumerate_g2_pinned(p, degree):
+    code, out = run(["enumerate", "--type", "G2", "--p", str(p), "--r-ext", str(degree), "--dim", "3"])
+    setting = get_setting("G", 2, p, degree)
+    edges = np.concatenate([c.edges for c in g_conjugacy_classes(setting, brute_force_Eu(setting, 3))])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest(),
+        hashlib.sha256(edges.astype("<i4").tobytes()).hexdigest(),
+    ) == ENUMERATE_DIGESTS[p, degree]
 
 
 @pytest.mark.parametrize(

@@ -11,14 +11,13 @@ from chevlie.rootsys import Root, build_root_system
 from chevlie.commuting import (
     catalog_to_json,
     commutation_adjacency,
-    commuting_set,
     enumerate_max_commuting,
     is_ideal,
     maximum_cliques,
     weyl_stabilizer_generators,
     _reflect_mask,
 )
-from oracles import appendix_oracle, commute
+from oracles import appendix_oracle, commute, commuting_set
 
 TABLE2 = {
     ("A", 4): (6, 2), ("A", 5): (9, 1), ("B", 2): (3, 1), ("B", 3): (5, 1),

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from chevlie.chevalley import (
     weyl_word_element,
 )
 from chevlie.chevgroups import class_report
-from chevlie.commuting import commuting_set, enumerate_max_commuting
+from chevlie.commuting import enumerate_max_commuting
 from chevlie.elementary import (
     BudgetExceeded,
+    ElementarySubalgebra,
+    PointSet,
     Setting,
     borel_generators,
     brute_force_Eu,
@@ -35,7 +38,6 @@ from chevlie.elementary import (
     keys,
     leading_term_solve,
     lie,
-    lt,
     normalizer_in_g,
     replay_verify,
     solution_subalgebra,
@@ -58,8 +60,10 @@ from oracles import (
     b_family,
     chevalley_group_generators,
     commute,
+    commuting_set,
     direct_sum,
     full_generating_set,
+    lt,
     matpow,
     orbit_decompose,
 )
@@ -350,6 +354,37 @@ def test_brute_force_points_pinned(t, n, p, degree, r, count, digest):
     assert hashlib.sha256(b"".join(packs)).hexdigest() == digest
 
 
+def test_point_set_is_a_key_sorted_stack_of_views():
+    setting = get_setting("G", 2, 5)
+    points = brute_force_Eu(setting, 3)
+    assert isinstance(points, PointSet) and len(points) == len(points.rows) == 181
+    packs = [E.pack() for E in points]
+    assert packs == keys(setting, points.rows) == sorted(packs)
+    for i in [0, 7, np.int64(180), -1]:
+        E = points[i]
+        assert isinstance(E, ElementarySubalgebra) and E.setting is setting
+        assert np.shares_memory(E.rows, points.rows) and (E.rows == points.rows[i]).all()
+    assert all(np.shares_memory(E.rows, points.rows) for E in points)
+    with pytest.raises(TypeError):
+        points[:2]
+    empty = brute_force_Eu(setting, 4)
+    assert len(empty) == 0 and list(empty) == [] and empty.rows.shape == (0, 4, setting.n_pos)
+
+
+def test_g2_f25_enumeration_memory():
+    # brute force and fusion of the 16,901 points hold them as one int16
+    # stack; a list of ElementarySubalgebra and its np.stack peaked at 9.4 MiB
+    setting = get_setting("G", 2, 5, 2)
+    g_conjugacy_classes(setting, brute_force_Eu(setting, 3))  # the per-setting caches
+    tracemalloc.start()
+    try:
+        g_conjugacy_classes(setting, brute_force_Eu(setting, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 RMAX_CASES = [
     ("A", 1, 2, 1), ("A", 2, 2, 2), ("A", 3, 2, 4), ("A", 4, 2, 6),
     ("B", 2, 3, 3), ("B", 3, 3, 5), ("B", 4, 3, 7), ("C", 3, 3, 6),
@@ -363,7 +398,7 @@ def test_rmax_matches_commuting_m(t, n, p, m):
     if t != "A" or n > 1:
         assert enumerate_max_commuting(setting.system).m == m
     assert len(brute_force_Eu(setting, m)) > 0
-    assert brute_force_Eu(setting, m + 1) == []
+    assert len(brute_force_Eu(setting, m + 1)) == 0
 
 
 def test_lemma_oto_unique_points():
@@ -813,7 +848,7 @@ def test_fusion_refuses_a_list_not_closed_under_borel():
     # the target of a Borel edge is the image of another point under B
     j = next(j for c in classes for _, k, j in c.edges.tolist() if k < nb)
     with pytest.raises(ValueError, match="not closed under the Borel action"):
-        g_conjugacy_classes(setting, points[:j] + points[j + 1 :])
+        g_conjugacy_classes(setting, PointSet(setting, np.delete(points.rows, j, axis=0)))
 
 
 def test_fusion_refuses_a_list_not_closed_under_the_torus():
@@ -829,7 +864,7 @@ def test_fusion_refuses_a_list_not_closed_under_the_torus():
     roots = [e for e in edges if gens[e[1]].kind == "root_group"]
     drop = next(c for c in _tree_components(roots, len(points)) if j in c)
     with pytest.raises(ValueError, match="not closed under the Borel action"):
-        g_conjugacy_classes(setting, [E for x, E in enumerate(points) if x not in drop])
+        g_conjugacy_classes(setting, PointSet(setting, np.delete(points.rows, sorted(drop), axis=0)))
 
 
 def test_fusion_refuses_a_list_not_closed_under_weyl():
@@ -846,7 +881,7 @@ def test_fusion_refuses_a_list_not_closed_under_weyl():
     # the ambient BFS under B agrees that the orbit is this one set
     (o,) = orbit_decompose(setting, [points[min(orbit)]], borel_generators(setting))
     assert 1 < o.size == len(orbit)
-    sub = [points[x] for x in sorted(orbit)]
+    sub = PointSet(setting, points.rows[sorted(orbit)])
     with pytest.raises(ValueError, match="Weyl image inside u is missing"):
         g_conjugacy_classes(setting, sub)
 
@@ -857,7 +892,7 @@ def test_fusion_ignores_input_order():
     perm = list(range(len(points)))
     random.Random(7).shuffle(perm)
     classes = g_conjugacy_classes(setting, points)
-    shuffled = g_conjugacy_classes(setting, [points[x] for x in perm])
+    shuffled = g_conjugacy_classes(setting, PointSet(setting, points.rows[perm]))
     assert len(shuffled) == len(classes)
     for c, s in zip(classes, shuffled):
         assert sorted(perm[i] for i in s.point_indices) == c.point_indices
@@ -1335,4 +1370,4 @@ def test_product_count_a1_plus_a1():
     # and the sum admits nothing bigger
     s2 = direct_sum(a1, a1)
     setting = Setting(s2, build_constants(s2, default_order(s2)), gf)
-    assert brute_force_Eu(setting, 3) == []
+    assert len(brute_force_Eu(setting, 3)) == 0
