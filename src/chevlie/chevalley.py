@@ -255,7 +255,7 @@ class GroupGenerator:
     matrix: np.ndarray
 
     def apply_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.field.matmul(rows, self.matrix.T.copy())
+        return self.field.matmul(rows, self.matrix.T)
 
 
 @lru_cache(maxsize=None)
@@ -268,8 +268,8 @@ def root_group_element(
     tk = 1  # t^k
     for k, term in enumerate(terms):
         if k:
-            tk = field.mul(tk, t)
-        M = field.add(M, field.mul(int(tk), (term % field.p).astype(np.int16)))
+            tk = field.MUL[tk, t]
+        M = field.ADD[M, field.MUL[tk, (term % field.p).astype(np.int16)]]
     M.flags.writeable = False  # cached: one matrix for every caller
     return GroupGenerator("root_group", (alpha.coeffs, t), field, M)
 

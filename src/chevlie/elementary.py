@@ -391,7 +391,7 @@ def brute_force_Eu(setting: Setting, r: int, budget: int = DEFAULT_BUDGET) -> Po
                 F = fills[lo : lo + _FILL_BATCH]
                 ads = setting.basis.ad_of(gf, F, "u").reshape(len(F), F.shape[1] * n, n)
                 ok, part, piv, kernel = gf.solve_affine(
-                    ads[:, :, below[k]], gf.neg(ads[:, :, pivots[k]])
+                    ads[:, :, below[k]], gf.NEG[ads[:, :, pivots[k]]]
                 )
                 live = np.flatnonzero(ok)
                 sets, group = gf.distinct_rows(piv[live])
@@ -626,8 +626,8 @@ def normalizer_basis(setting: Setting, rows_g: np.ndarray) -> np.ndarray:
     # y -> [y, e] = -ad_e y for each basis row e, reduced modulo the span by
     # clearing its pivot coordinates: M - R^T M[pivots] (R is reduced, so
     # clearing one pivot leaves the others' coordinates alone)
-    M = gf.neg(setting.basis.ad_of(gf, R, "g"))
-    M = gf.sub(M, gf.matmul(R.T, M[:, pivots, :]))
+    M = gf.NEG[setting.basis.ad_of(gf, R, "g")]
+    M = gf.SUB[M, gf.matmul(R.T, M[:, pivots, :])]
     return gf.nullspace(M.reshape(-1, M.shape[-1]))
 
 
@@ -859,9 +859,8 @@ def g_conjugacy_classes(setting: Setting, points: PointSet) -> list[FusionClass]
 
 def _apply_word_u(setting: Setting, E: ElementarySubalgebra, word) -> ElementarySubalgebra:
     rows = E.as_g_rows()
-    gf = setting.field
     for g in word:
-        rows = gf.matmul(rows, g.matrix.T)
+        rows = g.apply_rows(rows)
     if rows[:, setting.n_pos :].any():
         raise ValueError("conjugation word left u")
     return subalgebra_from_rows(setting, rows[:, : setting.n_pos])
@@ -984,7 +983,7 @@ def _closed_orbit_word(setting: Setting, E: ElementarySubalgebra):
         gamma = int(system.sum_index[b, n + a])
         if not 0 <= gamma < n or not (N := int(setting.n_mod_p[gamma, a])):
             return None
-        t = gf.mul(gf.neg(int(off[rows[k], b])), gf.inv(N))
+        t = gf.MUL[gf.NEG[off[rows[k], b]], gf.INV[N]]
         word.append(root_group_element(setting.basis, gf, system.root(gamma), int(t)))
         E = _apply_word_u(setting, E, word[-1:])
     return None

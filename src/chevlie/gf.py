@@ -6,8 +6,14 @@ is encoded as sum_k c_k p^k, where t is a root of a fixed irreducible
 polynomial.  The polynomial per (p, r) is pinned in IRREDUCIBLE so that
 encodings never change between runs.
 
-All elementwise operations go through q x q lookup tables, which makes them
-vectorizable with numpy fancy indexing.  `GF` refuses q >= `MAX_Q` = 2^11
+All elementwise operations are lookups in the tables ADD, MUL, SUB (q x q)
+and NEG, INV (length q), indexed directly.  Every field builds them from
+one identity, the regular representation of F_q over F_p: the companion
+matrix of the pinned polynomial maps the base-p digits of b to those of t b,
+so a b = sum_k a_k (t^k b), digit by digit mod p; a prime field is
+F_p[t]/(t), where only t^0 = 1 is read.  INV is read where MUL equals 1.
+`tests/test_gf.py::test_tables_are_pinned` pins the tables by SHA-256 and
+against a schoolbook polynomial product.  `GF` refuses q >= `MAX_Q` = 2^11
 before it builds any table: the tables hold int16 entries below q, and at
 q = 2^11 each holds 4 Mi entries.  A matrix product is r BLAS products
 over the base-p digit planes of the encodings (`GF.matmul`), in float32 while
@@ -51,64 +57,35 @@ _MATMUL_PIECE = 1 << 16
 _TAKE_PIECE = 1 << 16
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    r = len(mod) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, r - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(r):
-                prod[k - r + j] = (prod[k - r + j] - c * mod[j]) % p
-    out = prod[:r]
-    out += [0] * (r - len(out))
-    return out
-
-
 class GF:
     """The field with q = p^degree elements; use GF.get() for the cached instance."""
 
     def __init__(self, p: int, degree: int = 1):
-        # cheap checks first: the pinned degrees keep p**degree small, and the
-        # bound keeps is_prime's trial division short
+        # cheap checks first: the bound keeps is_prime's trial division short,
+        # and the pinned degrees keep p**degree small
         if degree < 1:
             raise ValueError(f"field degree {degree} is not positive")
+        if p < MAX_Q and not is_prime(p):
+            raise ValueError(f"p = {p} is not a prime")
         if degree > 1 and (p, degree) not in IRREDUCIBLE:
             raise ValueError(f"no pinned irreducible polynomial for F_{p}^{degree}")
         q = p**degree
         if q >= MAX_Q:
             raise ValueError(f"q = {q} is too large: fields hold q < {MAX_Q}")
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not a prime")
         self.p = p
         self.degree = degree
         self.q = q
-        if degree == 1:
-            add = (np.arange(q)[:, None] + np.arange(q)[None, :]) % p
-            mul = (np.arange(q)[:, None] * np.arange(q)[None, :]) % p
-        else:
-            mod = IRREDUCIBLE[(p, degree)]
-            dig = [[(e // p**k) % p for k in range(degree)] for e in range(q)]
-            enc = lambda cs: sum(c * p**k for k, c in enumerate(cs))
-            add = np.zeros((q, q), dtype=np.int64)
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = enc([(x + y) % p for x, y in zip(dig[a], dig[b])])
-                    mul[a, b] = enc(_poly_mulmod(dig[a], dig[b], mod, p))
-        self.ADD = add.astype(np.int16)
-        self.MUL = mul.astype(np.int16)
-        neg = np.zeros(q, dtype=np.int16)
-        inv = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            neg[a] = int(np.nonzero(add[a] == 0)[0][0])
-            if a:
-                inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-        self.NEG = neg
-        self.INV = inv
+        weight = p ** np.arange(degree, dtype=np.int32)
+        dig = np.arange(q, dtype=np.int32)[:, None] // weight % p
+        shift = np.eye(degree, k=1, dtype=np.int32)  # the companion matrix, transposed
+        shift[-1] -= IRREDUCIBLE.get((p, degree), (0, 1))[:-1]
+        tb = [dig]  # the digits of t^k b: dig @ shift^k mod p
+        for _ in range(1, degree):
+            tb.append(tb[-1] @ shift % p)
+        self.ADD = ((dig[:, None] + dig) % p @ weight).astype(np.int16)
+        self.MUL = (sum(dig[:, k, None, None] * tb[k] for k in range(degree)) % p @ weight).astype(np.int16)
+        self.NEG = (-dig % p @ weight).astype(np.int16)
+        self.INV = (self.MUL == 1).argmax(axis=1).astype(np.int16)  # 0 for a = 0
         self.SUB = self.ADD[:, self.NEG]
         # MUL and ADD read at a * q + b, in a type that holds every index
         wide = np.int16 if q * q < 2**15 else np.int32
@@ -126,9 +103,6 @@ class GF:
 
     # -- scalar helpers ----------------------------------------------------
 
-    def units(self) -> range:
-        return range(1, self.q)
-
     def power(self, a: int, n: int) -> int:
         """a^n for n >= 0, by repeated squaring."""
         out, base = 1, a
@@ -143,25 +117,8 @@ class GF:
         """The F_p-basis 1, t, ..., t^(r-1) of F_q (encoded p^k) and the least
         primitive element of F_q^x (1 when q = 2)."""
         order = lambda x: next(k for k in range(1, self.q) if self.power(x, k) == 1)
-        lam0 = next(x for x in self.units() if order(x) == self.q - 1)
+        lam0 = next(x for x in range(1, self.q) if order(x) == self.q - 1)
         return [self.p**k for k in range(self.degree)], lam0
-
-    # -- vectorized elementwise ops -----------------------------------------
-
-    def add(self, a, b):
-        return self.ADD[a, b]
-
-    def sub(self, a, b):
-        return self.SUB[a, b]
-
-    def mul(self, a, b):
-        return self.MUL[a, b]
-
-    def neg(self, a):
-        return self.NEG[a]
-
-    def inv(self, a):
-        return self.INV[a]
 
     # -- matrices ------------------------------------------------------------
 

@@ -178,8 +178,7 @@ class RootSystem:
                     while down in roots:
                         r += 1
                         down = down - alpha
-                    pairing = sum(c * self.cartan[i][j] for j, c in enumerate(beta.coeffs))
-                    if r - pairing >= 1:
+                    if r - self.pairing(beta, i) >= 1:
                         roots.add(gamma)
                         new.append(gamma)
             frontier = new

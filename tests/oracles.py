@@ -19,7 +19,9 @@
 * the G2 witness, the Bruhat fusion classes of G2 over small F_q that the
   LEDGER entries on G2 cite;
 * `commuting_set` of a list of roots and `lt`, the leading-term set of one
-  point read root by root, which the CLI reads for a whole stack at once.
+  point read root by root, which the CLI reads for a whole stack at once;
+* `poly_mulmod`, the product of two polynomials over F_p reduced by schoolbook
+  division, the reference for the companion-matrix tables of `GF`.
 
 Pytest puts this directory on `sys.path`, so tests read `from oracles import
 ...`; a command outside pytest runs with `PYTHONPATH=src:tests`.
@@ -400,6 +402,25 @@ def csv_lines(basis: ChevalleyBasis):
         av = " ".join(map(str, pos[i].coeffs))
         bv = " ".join(map(str, pos[j].coeffs))
         yield f"{av},{bv},{basis.constants[i, j]}"
+
+
+def poly_mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
+    """The coefficients, constant term first, of a b modulo the monic
+    polynomial mod over F_p, padded to its degree."""
+    r = len(mod) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for k in range(len(prod) - 1, r - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j in range(r):
+                prod[k - r + j] = (prod[k - r + j] - c * mod[j]) % p
+    out = prod[:r]
+    out += [0] * (r - len(out))
+    return out
 
 
 def matpow(field: GF, A: np.ndarray, n: int) -> np.ndarray:

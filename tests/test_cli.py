@@ -268,6 +268,14 @@ def test_verify_orbits_a2_q_1_mod_3():
         (["enumerate", "--type", "G2", "--p", "x", "--dim", "3"], "argument --p: invalid int value: 'x'"),
         # a field too large for its q x q tables is refused before any is built
         (["verify", "--stage", "unipotent", "--type", "G2", "--p", "100003"], "q = 100003 is too large"),
+        # a composite p is named as such, whatever the degree
+        (["enumerate", "--type", "A2", "--p", "4", "--dim", "2", "--r-ext", "2"], "p = 4 is not a prime"),
+        (["enumerate", "--type", "A2", "--p", "6", "--dim", "2", "--r-ext", "3"], "p = 6 is not a prime"),
+        # a huge p or degree is refused before p**degree is computed
+        (["enumerate", "--type", "A2", "--p", str(10**18 + 3), "--dim", "2", "--r-ext", "2"],
+         "no pinned irreducible polynomial"),
+        (["enumerate", "--type", "A2", "--p", "2", "--dim", "2", "--r-ext", str(10**9)],
+         "no pinned irreducible polynomial"),
     ],
 )
 def test_invalid_input_exit_code(argv, reason, capsys):

@@ -651,10 +651,11 @@ def _reference_classes(setting, points):
     (representative packing, point indices, normalizer dimension) per class."""
     gf, cb, n = setting.field, setting.basis, setting.n_pos
     moves = [
-        root_group_element(cb, gf, a, t) for a in setting.system.positive_roots for t in gf.units()
+        root_group_element(cb, gf, a, t)
+        for a in setting.system.positive_roots for t in range(1, gf.q)
     ]
     for i in range(1, setting.system.rank + 1):
-        moves += [cocharacter_element(cb, gf, i, lam) for lam in gf.units() if lam != 1]
+        moves += [cocharacter_element(cb, gf, i, lam) for lam in range(1, gf.q) if lam != 1]
     moves += [weyl_word_element(cb, gf, w) for w in weyl_words_all(setting.system)]
     rows_g = np.stack([E.as_g_rows() for E in points])
     index = {k: i for i, k in enumerate(keys(setting, rows_g))}

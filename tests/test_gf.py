@@ -1,12 +1,13 @@
 """Linear algebra over F_q, checked against exhaustive enumeration of F_q^n."""
 
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
 from chevlie.gf import _MATMUL_PIECE, GF, IRREDUCIBLE
-from oracles import matpow
+from oracles import matpow, poly_mulmod
 
 FIELDS = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F4": (2, 2), "F8": (2, 3),
           "F9": (3, 2), "F25": (5, 2)}
@@ -15,6 +16,47 @@ FIELDS = {"F2": (2, 1), "F3": (3, 1), "F5": (5, 1), "F4": (2, 2), "F8": (2, 3),
 @pytest.fixture(params=list(FIELDS), ids=list(FIELDS))
 def gf(request):
     return GF.get(*FIELDS[request.param])
+
+
+# SHA-256 of the ADD, MUL, NEG and INV bytes (int16, little-endian) of each
+# field, recorded when the tables were still built by `poly_mulmod`.  Editing
+# an entry of IRREDUCIBLE changes MUL and fails its pin; a new entry needs
+# its digest recorded here.
+TABLE_DIGESTS = {
+    (2, 1): "9eb679803ab93ace7541cee0f5297f2c558dd78f30390ae40b2928f705dc09f2",
+    (3, 1): "f0a865e1e5934027ea668004eb97c356886acb0641d7a9496320cb45e51ca8e2",
+    (5, 1): "0a3e644db97fd132cbf558d41d8b1bd7e5d0ad52f220669229a7c1113880d614",
+    (7, 1): "d8492302dfa4ac776607dd39aa9a17b8daf4ba80858e023214170e6a162a409a",
+    (11, 1): "0cff9f065976c02071a7374f0bdf8ee04b6c4170529b64660d9b4c66f47b61af",
+    (13, 1): "578505861c1bacf90819b57a3189f438f70bf1b5834c75554efccd88f78d28f2",
+    (2, 2): "89a7f757ff55d49e1a4807016e69ceccd4912d1db76b7a5920e53af661cfb3bd",
+    (2, 3): "ab3e009ea9160b61d5ea083014c91550a54479b9ddb1695c240f260968eb7c2c",
+    (3, 2): "cad1e5a781d037c5496b3654a7b82d165fc379760c9aec0ead0fa65780f87068",
+    (3, 3): "262add828926d5f101b0e241d443bce589068305bbafe7571a375f996beda10f",
+    (5, 2): "0742bd81060fd8d51dfeafbad056ab33efe648eb47fe21d24200a6878d8d7672",
+    (5, 3): "5252447b7c9dd82f6bcbc581d7f6ca2a3fa144abf4e471f83d5196c019a7f5c2",
+    (7, 2): "090852a219661e8fc24edfc6ddab568106571a8b0ad4cd27b66340bad79640e1",
+    (7, 3): "a8b3f7e45140e93df9b091c41db84536ceb97612f8126e24dbf4b27929b710b5",
+}
+PINNED_FIELDS = sorted(set(TABLE_DIGESTS) | set(IRREDUCIBLE))
+
+
+@pytest.mark.parametrize("field", PINNED_FIELDS, ids=[f"F{p}^{r}" for p, r in PINNED_FIELDS])
+def test_tables_are_pinned(field):
+    # MUL is the product of the digit polynomials modulo the pinned one (t
+    # for a prime field), every unit has its inverse in INV (a reducible
+    # polynomial leaves a unit without one), and the bytes match the pin
+    p, r = field
+    gf = GF(p, r)
+    digits = [[e // p**k % p for k in range(r)] for e in range(gf.q)]
+    encode = {tuple(d): e for e, d in enumerate(digits)}
+    mod = IRREDUCIBLE.get(field, (0, 1))
+    expected = [[encode[tuple(poly_mulmod(a, b, mod, p))] for b in digits] for a in digits]
+    assert (gf.MUL == np.array(expected)).all()
+    units = np.arange(1, gf.q)
+    assert (gf.MUL[units, gf.INV[units]] == 1).all()
+    tables = b"".join(t.astype("<i2").tobytes() for t in (gf.ADD, gf.MUL, gf.NEG, gf.INV))
+    assert hashlib.sha256(tables).hexdigest() == TABLE_DIGESTS.get(field)
 
 
 def _vectors(q, n):
